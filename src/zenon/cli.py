@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", help="override the scenario's output_dir")
     parser.add_argument("--seed", type=int, help="override the scenario's seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; Monte Carlo runs in one process")
     return parser
 
 

@@ -73,9 +73,8 @@ class Scenario:
         if self.grid is not None:
             if not isinstance(self.grid, list) or not self.grid:
                 raise ValidationError("grid must be a nonempty list of override mappings")
-            keys = list(self.grid[0])
             for entry in self.grid:
-                if not isinstance(entry, dict) or list(entry) != keys:
+                if not isinstance(entry, dict) or entry.keys() != self.grid[0].keys():
                     raise ValidationError("every grid entry must carry the same override keys")
 
 

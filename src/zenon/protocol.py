@@ -3,15 +3,15 @@
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
 measured outcome equals the monitored state.  `simulate_conditional` follows
-the deterministic filtered state; `simulate_trajectories` plays the game
-with actual Monte Carlo measurement records and counts survivors.
+the deterministic filtered state; `simulate_trajectories` samples survivors
+by the waiting-time method, one uniform per trajectory against the exact
+survival curve of its initial ket.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from .linalg import as_cmatrix, dagger, expm, frobenius_norm, hermitian_eig, hermitian_part, is_hermitian
+from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, hermitian_part, is_hermitian
 
 CHAIN_CONSISTENCY_RTOL = 1e-12
 
@@ -159,11 +159,6 @@ class TrajectoryEnsemble:
         return self.survival_counts / self.n_traj
 
 
-def _trajectory_uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, index))))
-    return rng.random(n)
-
-
 def _initial_ensemble(rho0: DensityMatrix):
     """Eigendecomposition of rho0 for sampling pure initial kets."""
     eig = hermitian_eig(rho0.rho)
@@ -172,31 +167,23 @@ def _initial_ensemble(rho0: DensityMatrix):
     return np.cumsum(w), eig.eigenvectors
 
 
-def _run_chunk(args):
-    u, measured, cum_weights, vectors, seed, start, stop, n_steps, keep_states = args
-    dim = vectors.shape[0]
-    n_local = stop - start
-    uniforms = np.empty((n_local, n_steps + 1))
-    for i in range(n_local):
-        uniforms[i] = _trajectory_uniforms(seed, start + i, n_steps + 1)
-    picks = np.searchsorted(cum_weights, uniforms[:, 0], side="right")
-    picks = np.minimum(picks, dim - 1)
-    states = vectors[:, picks].T.copy()
-    alive = np.arange(n_local)
-    counts = np.zeros(n_steps, dtype=np.int64)
-    ut = u.T.copy()
-    for step in range(n_steps):
-        composite = np.zeros((alive.size, 2 * dim), dtype=complex)
-        composite[:, measured::2] = states
-        composite = composite @ ut
-        amp = composite[:, measured::2]
-        p_keep = np.einsum("ij,ij->i", amp, amp.conj()).real
-        p_keep = np.clip(p_keep, 0.0, 1.0)
-        kept = uniforms[alive, step + 1] < p_keep
-        alive = alive[kept]
-        states = amp[kept] / np.sqrt(p_keep[kept])[:, None]
-        counts[step] = alive.size
-    return counts, (states if keep_states else None)
+def _survival_curves(k: np.ndarray, kets: np.ndarray, n_steps: int):
+    """curves[n, j] = ||K^(n+1) kets[:, j]||^2, non-increasing in n, and the
+    normalized kets after the last step; a ket whose norm reaches zero keeps
+    a curve of exactly 0.0 and a zero column."""
+    v = kets
+    log_p = np.zeros(v.shape[1])
+    logs = np.empty((n_steps, v.shape[1]))
+    with np.errstate(divide="ignore"):
+        for step in range(n_steps):
+            v = k @ v
+            norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
+            log_p = log_p + np.log(norm_sq)
+            logs[step] = log_p
+            v /= np.sqrt(np.where(norm_sq > 0, norm_sq, 1.0))
+    # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
+    # counts rise too.
+    return np.minimum.accumulate(np.exp(logs), axis=0), v
 
 
 def simulate_trajectories(
@@ -207,13 +194,15 @@ def simulate_trajectories(
     keep_states: bool = False,
     n_workers: int = 1,
 ) -> TrajectoryEnsemble:
-    """Monte Carlo measurement records for n_traj independent trajectories.
+    """Monte Carlo survivor counts for n_traj independent trajectories.
 
-    Every trajectory owns a counter-based Philox stream seeded by (seed,
-    trajectory index) and draws all its uniforms up front, so results are
-    bit-identical for a given (seed, n_traj) regardless of execution order
-    or worker count.  A trajectory that fails a measurement is discarded
-    from that step on.
+    Waiting-time sampler (Dalibard, Castin and Molmer, PRL 68, 580 (1992)):
+    a survivor that started in eigenket psi_j of rho0 is K^n psi_j / ||.||,
+    and it is alive after step n exactly when u < ||K^n psi_j||^2 for one
+    uniform u.  Row i of one Philox stream's (n_traj, 2) draw picks psi_j
+    and u for trajectory i, so a run's first N trajectories are those of an
+    n_traj=N run.  Memory is O(n_traj + dim * n_steps).  n_workers is only
+    validated; the sampler runs in one process.
     """
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(
@@ -223,28 +212,24 @@ def simulate_trajectories(
         raise ValidationError(f"n_traj must be positive, got {n_traj}")
     if n_workers < 1:
         raise ValidationError(f"n_workers must be positive, got {n_workers}")
-    order = ancilla_order(cfg.h.shape[0], cfg.spec)
-    hc = cfg.h[np.ix_(order, order)]
-    u = expm(-1j * cfg.tau * hc)
     cum_weights, vectors = _initial_ensemble(rho0)
-    chunks = []
-    n_workers = min(n_workers, n_traj)
-    bounds = np.linspace(0, n_traj, n_workers + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            chunks.append(
-                (u, cfg.spec.measured_state, cum_weights, vectors, seed,
-                 int(lo), int(hi), cfg.n_steps, keep_states)
-            )
-    if n_workers == 1:
-        results = [_run_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_chunk, chunks))
-    counts = np.sum([r[0] for r in results], axis=0).astype(np.int64)
-    finals = np.concatenate([r[1] for r in results]) if keep_states else None
+    dim = vectors.shape[0]
+    draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2))
+    picks = np.minimum(np.searchsorted(cum_weights, draws[:, 0], side="right"), dim - 1)
+    u = draws[:, 1]
+    curves, finals = _survival_curves(kraus_step(cfg.h, cfg.spec, cfg.tau), vectors, cfg.n_steps)
+
+    counts = np.zeros(cfg.n_steps, dtype=np.int64)
+    by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=dim))[:-1])
+    for j, u_j in enumerate(by_pick):
+        counts += np.searchsorted(u_j, curves[:, j], side="left")
+
+    states = None
+    if keep_states:
+        alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
+        states = finals.T[picks[alive]]
     return TrajectoryEnsemble(
-        n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=finals
+        n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states
     )
 
 

@@ -44,7 +44,7 @@ def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
 def _check_finite(obj) -> None:
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValidationError(f"coupling {f.name} must be a finite real, got {v!r}")
 
 

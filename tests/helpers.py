@@ -1,4 +1,5 @@
-"""Shared test utilities: random draws and independent closed-form oracles.
+"""Shared test utilities: random draws, independent closed-form oracles and
+the stepwise Monte Carlo sampler that the waiting-time one is checked against.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -7,6 +8,8 @@ so they can confront derive_effective and friends as independent routes.
 
 import numpy as np
 
+from zenon.effective import ancilla_order
+from zenon.linalg import expm
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
 
 EYE2 = np.eye(2, dtype=complex)
@@ -110,3 +113,50 @@ FIG5_REALIZATIONS = {
     "b": AnisotropicParams(1.0, 0.0, 0.3, 0.0, 0.1, 0.005, 0.01, 1.0, 0.005),
     "c": AnisotropicParams(1.0, 0.0, 0.3, 0.0, 1.0, 0.05, 0.01, 10.0, 0.05),
 }
+
+
+def _trajectory_uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, index))))
+    return rng.random(n)
+
+
+def _run_chunk(args):
+    u, measured, cum_weights, vectors, seed, start, stop, n_steps, keep_states = args
+    dim = vectors.shape[0]
+    n_local = stop - start
+    uniforms = np.empty((n_local, n_steps + 1))
+    for i in range(n_local):
+        uniforms[i] = _trajectory_uniforms(seed, start + i, n_steps + 1)
+    picks = np.searchsorted(cum_weights, uniforms[:, 0], side="right")
+    picks = np.minimum(picks, dim - 1)
+    states = vectors[:, picks].T.copy()
+    alive = np.arange(n_local)
+    counts = np.zeros(n_steps, dtype=np.int64)
+    ut = u.T.copy()
+    for step in range(n_steps):
+        composite = np.zeros((alive.size, 2 * dim), dtype=complex)
+        composite[:, measured::2] = states
+        composite = composite @ ut
+        amp = composite[:, measured::2]
+        p_keep = np.einsum("ij,ij->i", amp, amp.conj()).real
+        p_keep = np.clip(p_keep, 0.0, 1.0)
+        kept = uniforms[alive, step + 1] < p_keep
+        alive = alive[kept]
+        states = amp[kept] / np.sqrt(p_keep[kept])[:, None]
+        counts[step] = alive.size
+    return counts, (states if keep_states else None)
+
+
+def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
+    """Reference Monte Carlo that plays every measurement: each survivor is
+    pushed through the composite unitary and kept with its one-step
+    probability, with all uniforms of a trajectory drawn from its own
+    Philox stream seeded by (seed, index).  Returns survivor counts per step."""
+    order = ancilla_order(cfg.h.shape[0], cfg.spec)
+    u = expm(-1j * cfg.tau * cfg.h[np.ix_(order, order)])
+    w, vectors = np.linalg.eigh(rho0.rho)
+    w = np.clip(w, 0.0, None)
+    cum_weights = np.cumsum(w / w.sum())
+    return _run_chunk(
+        (u, cfg.spec.measured_state, cum_weights, vectors, seed, 0, n_traj, cfg.n_steps, False)
+    )[0]

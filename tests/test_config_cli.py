@@ -230,6 +230,33 @@ def test_cli_sweep_fig5_regimes(tmp_path, repo_cwd):
     assert max(fidelities) > 0.9  # the strongly damped regime purifies phi_plus
 
 
+def test_cli_sweep_accepts_grid_keys_in_any_order(tmp_path, repo_cwd):
+    scenario = {
+        "command": "sweep",
+        "model": "symmetric",
+        "params": {"gamma_xy": 1.0, "gamma_z": 0.5, "g_xy": 2.0, "g_z": 0.3},
+        "initial_state": "01",
+        "t_max": 0.2,
+        "n_samples": 11,
+        "grid": [{"g_xy": 1.0, "tau": 0.05}, {"tau": 0.1, "g_xy": 2.0}],
+    }
+    cfg = tmp_path / "reordered.json"
+    cfg.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert lines[0].split(",")[:2] == ["g_xy", "tau"]
+    assert [float(v) for v in lines[2].split(",")[:2]] == [2.0, 0.1]
+
+
+def test_cli_exit_2_on_boolean_coupling(tmp_path, repo_cwd):
+    scenario = json.loads((CONFIGS / "derive_symmetric.json").read_text())
+    scenario["params"]["gamma_xy"] = True
+    cfg = tmp_path / "bool_coupling.json"
+    cfg.write_text(json.dumps(scenario))
+    assert main(["derive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_exit_2_on_validation_problems(tmp_path, repo_cwd):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate", "--config", "configs/fig4.json"]) == 2  # command mismatch

@@ -1,11 +1,13 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, taylor_expm
+from helpers import random_hermitian, stepwise_trajectories, taylor_expm
 from zenon.dynamics import DensityMatrix, normalize
-from zenon.effective import AncillaSpec
+from zenon.effective import AncillaSpec, kraus_step
 from zenon.errors import (
     BadDimensionError,
     NumericalError,
@@ -193,6 +195,99 @@ def test_simulate_trajectories_validation():
         simulate_trajectories(cfg, DensityMatrix.basis_state(4, 0), n_traj=0, seed=1)
     with pytest.raises(BadDimensionError):
         simulate_trajectories(cfg, DensityMatrix.basis_state(2, 0), n_traj=10, seed=1)
+    with pytest.raises(ValidationError):
+        simulate_trajectories(cfg, DensityMatrix.basis_state(4, 0), n_traj=10, seed=1, n_workers=0)
+
+
+def _binomial_z(counts, p, n):
+    """|z| of survivor counts against exact survival 0 < p < 1, step by step."""
+    return np.abs(counts / n - p) / np.sqrt(p * (1.0 - p) / n)
+
+
+_MIXED = DensityMatrix(rho=np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+
+
+@pytest.mark.parametrize("rho0", [DensityMatrix.basis_state(4, 1), _MIXED], ids=["pure", "mixed"])
+def test_waiting_time_and_stepwise_samplers_agree_with_exact_survival(rho0):
+    cfg = _cfg(n_steps=40, tau=0.05)
+    n = 2000
+    exact = conditional_survival_curve(cfg, rho0)
+    fast = simulate_trajectories(cfg, rho0, n_traj=n, seed=17).survival_counts
+    slow = stepwise_trajectories(cfg, rho0, n_traj=n, seed=17)
+    assert np.all(_binomial_z(fast, exact, n) < 4.0)
+    assert np.all(_binomial_z(slow, exact, n) < 4.0)
+    p_fast, p_slow = fast[-1] / n, slow[-1] / n
+    pooled = (p_fast + p_slow) / 2
+    assert abs(p_fast - p_slow) < 4.0 * math.sqrt(pooled * (1 - pooled) * 2 / n)
+
+
+def test_simulate_trajectories_zero_steps_keeps_initial_kets():
+    cfg = _cfg(n_steps=0)
+    ens = simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=20, seed=3, keep_states=True)
+    assert ens.survival_counts.shape == (0,)
+    assert ens.survived_states.shape == (20, 4)
+    assert np.allclose(np.abs(ens.survived_states[:, 1]), 1.0, atol=1e-12)
+
+
+def test_simulate_trajectories_never_picks_zero_weight_eigenket():
+    rho0 = DensityMatrix(rho=np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
+    n = 2000
+    ens = simulate_trajectories(_cfg(n_steps=0), rho0, n_traj=n, seed=8, keep_states=True)
+    states = ens.survived_states
+    assert np.allclose(states[:, 2:], 0.0, atol=1e-12)
+    frac = np.mean(np.abs(states[:, 0]) > 0.5)
+    assert abs(frac - 0.7) < 4.0 * math.sqrt(0.7 * 0.3 / n)
+
+
+def test_simulate_trajectories_annihilating_step_has_no_survivors():
+    # an ancilla flip completed within one tau leaves <m|U|m> = 0 exactly
+    h = kron(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.warns(StroboscopicRegimeWarning):
+        cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=math.pi / 2, n_steps=6)
+    assert not np.any(kraus_step(cfg.h, cfg.spec, cfg.tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4, keep_states=True)
+    assert np.array_equal(ens.survival_counts, np.zeros(6))
+    assert ens.survived_states.shape == (0, 2)
+    slow = stepwise_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4)
+    assert np.array_equal(slow, np.zeros(6))
+
+
+def test_simulate_trajectories_mixed_survivor_states_follow_their_eigenket():
+    cfg = _cfg(n_steps=12, tau=0.05)
+    ens = simulate_trajectories(cfg, _MIXED, n_traj=400, seed=12, keep_states=True)
+    states = ens.survived_states
+    assert states.shape == (ens.survival_counts[-1], 4)
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
+    kn = np.linalg.matrix_power(kraus_step(cfg.h, cfg.spec, cfg.tau), cfg.n_steps)
+    finals = kn / np.linalg.norm(kn, axis=0)  # K^n |j> / ||.|| for each basis ket j
+    overlaps = np.abs(states @ finals.conj())
+    assert np.allclose(overlaps.max(axis=1), 1.0, atol=1e-10)
+    assert len(set(overlaps.argmax(axis=1))) == 4
+
+
+def test_simulate_trajectories_prefix_stable_in_n_traj():
+    cfg = _cfg(n_steps=15, tau=0.05)
+    a = simulate_trajectories(cfg, _MIXED, n_traj=300, seed=21, keep_states=True)
+    b = simulate_trajectories(cfg, _MIXED, n_traj=600, seed=21, keep_states=True)
+    assert np.all(b.survival_counts >= a.survival_counts)
+    assert np.array_equal(b.survived_states[: len(a.survived_states)], a.survived_states)
+
+
+def test_simulate_trajectories_memory_independent_of_draw_count():
+    # 10^6 trajectories x 10^4 steps would need 80 GB of stepwise uniforms
+    cfg = _cfg(n_steps=10_000, tau=0.005)
+    rho0 = DensityMatrix.maximally_mixed(4)
+    tracemalloc.start()
+    try:
+        ens = simulate_trajectories(cfg, rho0, n_traj=1_000_000, seed=99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    p = conditional_survival_curve(cfg, rho0)[-1]
+    assert _binomial_z(ens.survival_counts[-1:], p, 1_000_000)[0] < 4.0
 
 
 def test_write_ensemble_csv(tmp_path):
