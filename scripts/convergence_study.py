@@ -19,6 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from zenon.dynamics import DensityMatrix  # noqa: E402
 from zenon.effective import AncillaSpec  # noqa: E402
+from zenon.linalg import write_csv  # noqa: E402
 from zenon.protocol import ProtocolConfig, stroboscopic_error  # noqa: E402
 from zenon.spin_models import SymmetricParams, build_symmetric  # noqa: E402
 
@@ -46,14 +47,14 @@ def main() -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["tau,n_steps,error,ratio"]
+    table = []
     print(f"{'tau':>10} {'n_steps':>8} {'error':>13} {'ratio':>7}")
     for k, (tau, n_steps, err) in enumerate(rows):
         ratio = rows[k - 1][2] / err if k else float("nan")
-        lines.append(f"{tau!r},{n_steps},{err!r},{ratio!r}")
+        table.append((tau, n_steps, err, ratio))
         print(f"{tau:>10.5f} {n_steps:>8} {err:>13.3e} {ratio:>7.2f}")
     path = out_dir / "convergence.csv"
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, ["tau", "n_steps", "error", "ratio"], table)
     print(f"wrote {path}")
     return 0
 

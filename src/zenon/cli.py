@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import COMMANDS, Scenario, load_scenario
-from .dilation import choose_tau, decay_generator, dilate, hermitian_eig, roundtrip_check
+from .dilation import choose_tau, decay_generator, dilate, roundtrip_check
 from .dynamics import (
     DensityMatrix,
     conditional_trajectory,
@@ -35,10 +35,9 @@ from .entanglement import (
     fig4_coherence_rows,
     fig4_population_rows,
     fig5_rows,
-    write_figure_csv,
 )
 from .errors import ValidationError, ZenonError
-from .linalg import matrix_from_json
+from .linalg import hermitian_eig, matrix_from_json, write_csv
 from .protocol import (
     ProtocolConfig,
     conditional_survival_curve,
@@ -120,12 +119,12 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def run_derive(s: Scenario, threads: int) -> None:
+def run_derive(s: Scenario) -> None:
     eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), _require_tau(s))
     _write_json(os.path.join(_out_dir(s), "effective.json"), eff.to_json())
 
 
-def run_simulate(s: Scenario, threads: int) -> None:
+def run_simulate(s: Scenario) -> None:
     if s.model == "matrix-file":
         h_eff = load_matrix_file(s.params)
     else:
@@ -149,11 +148,11 @@ def _protocol_config(s: Scenario) -> ProtocolConfig:
     )
 
 
-def run_protocol(s: Scenario, threads: int) -> None:
+def run_protocol(s: Scenario) -> None:
     cfg = _protocol_config(s)
     rho0 = parse_initial_state(s.initial_state, cfg.system_dim)
     exact = conditional_survival_curve(cfg, rho0)
-    ensemble = simulate_trajectories(cfg, rho0, s.n_traj, s.seed, n_workers=threads)
+    ensemble = simulate_trajectories(cfg, rho0, s.n_traj, s.seed)
     write_ensemble_csv(os.path.join(_out_dir(s), "ensemble.csv"), ensemble, exact)
 
 
@@ -179,7 +178,7 @@ def _roundtrip_tau(s: Scenario, h_eff: np.ndarray) -> float:
     return choose_tau(f)  # raises with the explanatory message
 
 
-def run_dilate(s: Scenario, threads: int) -> None:
+def run_dilate(s: Scenario) -> None:
     if s.model != "matrix-file":
         raise ValidationError("dilate expects model matrix-file (the target generator)")
     h_eff = load_matrix_file(s.params)
@@ -187,7 +186,7 @@ def run_dilate(s: Scenario, threads: int) -> None:
     _write_json(os.path.join(_out_dir(s), "dilation.json"), res.to_json())
 
 
-def run_roundtrip(s: Scenario, threads: int) -> None:
+def run_roundtrip(s: Scenario) -> None:
     if s.model != "matrix-file":
         raise ValidationError("roundtrip expects model matrix-file (a file or directory)")
     path = s.params
@@ -210,18 +209,18 @@ def run_roundtrip(s: Scenario, threads: int) -> None:
     _write_json(os.path.join(_out_dir(s), "roundtrip.json"), {"results": results})
 
 
-def run_figures(s: Scenario, threads: int) -> None:
+def run_figures(s: Scenario) -> None:
     out = _out_dir(s)
     tau = _require_tau(s)
     if s.model == "symmetric":
         block = EffectiveBlockParams.from_symmetric(s.params, tau)
         gt_max = block.gamma * s.t_max
-        write_figure_csv(
+        write_csv(
             os.path.join(out, "fig4a.csv"),
             ["gt_axis", "pop10", "pop01"],
             fig4_population_rows(block, gt_max, s.n_samples),
         )
-        write_figure_csv(
+        write_csv(
             os.path.join(out, "fig4b.csv"),
             ["gt_axis", "re_coh", "im_coh"],
             fig4_coherence_rows(block, gt_max, s.n_samples),
@@ -230,7 +229,7 @@ def run_figures(s: Scenario, threads: int) -> None:
         eff = derive_effective(build_anisotropic(s.params), _ancilla_spec(s), tau)
         plus, _ = block_decompose(eff.matrix())
         mxt_max = plus.mu_x * s.t_max
-        write_figure_csv(
+        write_csv(
             os.path.join(out, "fig5.csv"),
             ["mxt_axis", "pop11", "re_coh", "im_coh"],
             fig5_rows(plus, mxt_max, s.n_samples),
@@ -242,7 +241,7 @@ def run_figures(s: Scenario, threads: int) -> None:
 _SWEEP_PARAM_KEYS = {"tau", "t_max"}
 
 
-def run_sweep(s: Scenario, threads: int) -> None:
+def run_sweep(s: Scenario) -> None:
     if s.grid is None:
         raise ValidationError("sweep needs a grid of override mappings")
     if s.model == "matrix-file":
@@ -278,11 +277,7 @@ def run_sweep(s: Scenario, threads: int) -> None:
             cfg = ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=n_steps)
             row.append(stroboscopic_error(cfg, rho0))
         rows.append(row)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(os.path.join(_out_dir(s), "sweep.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(_out_dir(s), "sweep.csv"), header, rows)
 
 
 _RUNNERS = {
@@ -325,7 +320,7 @@ def main(argv=None) -> int:
             scenario.seed = args.seed
         if args.threads < 1:
             raise ValidationError(f"threads must be positive, got {args.threads}")
-        _RUNNERS[args.command](scenario, args.threads)
+        _RUNNERS[args.command](scenario)
     except ValidationError as exc:
         print(f"zenon: validation error: {exc}", file=sys.stderr)
         return 2

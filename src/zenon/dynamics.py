@@ -9,6 +9,8 @@ dividing that trace out is equivalent to integrating the nonlinear equation
 
 whose last term feeds the lost norm back in.  Both routes are implemented
 independently so they can be checked against each other.
+Repeated conditional steps, exp(-i H_eff dt) here or the protocol's Kraus
+step, all run through renormalized_chain and share its underflow rule.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     trace,
+    write_csv,
 )
 
 P_MIN = 1e-12
@@ -146,7 +149,12 @@ def default_time_step(eff: EffectiveHamiltonian) -> float:
     return 1e-3 / scale
 
 
-def _check_step(eff: EffectiveHamiltonian, t: float, dt: float) -> None:
+def _rk4(eff: EffectiveHamiltonian, rhs, size, y, t: float, dt: float | None, what: str):
+    """Classical RK4 from y over [0, t] with a shorter last step for the
+    remainder, dividing y by size(y) after each step; the drift of size(y)
+    from 1 is asserted below 1e-12 each step."""
+    if dt is None:
+        dt = min(default_time_step(eff), t)
     if not dt > 0:
         raise StepTooLargeError(f"dt must be positive, got {dt}")
     if dt > t:
@@ -155,6 +163,19 @@ def _check_step(eff: EffectiveHamiltonian, t: float, dt: float) -> None:
         raise StepTooLargeError(
             f"dt * ||H_eff|| = {dt * frobenius_norm(eff.matrix()):.3e} > {STEP_NORM_LIMIT}"
         )
+    n_full = int(math.floor(t / dt + 1e-12))
+    remainder = t - n_full * dt
+    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * step_dt * k1)
+        k3 = rhs(y + 0.5 * step_dt * k2)
+        k4 = rhs(y + step_dt * k3)
+        y = y + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = size(y)
+        if abs(s - 1.0) > 1e-12:
+            raise NumericalError(f"{what} drift {s - 1.0:.3e} exceeds 1e-12 per step")
+        y = y / s
+    return y
 
 
 def integrate_nonlinear(
@@ -163,8 +184,9 @@ def integrate_nonlinear(
     """RK4 integration of the trace-preserving nonlinear equation.
 
     The right-hand side has exactly zero trace on unit-trace input, so the
-    per-step renormalization only removes rounding; the drift is asserted
-    below 1e-12 each step.
+    per-step renormalization only removes rounding.  A result that is no
+    longer a valid density matrix (a step too coarse for the state's
+    smallest eigenvalue) is a run-time failure: NumericalError.
     """
     if t < 0:
         raise ValidationError(f"t must be nonnegative, got {t}")
@@ -172,9 +194,6 @@ def integrate_nonlinear(
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     if t == 0:
         return rho0
-    if dt is None:
-        dt = min(default_time_step(eff), t)
-    _check_step(eff, t, dt)
 
     h0 = eff.h0
     gamma = eff.gamma
@@ -190,20 +209,11 @@ def integrate_nonlinear(
             + feed * rho
         )
 
-    n_full = int(math.floor(t / dt + 1e-12))
-    remainder = t - n_full * dt
-    rho = rho0.rho.copy()
-    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * step_dt * k1)
-        k3 = rhs(rho + 0.5 * step_dt * k2)
-        k4 = rhs(rho + step_dt * k3)
-        rho = rho + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-12:
-            raise NumericalError(f"trace drift {tr - 1.0:.3e} exceeds 1e-12 per step")
-        rho = rho / tr
-    return DensityMatrix(hermitian_part(rho))
+    rho = _rk4(eff, rhs, lambda r: np.trace(r).real, rho0.rho.copy(), t, dt, "trace")
+    try:
+        return DensityMatrix(hermitian_part(rho))
+    except ValidationError as exc:
+        raise NumericalError(f"RK4 result is not a density matrix: {exc}") from exc
 
 
 def integrate_pure_nonlinear(
@@ -219,9 +229,6 @@ def integrate_pure_nonlinear(
         raise ValidationError(f"t must be nonnegative, got {t}")
     if t == 0:
         return psi.copy()
-    if dt is None:
-        dt = min(default_time_step(eff), t)
-    _check_step(eff, t, dt)
 
     h0 = eff.h0
     gamma = eff.gamma
@@ -232,19 +239,7 @@ def integrate_pure_nonlinear(
         avg = (v.conj() @ gv).real
         return -1j * (h0 @ v) - 0.5 * tau * gv + 0.5 * tau * avg * v
 
-    n_full = int(math.floor(t / dt + 1e-12))
-    remainder = t - n_full * dt
-    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
-        k1 = rhs(psi)
-        k2 = rhs(psi + 0.5 * step_dt * k1)
-        k3 = rhs(psi + 0.5 * step_dt * k2)
-        k4 = rhs(psi + step_dt * k3)
-        psi = psi + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-12:
-            raise NumericalError(f"norm drift {nrm - 1.0:.3e} exceeds 1e-12 per step")
-        psi = psi / nrm
-    return psi
+    return _rk4(eff, rhs, np.linalg.norm, psi, t, dt, "norm")
 
 
 def expectation(state, observable) -> float:
@@ -259,14 +254,39 @@ def expectation(state, observable) -> float:
     return float(val.real)
 
 
+def renormalized_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
+    """Yield (p, rho) after each of n_steps applications of rho <- A rho A^dag.
+
+    rho is renormalized to unit trace every step and the survival
+    probability p accumulated in log space, so long strongly-damped chains
+    neither underflow nor overflow: p is exp(log p), or exactly 0.0 once
+    log p <= -745, below the smallest subnormal double.  A trace that
+    reaches 0 ends the chain early, since no state is left to normalize; a
+    non-finite trace raises ProbabilityUnderflowError.
+    """
+    ad = dagger(a)
+    log_p = 0.0
+    for _ in range(n_steps):
+        rho = a @ rho @ ad
+        tr = np.trace(rho).real
+        if not math.isfinite(tr):
+            raise ProbabilityUnderflowError(f"conditional trace is {tr}")
+        if not tr > 0:
+            return
+        rho = hermitian_part(rho / tr)
+        log_p += math.log(tr)
+        yield (math.exp(log_p) if log_p > -745 else 0.0), rho
+
+
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """Normalized conditional states on a uniform grid, with survival tracking.
 
-    Works directly on a (possibly non-Hermitian) generator matrix h_eff.  The
-    state is renormalized every step and the survival probability accumulated
-    in log space, so long strongly-damped runs neither underflow nor overflow.
-    Returns (times, survival, states) with states a list of unit-trace
-    matrices; survival may reach exactly 0.0 once exp underflows.
+    Works directly on a (possibly non-Hermitian) generator matrix h_eff by
+    running renormalized_chain with exp(-i h_eff dt).  Returns (times,
+    survival, states) with states an (n_samples, dim, dim) stack of
+    unit-trace matrices; survival may reach exactly 0.0 once exp underflows.
+    A trace that reaches 0 leaves no state to return and raises
+    ProbabilityUnderflowError.
     """
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
@@ -276,24 +296,18 @@ def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: 
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)
-    u = expm(-1j * dt * m)
     times = np.array([k * dt for k in range(n_samples)])
-    rho = rho0.rho.copy()
-    log_p = 0.0
     survival = np.empty(n_samples)
+    states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
     survival[0] = 1.0
-    states = [rho.copy()]
-    for k in range(1, n_samples):
-        rho = u @ rho @ dagger(u)
-        tr = np.trace(rho).real
-        if not tr > 0 or not math.isfinite(tr):
-            raise ProbabilityUnderflowError(
-                f"conditional trace collapsed to {tr} at t = {times[k]:g}"
-            )
-        rho = hermitian_part(rho / tr)
-        log_p += math.log(tr)
-        survival[k] = math.exp(log_p) if log_p > -745 else 0.0
-        states.append(rho.copy())
+    states[0] = rho0.rho
+    chain = renormalized_chain(expm(-1j * dt * m), rho0.rho, n_samples - 1)
+    k = 0
+    for k, (p, rho) in enumerate(chain, 1):
+        survival[k] = p
+        states[k] = rho
+    if k < n_samples - 1:
+        raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {times[k + 1]:g}")
     return times, survival, states
 
 
@@ -312,23 +326,30 @@ def default_coherence_pair(dim: int, initial_index: int | None = None) -> tuple[
 
 
 def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
-    """CSV with columns t,p,pop_<basis>...,re_coh,im_coh,purity.
-
-    Floats are written with repr so rerunning the same scenario reproduces
-    the file byte for byte.
-    """
-    dim = states[0].shape[0]
+    """CSV with columns t,p,pop_<basis>...,re_coh,im_coh,purity, written by
+    write_csv from the stacked states; rows are built a block at a time, so
+    the writer's own memory stays bounded however long the series."""
+    states = np.asarray(states)
+    dim = states.shape[1]
     i, j = coherence_pair
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValidationError(f"coherence pair {coherence_pair} outside 0..{dim - 1}")
-    labels = basis_labels(dim)
-    header = ["t", "p"] + [f"pop_{s}" for s in labels] + ["re_coh", "im_coh", "purity"]
-    lines = [",".join(header)]
-    for t, p, rho in zip(times, survival, states):
-        pops = [rho[k, k].real for k in range(dim)]
-        coh = rho[i, j]
-        purity = (rho @ rho).trace().real
-        row = [t, p, *pops, coh.real, coh.imag, purity]
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
+    block = 4096
+
+    def rows():
+        for start in range(0, len(states), block):
+            s = states[start : start + block]
+            coh = s[:, i, j]
+            yield from np.column_stack(
+                [
+                    times[start : start + block],
+                    survival[start : start + block],
+                    np.diagonal(s, axis1=1, axis2=2).real,
+                    coh.real,
+                    coh.imag,
+                    np.trace(s @ s, axis1=1, axis2=2).real,
+                ]
+            ).tolist()
+
+    write_csv(path, header, rows())

@@ -155,8 +155,16 @@ def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
     return out[0], out[1]
 
 
-def block_propagator(block: TwoLevelBlockParams, t: float) -> np.ndarray:
-    """exp(-i (Omega sz + omega sx) t) in closed form.
+def _damped_cos_sinc(z: complex, nu: complex) -> tuple[complex, complex]:
+    """cos(z) and sin(z) / nu, both times e^{-|Im z|} so neither overflows."""
+    damp = abs(z.imag)
+    plus = cmath.exp(1j * z - damp)
+    minus = cmath.exp(-1j * z - damp)
+    return (plus + minus) / 2.0, (plus - minus) / (2j * nu)
+
+
+def _block_matrix(block: TwoLevelBlockParams, t: float, cos_sinc) -> np.ndarray:
+    """cos I - i sinc (Omega sz + omega sx), with (cos, sinc) = cos_sinc(nu t, nu).
 
     nu = sqrt(Omega^2 + omega^2) on the principal branch; the result is even
     in nu, so the branch does not matter, and the nu -> 0 limit is taken by
@@ -167,17 +175,20 @@ def block_propagator(block: TwoLevelBlockParams, t: float) -> np.ndarray:
     nu = cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
     z = nu * t
     if abs(z) < _SMALL_PHASE:
-        cos_term = 1.0 - z * z / 2.0
-        sinc_term = t * (1.0 - z * z / 6.0)
+        cos_term, sinc_term = 1.0 - z * z / 2.0, t * (1.0 - z * z / 6.0)
     else:
-        cos_term = cmath.cos(z)
-        sinc_term = cmath.sin(z) / nu
+        cos_term, sinc_term = cos_sinc(z, nu)
     return np.array(
         [
             [cos_term - 1j * sinc_term * omega_z, -1j * sinc_term * omega_x],
             [-1j * sinc_term * omega_x, cos_term + 1j * sinc_term * omega_z],
         ]
     )
+
+
+def block_propagator(block: TwoLevelBlockParams, t: float) -> np.ndarray:
+    """exp(-i (Omega sz + omega sx) t) in closed form."""
+    return _block_matrix(block, t, lambda z, nu: (cmath.cos(z), cmath.sin(z) / nu))
 
 
 def evolve_block_state(block: TwoLevelBlockParams, psi0, t: float) -> np.ndarray:
@@ -192,25 +203,7 @@ def evolve_block_state(block: TwoLevelBlockParams, psi0, t: float) -> np.ndarray
         raise BadDimensionError(f"block state must have 2 components, got {psi.size}")
     if np.linalg.norm(psi) == 0:
         raise ValidationError("block state must be nonzero")
-    omega_z = block.omega_z
-    omega_x = block.omega_x
-    nu = cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
-    z = nu * t
-    if abs(z) < _SMALL_PHASE:
-        u = block_propagator(block, t)
-    else:
-        damp = abs(z.imag)
-        plus = cmath.exp(1j * z - damp)
-        minus = cmath.exp(-1j * z - damp)
-        cos_scaled = (plus + minus) / 2.0
-        sinc_scaled = (plus - minus) / (2j * nu)
-        u = np.array(
-            [
-                [cos_scaled - 1j * sinc_scaled * omega_z, -1j * sinc_scaled * omega_x],
-                [-1j * sinc_scaled * omega_x, cos_scaled + 1j * sinc_scaled * omega_z],
-            ]
-        )
-    out = u @ psi
+    out = _block_matrix(block, t, _damped_cos_sinc) @ psi
     nrm = np.linalg.norm(out)
     if not nrm > 0 or not math.isfinite(nrm):
         raise NumericalError(f"block state norm collapsed to {nrm}")
@@ -323,12 +316,3 @@ FIG5_REGIMES = {
     "b": TwoLevelBlockParams(mu_z=0.01, nu_z=0.01, mu_x=1.0, nu_x=0.1, sector="plus"),
     "c": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=10.0, sector="plus"),
 }
-
-
-def write_figure_csv(path, header: list[str], rows) -> None:
-    """Write figure rows with repr floats for byte-stable reruns."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -31,18 +31,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a) @ np.asarray(b)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a) + np.asarray(b)
-
-
-def scale(a: np.ndarray, s: complex) -> np.ndarray:
-    return s * np.asarray(a)
-
-
 def trace(a: np.ndarray) -> complex:
     return complex(np.trace(a))
 
@@ -55,10 +43,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with a's index as the major (most significant) one."""
     return np.kron(a, b)
@@ -67,11 +51,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A^dag) / 2."""
     return (a + dagger(a)) / 2
-
-
-def anti_hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A - A^dag) / 2."""
-    return (a - dagger(a)) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_RTOL) -> bool:
@@ -154,6 +133,25 @@ def matrix_to_json(a) -> dict:
         "re": [float(x) for x in m.real.ravel()],
         "im": [float(x) for x in m.imag.ravel()],
     }
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header line and one line per row.
+
+    Integers are written as integers and every other value as
+    repr(float(v)), the shortest string that reads back to the same double,
+    so rerunning a scenario reproduces the file byte for byte.
+    """
+    def cell(v) -> str:
+        return str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        # lines are streamed, not joined, so a long table is never held as
+        # text; exact Python floats, nearly every cell, skip the dispatch
+        fh.writelines(
+            ",".join(repr(v) if type(v) is float else cell(v) for v in row) + "\n" for row in rows
+        )
 
 
 def matrix_from_json(obj) -> np.ndarray:

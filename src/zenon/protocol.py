@@ -2,21 +2,28 @@
 
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
-measured outcome equals the monitored state.  `simulate_conditional` follows
-the deterministic filtered state; `simulate_trajectories` samples survivors
-by the waiting-time method, one uniform per trajectory against the exact
-survival curve of its initial ket.
+measured outcome equals the monitored state, i.e. apply K = <m|U(tau)|m>.
+`simulate_conditional` (the filtered state) and `conditional_survival_curve`
+run dynamics.renormalized_chain with K.  `simulate_trajectories` samples
+survivors by the waiting-time method, one uniform per trajectory against
+the survival curve of its initial ket, from its own independent ket chain.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConditionalState, DensityMatrix, P_MIN, evolve_conditional, normalize
+from .dynamics import (
+    ConditionalState,
+    DensityMatrix,
+    P_MIN,
+    evolve_conditional,
+    normalize,
+    renormalized_chain,
+)
 from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_step
 from .errors import (
     BadDimensionError,
@@ -25,7 +32,7 @@ from .errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, hermitian_part, is_hermitian
+from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, is_hermitian, write_csv
 
 CHAIN_CONSISTENCY_RTOL = 1e-12
 
@@ -73,7 +80,9 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
 
     The survival probability is accumulated two independent ways, as the
     trace of K^n rho0 K^n dagger and as the telescoping product of per-step
-    conditional probabilities; both must agree to CHAIN_CONSISTENCY_RTOL.
+    conditional probabilities of renormalized_chain; both must agree to
+    CHAIN_CONSISTENCY_RTOL.  A chain that ends early or a probability at or
+    below P_MIN leaves no state to normalize: ProbabilityUnderflowError.
     """
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(
@@ -82,23 +91,15 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     if cfg.n_steps == 0:
         return ConditionalState(rho_c=rho0.rho.copy(), p=1.0, t=0.0)
     k = kraus_step(cfg.h, cfg.spec, cfg.tau)
-    kd = dagger(k)
-
-    rho = rho0.rho.copy()
-    log_p = 0.0
-    for _ in range(cfg.n_steps):
-        rho = k @ rho @ kd
-        tr = np.trace(rho).real
-        if not tr > 0 or not math.isfinite(tr):
-            raise ProbabilityUnderflowError(f"conditional probability hit {tr}")
-        rho = hermitian_part(rho / tr)
-        log_p += math.log(tr)
-    p_chain = math.exp(log_p) if log_p > -745 else 0.0
-
-    k_pow = np.eye(k.shape[0], dtype=complex)
-    for _ in range(cfg.n_steps):
-        k_pow = k @ k_pow
+    # K^n is released before the chain runs, so the two never share the peak
+    k_pow = np.linalg.matrix_power(k, cfg.n_steps)
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
+    del k_pow
+    steps = 0
+    for p_chain, rho in renormalized_chain(k, rho0.rho, cfg.n_steps):
+        steps += 1
+    if steps < cfg.n_steps:
+        raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {steps + 1}")
     if p_direct > 1e-250:
         gap = abs(p_direct - p_chain)
         if gap > CHAIN_CONSISTENCY_RTOL * max(p_direct, p_chain):
@@ -114,24 +115,16 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
 
 
 def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
-    """Exact survival probability after each of the n_steps measurements."""
+    """Exact survival probability after each of the n_steps measurements;
+    exactly 0.0 from the step on which the conditional trace reaches 0."""
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(
             f"state dim {rho0.dim} != system dim {cfg.system_dim}"
         )
-    k = kraus_step(cfg.h, cfg.spec, cfg.tau)
-    kd = dagger(k)
-    rho = rho0.rho.copy()
-    log_p = 0.0
-    out = np.empty(cfg.n_steps)
-    for step in range(cfg.n_steps):
-        rho = k @ rho @ kd
-        tr = np.trace(rho).real
-        if not tr > 0 or not math.isfinite(tr):
-            raise ProbabilityUnderflowError(f"conditional probability hit {tr}")
-        rho = hermitian_part(rho / tr)
-        log_p += math.log(tr)
-        out[step] = math.exp(log_p) if log_p > -745 else 0.0
+    out = np.zeros(cfg.n_steps)
+    chain = renormalized_chain(kraus_step(cfg.h, cfg.spec, cfg.tau), rho0.rho, cfg.n_steps)
+    for step, (p, _) in enumerate(chain):
+        out[step] = p
     return out
 
 
@@ -192,7 +185,6 @@ def simulate_trajectories(
     n_traj: int,
     seed: int,
     keep_states: bool = False,
-    n_workers: int = 1,
 ) -> TrajectoryEnsemble:
     """Monte Carlo survivor counts for n_traj independent trajectories.
 
@@ -201,8 +193,7 @@ def simulate_trajectories(
     and it is alive after step n exactly when u < ||K^n psi_j||^2 for one
     uniform u.  Row i of one Philox stream's (n_traj, 2) draw picks psi_j
     and u for trajectory i, so a run's first N trajectories are those of an
-    n_traj=N run.  Memory is O(n_traj + dim * n_steps).  n_workers is only
-    validated; the sampler runs in one process.
+    n_traj=N run.  Memory is O(n_traj + dim * n_steps).
     """
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(
@@ -210,8 +201,6 @@ def simulate_trajectories(
         )
     if n_traj < 1:
         raise ValidationError(f"n_traj must be positive, got {n_traj}")
-    if n_workers < 1:
-        raise ValidationError(f"n_workers must be positive, got {n_workers}")
     cum_weights, vectors = _initial_ensemble(rho0)
     dim = vectors.shape[0]
     draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2))
@@ -249,11 +238,10 @@ def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, p_exact) -> None:
         raise BadDimensionError(
             f"p_exact length {p_exact.size} != step count {ensemble.survival_counts.size}"
         )
-    lines = ["step,survivors,p_exact,p_empirical"]
-    empirical = ensemble.empirical_survival()
-    for k, (survivors, pe, pm) in enumerate(
-        zip(ensemble.survival_counts, p_exact, empirical), start=1
-    ):
-        lines.append(f"{k},{int(survivors)},{float(pe)!r},{float(pm)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = zip(
+        range(1, p_exact.size + 1),
+        ensemble.survival_counts.tolist(),
+        p_exact.tolist(),
+        ensemble.empirical_survival().tolist(),
+    )
+    write_csv(path, ["step", "survivors", "p_exact", "p_empirical"], rows)

@@ -1,5 +1,6 @@
-"""Shared test utilities: random draws, independent closed-form oracles and
-the stepwise Monte Carlo sampler that the waiting-time one is checked against.
+"""Shared test utilities: random draws, independent closed-form oracles, the
+stepwise Monte Carlo sampler that the waiting-time one is checked against,
+and the row-by-row time-series writer that the vectorised one must match.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -8,6 +9,7 @@ so they can confront derive_effective and friends as independent routes.
 
 import numpy as np
 
+from zenon.dynamics import basis_labels
 from zenon.effective import ancilla_order
 from zenon.linalg import expm
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
@@ -160,3 +162,21 @@ def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     return _run_chunk(
         (u, cfg.spec.measured_state, cum_weights, vectors, seed, 0, n_traj, cfg.n_steps, False)
     )[0]
+
+
+def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
+    """Reference time-series writer: one state at a time, every value through
+    repr(float(v))."""
+    dim = states[0].shape[0]
+    i, j = coherence_pair
+    labels = basis_labels(dim)
+    header = ["t", "p"] + [f"pop_{s}" for s in labels] + ["re_coh", "im_coh", "purity"]
+    lines = [",".join(header)]
+    for t, p, rho in zip(times, survival, states):
+        pops = [rho[k, k].real for k in range(dim)]
+        coh = rho[i, j]
+        purity = (rho @ rho).trace().real
+        row = [t, p, *pops, coh.real, coh.imag, purity]
+        lines.append(",".join(repr(float(v)) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

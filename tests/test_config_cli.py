@@ -15,7 +15,7 @@ from zenon.config import (
 from zenon.dilation import DilationResult
 from zenon.dynamics import DensityMatrix
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
-from zenon.errors import ValidationError
+from zenon.errors import StroboscopicRegimeWarning, ValidationError
 from zenon.spin_models import SymmetricParams, build_symmetric
 
 REPO = Path(__file__).resolve().parent.parent
@@ -297,6 +297,39 @@ def test_cli_exit_3_on_numerical_collapse(tmp_path, repo_cwd):
     cfg = tmp_path / "sink_run.json"
     cfg.write_text(json.dumps(scenario))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_protocol_annihilating_step_writes_zero_survival(tmp_path, repo_cwd):
+    # I2 (x) sigma_x at tau = pi/2 flips the ancilla within one step, so
+    # <0|U|0> = 0: exact survival and survivor count are 0 on every row
+    matrix = {
+        "dim": 4,
+        "re": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        "im": [0.0] * 16,
+    }
+    mpath = tmp_path / "flip.json"
+    mpath.write_text(json.dumps(matrix))
+    scenario = {
+        "command": "protocol",
+        "model": "matrix-file",
+        "params": str(mpath),
+        "tau": float(np.pi / 2),
+        "initial_state": "0",
+        "n_steps": 5,
+        "n_traj": 100,
+        "seed": 1,
+    }
+    cfg = tmp_path / "flip_run.json"
+    cfg.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    with pytest.warns(StroboscopicRegimeWarning):
+        assert main(["protocol", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "ensemble.csv").read_text().strip().splitlines()
+    assert lines[0] == "step,survivors,p_exact,p_empirical"
+    assert len(lines) == 6
+    for line in lines[1:]:
+        _, survivors, p_exact, p_empirical = line.split(",")
+        assert survivors == "0" and p_exact == "0.0" and p_empirical == "0.0"
 
 
 def test_cli_simulate_accepts_matrix_file_generator(tmp_path, repo_cwd):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_ket, random_psd
+from helpers import random_hermitian, random_ket, random_psd, rowwise_timeseries_csv
 from zenon.dynamics import (
     ConditionalState,
     DensityMatrix,
@@ -16,6 +16,7 @@ from zenon.dynamics import (
     integrate_nonlinear,
     integrate_pure_nonlinear,
     normalize,
+    renormalized_chain,
     success_probability_rate,
     write_timeseries_csv,
 )
@@ -26,6 +27,7 @@ from zenon.entanglement import (
     transition_probability,
 )
 from zenon.errors import (
+    NumericalError,
     ProbabilityUnderflowError,
     StepTooLargeError,
     ValidationError,
@@ -253,3 +255,47 @@ def test_write_timeseries_csv_format_and_determinism(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     assert float(first[3]) == 1.0  # all weight on |01>
     assert text == path2.read_text()
+
+
+_MIXED4 = DensityMatrix(
+    (lambda m: m / np.trace(m).real)(random_psd(np.random.Generator(np.random.PCG64(11)), 4))
+)
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    [DensityMatrix.from_pure(random_ket(np.random.Generator(np.random.PCG64(10)), 4)), _MIXED4],
+    ids=["pure", "mixed"],
+)
+def test_write_timeseries_csv_matches_rowwise_oracle(tmp_path, rho0):
+    eff = _symmetric_eff()
+    # more samples than one of the writer's row blocks, so a block boundary is crossed
+    times, survival, states = conditional_trajectory(eff.matrix(), rho0, 4.0, 5001)
+    write_timeseries_csv(tmp_path / "new.csv", times, survival, states, (0, 3))
+    rowwise_timeseries_csv(tmp_path / "ref.csv", times, survival, list(states), (0, 3))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_renormalized_chain_ends_when_trace_reaches_zero():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, nilpotent
+    rho0 = DensityMatrix.basis_state(2, 1).rho
+    steps = list(renormalized_chain(a, rho0, 5))
+    assert len(steps) == 1
+    p, rho = steps[0]
+    assert p == 1.0 and np.array_equal(rho, DensityMatrix.basis_state(2, 0).rho)
+    with pytest.raises(ProbabilityUnderflowError), np.errstate(over="ignore", invalid="ignore"):
+        list(renormalized_chain(1e200 * np.eye(2, dtype=complex), rho0, 1))
+
+
+def test_integrate_nonlinear_invalid_result_is_numerical_error():
+    # criterion-7 case 0 at dt ||H_eff|| = 0.02: a pure state's zero
+    # eigenvalue drifts to -2.9e-10, a run-time failure, not bad input
+    rng = np.random.Generator(np.random.PCG64((7000, 0)))
+    h0 = random_hermitian(rng, 4)
+    gamma = random_psd(rng, 4)
+    tau = float(rng.uniform(0.05, 0.3))
+    t = float(rng.uniform(0.2, 0.8))
+    eff = EffectiveHamiltonian(h0=h0, gamma=gamma, tau=tau)
+    rho0 = DensityMatrix.from_pure(random_ket(rng, 4))
+    with pytest.raises(NumericalError, match="not a density matrix"):
+        integrate_nonlinear(eff, rho0, t, 0.02 / frobenius_norm(eff.matrix()))

@@ -29,7 +29,6 @@ from zenon.entanglement import (
     fig5_rows,
     survival_probability,
     transition_probability,
-    write_figure_csv,
 )
 from zenon.errors import (
     BadDimensionError,
@@ -356,14 +355,3 @@ def test_fig5_regimes_are_distinct():
         finals[name] = np.array([r[1] for r in rows])
     for a, b in (("a", "b"), ("a", "c"), ("b", "c")):
         assert np.max(np.abs(finals[a] - finals[b])) > 0.05
-
-
-def test_write_figure_csv_deterministic(tmp_path):
-    rows = [(0.0, 0.25, -0.5), (1.0, 0.125, 0.0)]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_figure_csv(p1, ["x", "y", "z"], rows)
-    write_figure_csv(p2, ["x", "y", "z"], rows)
-    text = p1.read_text()
-    assert text.splitlines()[0] == "x,y,z"
-    assert text.splitlines()[1] == "0.0,0.25,-0.5"
-    assert text == p2.read_text()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import random_complex, random_hermitian, random_psd, taylor_expm
 from zenon.errors import NotHermitianError, NotPSDError, ValidationError
 from zenon.linalg import (
-    anticommutator,
     as_cmatrix,
     commutator,
     dagger,
@@ -19,6 +18,7 @@ from zenon.linalg import (
     matrix_to_json,
     psd_sqrt,
     trace,
+    write_csv,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,7 +49,6 @@ def test_algebra_helpers():
     a = random_complex(np.random.Generator(np.random.PCG64(0)), 3)
     b = random_complex(np.random.Generator(np.random.PCG64(1)), 3)
     assert np.allclose(commutator(a, b) + commutator(b, a), 0)
-    assert np.allclose(anticommutator(a, b), a @ b + b @ a)
     assert trace(a) == pytest.approx(complex(np.trace(a)))
     assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
 
@@ -173,3 +172,22 @@ def test_matrix_json_rejects_mismatched_counts():
         matrix_from_json({"re": [1], "im": [0]})
     with pytest.raises(ValidationError):
         matrix_from_json([1, 2])
+
+
+def test_write_csv_integers_and_float_edge_cases(tmp_path):
+    rows = [
+        (1, np.int64(7), -0.0, 5e-324),
+        (2, 0, 1e300, float("nan")),
+        (3, np.int64(-4), np.float64(0.1), 2),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["step", "count", "x", "y"], rows)
+    assert path.read_text() == (
+        "step,count,x,y\n"
+        "1,7,-0.0,5e-324\n"
+        "2,0,1e+300,nan\n"
+        "3,-4,0.1,2\n"
+    )
+    again = tmp_path / "u.csv"
+    write_csv(again, ["step", "count", "x", "y"], rows)
+    assert again.read_bytes() == path.read_bytes()
