@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .config import COMMANDS, Scenario, load_scenario
-from .dilation import choose_tau, decay_generator, dilate, roundtrip_check
+from .config import COMMANDS, SWEEP_KEYS, Scenario, is_amplitude, load_scenario
+from .dilation import dilate, dilation_step, roundtrip_check
 from .dynamics import (
     DensityMatrix,
     conditional_trajectory,
@@ -37,7 +37,7 @@ from .entanglement import (
     fig5_rows,
 )
 from .errors import ValidationError, ZenonError
-from .linalg import hermitian_eig, matrix_from_json, write_csv
+from .linalg import matrix_from_json, write_csv
 from .protocol import (
     ProtocolConfig,
     conditional_survival_curve,
@@ -54,7 +54,7 @@ def load_matrix_file(path) -> np.ndarray:
             obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
         raise ValidationError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return matrix_from_json(obj)
 
@@ -76,24 +76,12 @@ def parse_initial_state(value, dim: int) -> DensityMatrix:
     if isinstance(value, list):
         if len(value) != dim:
             raise ValidationError(f"amplitude list has {len(value)} entries, need {dim}")
-        amps = []
-        for entry in value:
-            if isinstance(entry, list):
-                if len(entry) != 2:
-                    raise ValidationError(f"amplitude {entry!r} is not a [re, im] pair")
-                amps.append(complex(entry[0], entry[1]))
-            elif isinstance(entry, (int, float)):
-                amps.append(complex(entry))
-            else:
-                raise ValidationError(f"bad amplitude {entry!r}")
+        bad = [entry for entry in value if not is_amplitude(entry)]
+        if bad:
+            raise ValidationError(f"amplitude {bad[0]!r} is not a number or an [re, im] pair of numbers")
+        amps = [complex(*entry) if isinstance(entry, list) else complex(entry) for entry in value]
         return DensityMatrix.from_pure(np.array(amps))
     raise ValidationError(f"cannot interpret initial_state {value!r}")
-
-
-def _require_tau(s: Scenario) -> float:
-    if s.tau is None:
-        raise ValidationError(f"command {s.command!r} needs tau in the scenario")
-    return s.tau
 
 
 def _ancilla_spec(s: Scenario) -> AncillaSpec:
@@ -120,7 +108,7 @@ def _write_json(path, obj) -> None:
 
 
 def run_derive(s: Scenario) -> None:
-    eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), _require_tau(s))
+    eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), s.tau)
     _write_json(os.path.join(_out_dir(s), "effective.json"), eff.to_json())
 
 
@@ -128,7 +116,7 @@ def run_simulate(s: Scenario) -> None:
     if s.model == "matrix-file":
         h_eff = load_matrix_file(s.params)
     else:
-        eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), _require_tau(s))
+        eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), s.tau)
         h_eff = eff.matrix()
     rho0 = parse_initial_state(s.initial_state, h_eff.shape[0])
     times, survival, states = conditional_trajectory(h_eff, rho0, s.t_max, s.n_samples)
@@ -141,10 +129,9 @@ def run_simulate(s: Scenario) -> None:
 
 
 def _protocol_config(s: Scenario) -> ProtocolConfig:
-    tau = _require_tau(s)
-    n_steps = s.n_steps if s.n_steps is not None else max(1, round(s.t_max / tau))
+    n_steps = s.n_steps if s.n_steps is not None else max(1, round(s.t_max / s.tau))
     return ProtocolConfig(
-        h=_composite_hamiltonian(s), spec=_ancilla_spec(s), tau=tau, n_steps=n_steps
+        h=_composite_hamiltonian(s), spec=_ancilla_spec(s), tau=s.tau, n_steps=n_steps
     )
 
 
@@ -156,39 +143,13 @@ def run_protocol(s: Scenario) -> None:
     write_ensemble_csv(os.path.join(_out_dir(s), "ensemble.csv"), ensemble, exact)
 
 
-def _max_decay_bohr(h_eff: np.ndarray) -> float:
-    w = hermitian_eig(decay_generator(h_eff)).eigenvalues
-    return float(w[-1] - w[0]) if w.size > 1 else 0.0
-
-
-def _dilation_tau(s: Scenario, h_eff: np.ndarray) -> float:
-    if s.tau is not None:
-        return s.tau
-    return choose_tau(_max_decay_bohr(h_eff))
-
-
-def _roundtrip_tau(s: Scenario, h_eff: np.ndarray) -> float:
-    """Per-matrix step length: derived from the decay spectrum when there is
-    one, otherwise the scenario's tau."""
-    f = _max_decay_bohr(h_eff)
-    if f > 0:
-        return choose_tau(f)
-    if s.tau is not None:
-        return s.tau
-    return choose_tau(f)  # raises with the explanatory message
-
-
 def run_dilate(s: Scenario) -> None:
-    if s.model != "matrix-file":
-        raise ValidationError("dilate expects model matrix-file (the target generator)")
     h_eff = load_matrix_file(s.params)
-    res = dilate(h_eff, _dilation_tau(s, h_eff))
+    res = dilate(h_eff, s.tau if s.tau is not None else dilation_step(h_eff))
     _write_json(os.path.join(_out_dir(s), "dilation.json"), res.to_json())
 
 
 def run_roundtrip(s: Scenario) -> None:
-    if s.model != "matrix-file":
-        raise ValidationError("roundtrip expects model matrix-file (a file or directory)")
     path = s.params
     if os.path.isdir(path):
         files = sorted(
@@ -201,7 +162,7 @@ def run_roundtrip(s: Scenario) -> None:
     results = []
     for fname in files:
         h_eff = load_matrix_file(fname)
-        tau = _roundtrip_tau(s, h_eff)
+        tau = dilation_step(h_eff, fallback=s.tau)
         report = roundtrip_check(h_eff, tau)
         entry = {"file": fname, "tau": tau}
         entry.update(dataclasses.asdict(report))
@@ -211,9 +172,8 @@ def run_roundtrip(s: Scenario) -> None:
 
 def run_figures(s: Scenario) -> None:
     out = _out_dir(s)
-    tau = _require_tau(s)
     if s.model == "symmetric":
-        block = EffectiveBlockParams.from_symmetric(s.params, tau)
+        block = EffectiveBlockParams.from_symmetric(s.params, s.tau)
         gt_max = block.gamma * s.t_max
         write_csv(
             os.path.join(out, "fig4a.csv"),
@@ -225,8 +185,8 @@ def run_figures(s: Scenario) -> None:
             ["gt_axis", "re_coh", "im_coh"],
             fig4_coherence_rows(block, gt_max, s.n_samples),
         )
-    elif s.model == "anisotropic":
-        eff = derive_effective(build_anisotropic(s.params), _ancilla_spec(s), tau)
+    else:
+        eff = derive_effective(build_anisotropic(s.params), _ancilla_spec(s), s.tau)
         plus, _ = block_decompose(eff.matrix())
         mxt_max = plus.mu_x * s.t_max
         write_csv(
@@ -234,38 +194,21 @@ def run_figures(s: Scenario) -> None:
             ["mxt_axis", "pop11", "re_coh", "im_coh"],
             fig5_rows(plus, mxt_max, s.n_samples),
         )
-    else:
-        raise ValidationError("figures expects the symmetric or anisotropic model")
-
-
-_SWEEP_PARAM_KEYS = {"tau", "t_max"}
 
 
 def run_sweep(s: Scenario) -> None:
-    if s.grid is None:
-        raise ValidationError("sweep needs a grid of override mappings")
-    if s.model == "matrix-file":
-        raise ValidationError("sweep expects a spin model")
-    param_fields = {f.name for f in dataclasses.fields(type(s.params))}
     keys = list(s.grid[0])
-    for key in keys:
-        if key not in param_fields and key not in _SWEEP_PARAM_KEYS:
-            raise ValidationError(f"unknown sweep key {key!r}")
     header = keys + ["p", "bell_fidelity", "concurrence"]
     if s.with_protocol:
         header.append("stroboscopic_error")
     rows = []
     for entry in s.grid:
-        params = dataclasses.replace(
-            s.params, **{k: v for k, v in entry.items() if k in param_fields}
-        )
-        tau = float(entry.get("tau", s.tau if s.tau is not None else 0.0))
-        if not tau > 0:
-            raise ValidationError("sweep needs tau (in the scenario or the grid entry)")
+        couplings = {k: v for k, v in entry.items() if k not in SWEEP_KEYS}
+        params = dataclasses.replace(s.params, **couplings)
+        tau = float(entry.get("tau", s.tau))
         t_max = float(entry.get("t_max", s.t_max))
-        point = dataclasses.replace(s, params=params, tau=tau, t_max=t_max)
-        h = _composite_hamiltonian(point)
-        spec = _ancilla_spec(point)
+        h = _composite_hamiltonian(dataclasses.replace(s, params=params))
+        spec = _ancilla_spec(s)
         eff = derive_effective(h, spec, tau)
         rho0 = parse_initial_state(s.initial_state, eff.dim)
         _, survival, states = conditional_trajectory(eff.matrix(), rho0, t_max, s.n_samples)
@@ -312,12 +255,8 @@ def main(argv=None) -> int:
             raise ValidationError(
                 f"config is for command {scenario.command!r}, not {args.command!r}"
             )
-        if args.out is not None:
-            scenario.output_dir = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError(f"seed must be nonnegative, got {args.seed}")
-            scenario.seed = args.seed
+        overrides = {"output_dir": args.out, "seed": args.seed}
+        scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
         if args.threads < 1:
             raise ValidationError(f"threads must be positive, got {args.threads}")
         _RUNNERS[args.command](scenario)

@@ -3,6 +3,9 @@
 The schema is deliberately flat.  `model` picks the Hamiltonian source
 (symmetric or anisotropic three-spin couplings, or a matrix file), and the
 remaining fields parameterize whichever command consumes the scenario.
+Building a Scenario runs every check that needs no matrix: each field's
+JSON type (its annotation; a bool is never a number) and range, and what
+its command needs, so a scenario that loads is one its command can run.
 Serialization round-trips exactly: scenario_from_json(scenario_to_json(s))
 compares equal to s.
 """
@@ -11,6 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass
 
 from .entanglement import BELL_STATES
@@ -18,7 +24,63 @@ from .errors import ValidationError
 from .spin_models import AnisotropicParams, SymmetricParams
 
 COMMANDS = ("derive", "simulate", "protocol", "dilate", "roundtrip", "figures", "sweep")
-MODELS = ("symmetric", "anisotropic", "matrix-file")
+_SPIN_MODELS = ("symmetric", "anisotropic")
+MODELS = (*_SPIN_MODELS, "matrix-file")
+SWEEP_KEYS = ("tau", "t_max")  # grid keys besides the couplings of the model
+
+_PARAM_TYPES = {"symmetric": SymmetricParams, "anisotropic": AnisotropicParams, "matrix-file": str}
+_COMMAND_MODELS = {
+    "dilate": ("matrix-file",),
+    "roundtrip": ("matrix-file",),
+    "figures": _SPIN_MODELS,
+    "sweep": _SPIN_MODELS,
+}
+
+
+def is_real(v) -> bool:
+    """A finite JSON number: an int or a float within the range of a double,
+    never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_amplitude(v) -> bool:
+    """A number, or an [re, im] pair of numbers."""
+    if isinstance(v, list):
+        return len(v) == 2 and all(map(is_real, v))
+    return is_real(v)
+
+
+def _positive_finite(v) -> bool:
+    return 0 < v <= sys.float_info.max
+
+
+def _same_key_mappings(grid) -> bool:
+    return bool(grid) and all(isinstance(e, dict) and e.keys() == grid[0].keys() for e in grid)
+
+
+# field -> (test a value other than None must pass, what the test asks for)
+_RANGES = {
+    "command": (COMMANDS.__contains__, f"one of {COMMANDS}"),
+    "model": (MODELS.__contains__, f"one of {MODELS}"),
+    "tau": (_positive_finite, "positive and finite"),
+    "initial_state": (
+        lambda v: isinstance(v, str) or all(map(is_amplitude, v)),
+        "a label or a list of numbers and [re, im] pairs",
+    ),
+    "t_max": (_positive_finite, "positive and finite"),
+    "n_samples": (lambda v: v >= 2, "at least 2"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "output_dir": (bool, "a nonempty path"),
+    "n_traj": (lambda v: v >= 1, "positive"),
+    "n_steps": (lambda v: v >= 0, "nonnegative"),
+    "grid": (_same_key_mappings, "a nonempty list of mappings with the same override keys"),
+    "bell": (BELL_STATES.__contains__, f"one of {sorted(BELL_STATES)}"),
+    "coherence_pair": (
+        lambda v: len(v) == 2 and all(type(k) is int and k >= 0 for k in v),
+        "two nonnegative ints",
+    ),
+    "ancilla_site": (lambda v: v >= 1, "at least 1"),
+}
 
 
 @dataclass
@@ -41,44 +103,53 @@ class Scenario:
     with_protocol: bool = False
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}; choose from {COMMANDS}")
-        if self.model not in MODELS:
-            raise ValidationError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.model == "symmetric" and not isinstance(self.params, SymmetricParams):
-            raise ValidationError("symmetric model needs the four gamma_xy/gamma_z/g_xy/g_z couplings")
-        if self.model == "anisotropic" and not isinstance(self.params, AnisotropicParams):
-            raise ValidationError("anisotropic model needs all nine couplings")
-        if self.model == "matrix-file" and not isinstance(self.params, str):
-            raise ValidationError("matrix-file model needs a file path in params")
-        if not self.t_max > 0:
-            raise ValidationError(f"t_max must be positive, got {self.t_max}")
-        if self.n_samples < 2:
-            raise ValidationError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.tau is not None and not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.n_traj < 1:
-            raise ValidationError(f"n_traj must be positive, got {self.n_traj}")
-        if self.n_steps is not None and self.n_steps < 0:
-            raise ValidationError(f"n_steps must be nonnegative, got {self.n_steps}")
-        if self.bell not in BELL_STATES:
-            raise ValidationError(f"unknown Bell state {self.bell!r}")
-        if self.coherence_pair is not None:
-            pair = list(self.coherence_pair)
-            if len(pair) != 2 or not all(isinstance(k, int) and k >= 0 for k in pair):
-                raise ValidationError(f"coherence_pair must be two nonnegative ints, got {pair}")
-            self.coherence_pair = pair
-        if self.grid is not None:
-            if not isinstance(self.grid, list) or not self.grid:
-                raise ValidationError("grid must be a nonempty list of override mappings")
-            for entry in self.grid:
-                if not isinstance(entry, dict) or entry.keys() != self.grid[0].keys():
-                    raise ValidationError("every grid entry must carry the same override keys")
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            admitted = _FIELD_TYPES[f.name]
+            if not isinstance(v, admitted) or (isinstance(v, bool) and bool not in admitted):
+                raise ValidationError(f"{f.name} must be {f.type}, got {v!r}")
+            if v is not None and f.name in _RANGES and not _RANGES[f.name][0](v):
+                raise ValidationError(f"{f.name} must be {_RANGES[f.name][1]}, got {v!r}")
+            if float in admitted and isinstance(v, int):
+                setattr(self, f.name, float(v))
+        if not isinstance(self.params, _PARAM_TYPES[self.model]):
+            what = "a file path" if self.model == "matrix-file" else "a mapping of its couplings"
+            raise ValidationError(f"{self.model} model needs {what} in params")
+        models = _COMMAND_MODELS.get(self.command, MODELS)
+        if self.model not in models:
+            raise ValidationError(f"{self.command} expects model {' or '.join(models)}")
+        needs_tau = self.command in ("derive", "protocol", "figures") or (
+            self.command == "simulate" and self.model != "matrix-file"
+        )
+        if needs_tau and self.tau is None:
+            raise ValidationError(f"command {self.command!r} needs tau in the scenario")
+        if self.initial_state is None and self.command in ("simulate", "protocol", "sweep"):
+            raise ValidationError(f"command {self.command!r} needs an initial_state in the scenario")
+        if self.command == "sweep":
+            self._check_sweep_grid()
+
+    def _check_sweep_grid(self) -> None:
+        if self.grid is None:
+            raise ValidationError("sweep needs a grid of override mappings")
+        known = {f.name for f in dataclasses.fields(self.params)}.union(SWEEP_KEYS)
+        for entry in self.grid:
+            for key, v in entry.items():
+                if key not in known:
+                    raise ValidationError(f"unknown sweep key {key!r}")
+                if not is_real(v) or (key in SWEEP_KEYS and not v > 0):
+                    raise ValidationError(f"sweep value {key} = {v!r} is not a finite number in range")
+        if self.tau is None and "tau" not in self.grid[0]:
+            raise ValidationError("sweep needs tau in the scenario or in every grid entry")
 
 
-_PARAM_TYPES = {"symmetric": SymmetricParams, "anisotropic": AnisotropicParams}
+def _admitted_types(hint) -> tuple:
+    """Runtime types a field annotation admits; a float field also takes an int."""
+    parts = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    admitted = tuple(typing.get_origin(p) or p for p in parts)
+    return admitted + (int,) if float in admitted else admitted
+
+
+_FIELD_TYPES = {name: _admitted_types(hint) for name, hint in typing.get_type_hints(Scenario).items()}
 
 
 def scenario_from_json(obj: dict) -> Scenario:
@@ -88,31 +159,16 @@ def scenario_from_json(obj: dict) -> Scenario:
     unknown = set(obj) - known
     if unknown:
         raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
+    missing = {"command", "model", "params"} - set(obj)
+    if missing:
+        raise ValidationError(f"scenario is missing required fields {sorted(missing)}")
     data = dict(obj)
-    try:
-        command = data["command"]
-        model = data["model"]
-        params = data["params"]
-    except KeyError as exc:
-        raise ValidationError(f"scenario is missing required field {exc}") from exc
-    if model in _PARAM_TYPES:
-        if not isinstance(params, dict):
-            raise ValidationError(f"{model} model params must be a mapping of couplings")
+    model, params = obj["model"], obj["params"]
+    if isinstance(params, dict) and model in _SPIN_MODELS:
         try:
             data["params"] = _PARAM_TYPES[model](**params)
         except TypeError as exc:
             raise ValidationError(f"bad couplings for {model} model: {exc}") from exc
-    for int_field in ("n_samples", "seed", "n_traj", "n_steps"):
-        if data.get(int_field) is not None:
-            v = data[int_field]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(f"{int_field} must be an integer, got {v!r}")
-    for float_field in ("tau", "t_max"):
-        if data.get(float_field) is not None:
-            v = data[float_field]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError(f"{float_field} must be a number, got {v!r}")
-            data[float_field] = float(v)
     return Scenario(**data)
 
 
@@ -132,7 +188,7 @@ def load_scenario(path) -> Scenario:
             obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
         raise ValidationError(f"scenario {path} is not valid JSON: {exc}") from exc
     return scenario_from_json(obj)
 

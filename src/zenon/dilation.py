@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, normalize
+from .dynamics import DensityMatrix, conditional_trajectory, normalize
 from .effective import AncillaSpec, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     as_cmatrix,
     dagger,
-    expm,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
@@ -42,7 +41,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     psd_sqrt,
-    trace,
 )
 from .protocol import ProtocolConfig, simulate_conditional
 
@@ -78,6 +76,16 @@ def choose_tau(f: float) -> float:
             "supply tau explicitly for (near-)Hermitian inputs"
         )
     return TAU_BOHR_PRODUCT / f
+
+
+def dilation_step(h_eff, fallback: float | None = None) -> float:
+    """Step tau for dilating h_eff: choose_tau of the largest Bohr frequency
+    of its decay generator, or fallback when that frequency is 0."""
+    w = hermitian_eig(decay_generator(h_eff)).eigenvalues
+    f = float(w[-1] - w[0]) if w.size > 1 else 0.0
+    if f > 0 or fallback is None:
+        return choose_tau(f)
+    return fallback
 
 
 @dataclass(frozen=True)
@@ -207,9 +215,10 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
     """Distance between the dilated protocol and direct h_eff propagation.
 
     Runs the exact repeated-measurement protocol on the dilated Hamiltonian
-    for round(t / tau) steps and compares the normalized conditional state
-    against normalized exp(-i h_eff t) rho0 exp(-i h_eff t)^dag, returning
-    the Frobenius distance.  The ancilla coupling scale gamma tau =
+    for n = round(t / tau) steps and compares the normalized conditional
+    state against the final state of conditional_trajectory under h_eff at
+    n tau (a reference that collapses raises ProbabilityUnderflowError),
+    returning the Frobenius distance.  The ancilla coupling scale gamma tau =
     sqrt(f tau) must stay below 0.15 for the comparison to be meaningful.
     """
     m = as_cmatrix(h_eff)
@@ -223,10 +232,5 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
     n_steps = max(1, round(t / tau))
     cfg = ProtocolConfig(h=res.h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
     exact = normalize(simulate_conditional(cfg, rho0))
-    u = expm(-1j * (n_steps * tau) * m)
-    rc = hermitian_part(u @ rho0.rho @ dagger(u))
-    tr = trace(rc).real
-    if not tr > 0:
-        raise ValidationError("reference propagation annihilated the state")
-    reference = rc / tr
-    return frobenius_norm(exact.rho - reference)
+    _, _, states = conditional_trajectory(m, rho0, n_steps * tau, 2)
+    return frobenius_norm(exact.rho - states[-1])

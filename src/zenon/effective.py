@@ -84,16 +84,9 @@ def ancilla_order(dim: int, spec: AncillaSpec) -> np.ndarray:
     site = spec.ancilla_site
     if site > n:
         raise BadDimensionError(f"ancilla_site {site} outside 1..{n}")
-    if site == n:
-        return np.arange(dim)
-    order = np.empty(dim, dtype=int)
-    for j in range(dim):
-        a = j & 1
-        s = j >> 1
-        bits = [(s >> (n - 2 - k)) & 1 for k in range(n - 1)]
-        bits.insert(site - 1, a)
-        order[j] = sum(b << (n - 1 - i) for i, b in enumerate(bits))
-    return order
+    # one axis per qubit, most significant first; the ancilla's axis moves last
+    axes = [k for k in range(n) if k != site - 1] + [site - 1]
+    return np.arange(dim).reshape((2,) * n).transpose(axes).ravel()
 
 
 def _canonical(h: np.ndarray, spec: AncillaSpec) -> np.ndarray:

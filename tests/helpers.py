@@ -1,6 +1,7 @@
 """Shared test utilities: random draws, independent closed-form oracles, the
 stepwise Monte Carlo sampler that the waiting-time one is checked against,
-and the row-by-row time-series writer that the vectorised one must match.
+the row-by-row time-series writer that the vectorised one must match, and
+the bit-by-bit ancilla permutation that the axis-transposing one must match.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -180,3 +181,18 @@ def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> Non
         lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def bitloop_ancilla_order(dim: int, site: int) -> np.ndarray:
+    """Reference ancilla permutation, one index at a time: canonical position
+    j = 2*s + a takes the register index whose bit at 1-based qubit `site`
+    (most significant first) is a and whose other bits spell s."""
+    n = dim.bit_length() - 1
+    order = np.empty(dim, dtype=int)
+    for j in range(dim):
+        a = j & 1
+        s = j >> 1
+        bits = [(s >> (n - 2 - k)) & 1 for k in range(n - 1)]
+        bits.insert(site - 1, a)
+        order[j] = sum(b << (n - 1 - i) for i, b in enumerate(bits))
+    return order

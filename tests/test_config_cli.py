@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zenon.cli
 from zenon.cli import load_matrix_file, main, parse_initial_state
 from zenon.config import (
     Scenario,
@@ -66,12 +74,27 @@ def test_scenario_rejections():
         {"coherence_pair": [1]},
         {"grid": []},
         {"grid": [{"tau": 0.1}, {"t_max": 1.0}]},
+        {"ancilla_site": "1"},
+        {"bell": ["x"]},
+        {"tau": math.inf},
+        {"t_max": math.inf},
+        {"output_dir": 5},
+        {"with_protocol": "yes"},
+        {"coherence_pair": [True, 0]},
+        {"output_dir": ""},
+        {"tau": 10**400},
+        {"params": {"gamma_xy": 10**400, "gamma_z": 0.5, "g_xy": 1.0, "g_z": 0.3}},
+        {"initial_state": [10**400, 0, 0, 0]},
+        {"command": "figures", "model": "matrix-file", "params": "h.json"},
+        {"command": "sweep", "model": "matrix-file", "params": "h.json", "grid": [{"tau": 0.1}]},
     ):
         broken = {**base, **mutation}
         with pytest.raises(ValidationError):
             scenario_from_json(broken)
     with pytest.raises(ValidationError):
         scenario_from_json({"command": "derive", "model": "symmetric"})
+    with pytest.raises(ValidationError):  # derive needs tau
+        scenario_from_json({k: v for k, v in base.items() if k != "tau"})
 
 
 def test_scenario_requires_matching_params_type():
@@ -92,6 +115,9 @@ def test_load_scenario_bad_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_scenario(bad)
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(ValidationError):
+        load_scenario(bad)
 
 
 def test_parse_initial_state_forms():
@@ -102,7 +128,8 @@ def test_parse_initial_state_forms():
     assert amp.rho[1, 1] == 1.0
     ket = parse_initial_state([1.0, 1.0], 2)
     assert ket.rho[0, 1] == pytest.approx(0.5)
-    for bad in (None, "0101", "02", [1.0, 0.0, 0.0], [[1.0]], ["x", "y"]):
+    bad_pairs = ([[1.0, "x"], 0, 0, 0], [[True, 0.0], 0, 0, 0], [[None, 1.0], 0, 0, 0], [True, 0, 0, 0])
+    for bad in (None, "0101", "02", [1.0, 0.0, 0.0], [[1.0]], ["x", "y"], *bad_pairs):
         with pytest.raises(ValidationError):
             parse_initial_state(bad, 4)
 
@@ -355,3 +382,132 @@ def test_cli_simulate_accepts_matrix_file_generator(tmp_path, repo_cwd):
     lines = (out / "timeseries.csv").read_text().strip().splitlines()
     assert lines[0] == "t,p,pop_0,pop_1,re_coh,im_coh,purity"
     assert len(lines) == 32
+
+
+# One change to a bundled config per row; each must exit 2 with a
+# validation error.  Python's json writes and reads math.inf as Infinity.
+MALFORMED_SCENARIOS = [
+    ("sweep_tau", {"grid": [{"tau": "x"}]}),
+    ("sweep_tau", {"grid": [{"tau": None}]}),
+    ("sweep_tau", {"grid": [{"tau": 0.01, "t_max": True}]}),
+    ("sweep_tau", {"tau": math.inf, "grid": [{"t_max": 1.0}]}),
+    ("sweep_tau", {"with_protocol": "yes"}),
+    ("simulate_symmetric", {"t_max": math.inf}),
+    ("simulate_symmetric", {"coherence_pair": [True, 0]}),
+    ("simulate_symmetric", {"initial_state": [[1, "x"], 0, 0, 0]}),
+    ("derive_symmetric", {"ancilla_site": "1"}),
+    ("derive_symmetric", {"output_dir": 5}),  # run without --out
+    ("fig4", {"bell": ["x"]}),
+]
+
+
+@pytest.mark.parametrize(
+    "stem, change",
+    MALFORMED_SCENARIOS,
+    ids=[f"{stem}-{'-'.join(change)}-{i}" for i, (stem, change) in enumerate(MALFORMED_SCENARIOS)],
+)
+def test_cli_exit_2_on_malformed_scenario(stem, change, tmp_path, repo_cwd, capsys):
+    scenario = json.loads((CONFIGS / f"{stem}.json").read_text())
+    scenario.update(change)
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(json.dumps(scenario))
+    argv = [scenario["command"], "--config", str(cfg)]
+    if "output_dir" not in change:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("zenon: validation error")
+
+
+def test_cli_keeps_the_names_the_benchmark_wraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    for name in [*workloads.CLI_LAYER_CALLS, "load_matrix_file"]:
+        assert hasattr(zenon.cli, name), name
+
+
+# The JSON kinds each scenario field accepts, as the README documents them.
+FIELD_KINDS = {
+    "command": {"string"},
+    "model": {"string"},
+    "params": {"mapping", "string"},
+    "tau": {"number", "null"},
+    "initial_state": {"string", "list", "null"},
+    "t_max": {"number"},
+    "n_samples": {"int"},
+    "seed": {"int"},
+    "output_dir": {"string"},
+    "n_traj": {"int"},
+    "n_steps": {"int", "null"},
+    "grid": {"list", "null"},
+    "bell": {"string"},
+    "coherence_pair": {"list", "null"},
+    "ancilla_site": {"int", "null"},
+    "with_protocol": {"bool"},
+}
+
+
+def _json_kinds(v) -> set:
+    if isinstance(v, bool):
+        return {"bool"}
+    if isinstance(v, int):
+        return {"int", "number"}
+    if isinstance(v, float):
+        return {"number"}
+    return {{type(None): "null", str: "string", list: "list", dict: "mapping"}[type(v)]}
+
+
+# Numbers come from small sets, so that sizes (n_samples, n_traj, n_steps,
+# t_max/tau, grid rungs) stay small and each example runs in milliseconds;
+# sizes without a bound are not what this test probes.
+_NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 5]) | st.sampled_from(
+    [0.0, -0.5, 0.05, 0.1, 0.5, 1.0, 2.5, math.inf, -math.inf, math.nan]
+)
+_TEXT = st.sampled_from(["", "x", "01", "10", "mixed", "symmetric", "matrix-file", "phi_plus", "sweep"])
+_KEYS = st.sampled_from(["tau", "t_max", "g_xy", "gamma_z", "alpha_y", "beta_x", "x"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+_BUNDLED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _small_scenario(data, stem: str) -> dict:
+    scenario = dict(_BUNDLED[stem])
+    if scenario["model"] == "matrix-file":
+        scenario["params"] = str(REPO / scenario["params"])
+    scenario["n_samples"] = data.draw(st.sampled_from([2, 5, 17]))
+    scenario["t_max"] = data.draw(st.sampled_from([0.1, 1.0, 2.0]))
+    if "n_traj" in scenario:
+        scenario["n_traj"] = data.draw(st.sampled_from([1, 20, 200]))
+    if "n_steps" in scenario:
+        scenario["n_steps"] = data.draw(st.sampled_from([0, 3, 40]))
+    return scenario
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_end_in_exit_0_2_or_3(data):
+    stem = data.draw(st.sampled_from(sorted(_BUNDLED)))
+    scenario = _small_scenario(data, stem)
+    fields = data.draw(st.lists(st.sampled_from(sorted(FIELD_KINDS)), min_size=1, max_size=3, unique=True))
+    changes = {name: data.draw(_JSON_VALUES, label=name) for name in fields}
+    scenario.update(changes)
+    wrong_type = any(not _json_kinds(v) & FIELD_KINDS[name] for name, v in changes.items())
+    text = json.dumps(scenario)
+    try:
+        scenario_from_json(json.loads(text))
+    except ValidationError:
+        pass
+    else:
+        assert not wrong_type
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_text(text)
+        code = main([_BUNDLED[stem]["command"], "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    if wrong_type:
+        assert code == 2 and err.getvalue().startswith("zenon: validation error"), err.getvalue()

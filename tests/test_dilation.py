@@ -10,6 +10,7 @@ from zenon.dilation import (
     RoundTripReport,
     bohr_frequencies,
     choose_tau,
+    dilation_step,
     decay_generator,
     dilate,
     roundtrip_check,
@@ -161,6 +162,16 @@ def test_roundtrip_failure_surfaces_as_error(monkeypatch):
     monkeypatch.setattr(dilation_module, "ROUNDTRIP_TOL", 1e-18)
     with pytest.raises(RoundTripFailureError):
         roundtrip_check(m, choose_tau(f))
+
+
+def test_dilation_step_from_decay_spread_or_fallback():
+    # DECAYING has decay generator diag(0, 0.8): spread 0.8
+    assert dilation_step(DECAYING) == choose_tau(0.8)
+    assert dilation_step(DECAYING, fallback=0.3) == choose_tau(0.8)
+    hermitian = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+    assert dilation_step(hermitian, fallback=0.3) == 0.3
+    with pytest.raises(ZeroAntiHermitianPartError):
+        dilation_step(hermitian)
 
 
 def test_validate_stroboscopic_small_error_in_regime():

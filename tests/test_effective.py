@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     anisotropic_effective_matrix,
+    bitloop_ancilla_order,
     random_anisotropic_params,
     random_hermitian,
     random_symmetric_params,
@@ -14,6 +15,7 @@ from zenon.effective import (
     AncillaSpec,
     EffectiveHamiltonian,
     ancilla_blocks,
+    ancilla_order,
     derive_effective,
     effective_from_matrix,
     kraus_step,
@@ -62,6 +64,14 @@ def test_ancilla_site_permutation_matches_relabelled_operator():
         blocks = ancilla_blocks(h, AncillaSpec(ancilla_site=site))
         assert np.allclose(blocks[0], 0.5 * np.eye(4))
         assert np.allclose(blocks[1], np.eye(4))
+
+
+def test_ancilla_order_matches_bit_loop_oracle():
+    for n in range(1, 7):
+        dim = 2**n
+        for site in range(1, n + 1):
+            order = ancilla_order(dim, AncillaSpec(ancilla_site=site))
+            assert np.array_equal(order, bitloop_ancilla_order(dim, site)), (n, site)
 
 
 def test_ancilla_site_rejects_bad_dimensions():
