@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .entanglement import BELL_STATES
 from .errors import ValidationError
+from .linalg import finite_reals
 from .spin_models import AnisotropicParams, SymmetricParams
 
 COMMANDS = ("derive", "simulate", "protocol", "dilate", "roundtrip", "figures", "sweep")
@@ -37,17 +38,9 @@ _COMMAND_MODELS = {
 }
 
 
-def is_real(v) -> bool:
-    """A finite JSON number: an int or a float within the range of a double,
-    never a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def is_amplitude(v) -> bool:
     """A number, or an [re, im] pair of numbers."""
-    if isinstance(v, list):
-        return len(v) == 2 and all(map(is_real, v))
-    return is_real(v)
+    return finite_reals(v if isinstance(v, list) and len(v) == 2 else [v]) is not None
 
 
 def _positive_finite(v) -> bool:
@@ -136,7 +129,7 @@ class Scenario:
             for key, v in entry.items():
                 if key not in known:
                     raise ValidationError(f"unknown sweep key {key!r}")
-                if not is_real(v) or (key in SWEEP_KEYS and not v > 0):
+                if finite_reals([v]) is None or (key in SWEEP_KEYS and not v > 0):
                     raise ValidationError(f"sweep value {key} = {v!r} is not a finite number in range")
         if self.tau is None and "tau" not in self.grid[0]:
             raise ValidationError("sweep needs tau in the scenario or in every grid entry")

@@ -10,11 +10,12 @@ dividing that trace out is equivalent to integrating the nonlinear equation
 whose last term feeds the lost norm back in.  Both routes are implemented
 independently so they can be checked against each other.
 Repeated conditional steps, exp(-i H_eff dt) here or the protocol's Kraus
-step, all run through renormalized_chain and share its underflow rule.
+step, all run through renormalized_chain on a factor F of rho = F F^dag.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -254,39 +255,48 @@ def expectation(state, observable) -> float:
     return float(val.real)
 
 
-def renormalized_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
-    """Yield (p, rho) after each of n_steps applications of rho <- A rho A^dag.
+def state_factor(rho) -> np.ndarray:
+    """F with F F^dag = rho and unit Frobenius norm: the eigenvectors of rho
+    with positive weight, each times the square root of its weight."""
+    eig = hermitian_eig(rho)
+    first = bisect.bisect_right(eig.eigenvalues.tolist(), 0.0)  # ascending: positive ones last
+    f = eig.eigenvectors[:, first:] * np.sqrt(eig.eigenvalues[first:])
+    return f / np.linalg.norm(f)
 
-    rho is renormalized to unit trace every step and the survival
-    probability p accumulated in log space, so long strongly-damped chains
-    neither underflow nor overflow: p is exp(log p), or exactly 0.0 once
-    log p <= -745, below the smallest subnormal double.  A trace that
-    reaches 0 ends the chain early, since no state is left to normalize; a
-    non-finite trace raises ProbabilityUnderflowError.
+
+def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
+    """Yield (p, F) after each of n_steps applications of F <- A F, that is
+    rho <- A rho A^dag on the state rho = F F^dag (see state_factor).
+
+    F is renormalized to unit Frobenius norm (unit trace of rho) every step
+    and the survival probability p accumulated in log space, so long
+    strongly-damped chains neither underflow nor overflow: p is exp(log p),
+    or exactly 0.0 once log p <= -745, below the smallest subnormal double.
+    A trace that reaches 0 ends the chain early, since no state is left to
+    normalize; a non-finite trace raises ProbabilityUnderflowError.
     """
-    ad = dagger(a)
     log_p = 0.0
     for _ in range(n_steps):
-        rho = a @ rho @ ad
-        tr = np.trace(rho).real
+        f = a @ f
+        tr = np.vdot(f, f).real
         if not math.isfinite(tr):
             raise ProbabilityUnderflowError(f"conditional trace is {tr}")
         if not tr > 0:
             return
-        rho = hermitian_part(rho / tr)
+        f = f / math.sqrt(tr)
         log_p += math.log(tr)
-        yield (math.exp(log_p) if log_p > -745 else 0.0), rho
+        yield (math.exp(log_p) if log_p > -745 else 0.0), f
 
 
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """Normalized conditional states on a uniform grid, with survival tracking.
 
     Works directly on a (possibly non-Hermitian) generator matrix h_eff by
-    running renormalized_chain with exp(-i h_eff dt).  Returns (times,
-    survival, states) with states an (n_samples, dim, dim) stack of
-    unit-trace matrices; survival may reach exactly 0.0 once exp underflows.
-    A trace that reaches 0 leaves no state to return and raises
-    ProbabilityUnderflowError.
+    running renormalized_chain with exp(-i h_eff dt) on the factor of rho0.
+    Returns (times, survival, states) with states an (n_samples, dim, dim)
+    stack of unit-trace matrices F F^dag; survival may reach exactly 0.0
+    once exp underflows.  A trace that reaches 0 leaves no state to return
+    and raises ProbabilityUnderflowError.
     """
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
@@ -301,11 +311,11 @@ def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: 
     states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
     survival[0] = 1.0
     states[0] = rho0.rho
-    chain = renormalized_chain(expm(-1j * dt * m), rho0.rho, n_samples - 1)
+    chain = renormalized_chain(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1)
     k = 0
-    for k, (p, rho) in enumerate(chain, 1):
+    for k, (p, f) in enumerate(chain, 1):
         survival[k] = p
-        states[k] = rho
+        np.matmul(f, dagger(f), out=states[k])
     if k < n_samples - 1:
         raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {times[k + 1]:g}")
     return times, survival, states

@@ -207,7 +207,7 @@ def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
     h2 = hc @ hc
     gamma_moment = h2[m::2, m::2] - h0 @ h0
     gap = frobenius_norm(gamma_moment - gamma_product)
-    if gap > GAMMA_FORM_ATOL * max(1.0, frobenius_norm(gamma_moment)):
+    if not gap <= GAMMA_FORM_ATOL * max(1.0, frobenius_norm(gamma_moment)):
         raise NumericalError(
             f"the two decay-operator forms disagree by {gap:.3e} (Frobenius)"
         )

@@ -48,7 +48,13 @@ class EffectiveBlockParams:
     def from_symmetric(cls, p: SymmetricParams, tau: float) -> "EffectiveBlockParams":
         if not tau > 0:
             raise ValidationError(f"tau must be positive, got {tau}")
-        return cls(gamma=2.0 * p.gamma_xy, g=2.0 * tau * p.g_xy**2)
+        try:
+            g = 2.0 * tau * p.g_xy**2
+        except OverflowError:  # float ** raises where float * gives inf
+            g = math.inf
+        if math.isinf(g):
+            raise NumericalError(f"damping rate 2 tau g_xy^2 overflows at g_xy = {p.g_xy:g}")
+        return cls(gamma=2.0 * p.gamma_xy, g=g)
 
     def as_two_level(self) -> "TwoLevelBlockParams":
         return TwoLevelBlockParams(

@@ -7,11 +7,12 @@ shared freely between callers and threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError, ValidationError
+from .errors import NotHermitianError, NotPSDError, NumericalError, ValidationError
 
 HERMITICITY_RTOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
@@ -92,6 +93,8 @@ def expm(a) -> np.ndarray:
     m = as_cmatrix(a)
     n = m.shape[0]
     nrm = frobenius_norm(m)
+    if not np.isfinite(nrm):
+        raise NumericalError(f"matrix exponential of a matrix with Frobenius norm {nrm}")
     squarings = 0
     if nrm > EXPM_SCALE_LIMIT:
         squarings = int(np.ceil(np.log2(nrm / EXPM_SCALE_LIMIT)))
@@ -154,22 +157,35 @@ def write_csv(path, header: list[str], rows) -> None:
         )
 
 
+def finite_reals(values) -> np.ndarray | None:
+    """values as a float array if each is a finite JSON number (an int or a
+    float within the double range, never a bool), else None: the one rule."""
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+        return None
+    try:
+        return np.array(values, dtype=float) if all(map(math.isfinite, values)) else None
+    except OverflowError:  # math.isfinite of an int beyond the double range
+        return None
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    """Inverse of matrix_to_json; rejects mismatched entry counts."""
+    """Inverse of matrix_to_json; rejects mismatched entry counts and non-real entries."""
     if not isinstance(obj, dict):
         raise ValidationError("matrix object must be a JSON mapping")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = list(obj["re"])
         im = list(obj["im"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"matrix object needs dim/re/im fields: {exc}") from exc
-    if dim < 1:
-        raise ValidationError(f"matrix dim must be positive, got {dim}")
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"matrix dim must be a positive integer, got {dim!r}")
     if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationError(
             f"matrix entry count mismatch: dim {dim} needs {dim * dim} entries, "
             f"got {len(re)} real and {len(im)} imaginary"
         )
-    m = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return m.reshape(dim, dim)
+    re, im = finite_reals(re), finite_reals(im)
+    if re is None or im is None:
+        raise ValidationError("matrix entries must be finite real numbers, never booleans")
+    return (re + 1j * im).reshape(dim, dim)

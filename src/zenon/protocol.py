@@ -3,10 +3,10 @@
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
 measured outcome equals the monitored state, i.e. apply K = <m|U(tau)|m>.
-`simulate_conditional` (the filtered state) and `conditional_survival_curve`
-run dynamics.renormalized_chain with K.  `simulate_trajectories` samples
-survivors by the waiting-time method, one uniform per trajectory against
-the survival curve of its initial ket, from its own independent ket chain.
+The filtered state, the exact survival curve and the waiting-time Monte
+Carlo (one uniform per trajectory against the survival curve of its initial
+eigenket, a column of F) all read dynamics.renormalized_chain with K on the
+factor F of rho0 = F F^dag.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .dynamics import (
     evolve_conditional,
     normalize,
     renormalized_chain,
+    state_factor,
 )
 from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_step
 from .errors import (
@@ -75,6 +76,13 @@ class ProtocolConfig:
         return self.h.shape[0] // 2
 
 
+def _chain_start(cfg: ProtocolConfig, rho0: DensityMatrix):
+    """(K, F): the Kraus step and the factor of rho0 that start every chain here."""
+    if rho0.dim != cfg.system_dim:
+        raise BadDimensionError(f"state dim {rho0.dim} != system dim {cfg.system_dim}")
+    return kraus_step(cfg.h, cfg.spec, cfg.tau), state_factor(rho0.rho)
+
+
 def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> ConditionalState:
     """Deterministic filtered state after n_steps successful measurements.
 
@@ -84,19 +92,15 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     CHAIN_CONSISTENCY_RTOL.  A chain that ends early or a probability at or
     below P_MIN leaves no state to normalize: ProbabilityUnderflowError.
     """
-    if rho0.dim != cfg.system_dim:
-        raise BadDimensionError(
-            f"state dim {rho0.dim} != system dim {cfg.system_dim}"
-        )
+    k, f = _chain_start(cfg, rho0)
     if cfg.n_steps == 0:
         return ConditionalState(rho_c=rho0.rho.copy(), p=1.0, t=0.0)
-    k = kraus_step(cfg.h, cfg.spec, cfg.tau)
     # K^n is released before the chain runs, so the two never share the peak
     k_pow = np.linalg.matrix_power(k, cfg.n_steps)
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
     del k_pow
     steps = 0
-    for p_chain, rho in renormalized_chain(k, rho0.rho, cfg.n_steps):
+    for p_chain, f in renormalized_chain(k, f, cfg.n_steps):
         steps += 1
     if steps < cfg.n_steps:
         raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {steps + 1}")
@@ -111,19 +115,14 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
             f"survival probability {p_chain:.3e} at or below floor {P_MIN:g}"
         )
     p = min(p_chain, 1.0)
-    return ConditionalState(rho_c=rho * p, p=p, t=cfg.n_steps * cfg.tau)
+    return ConditionalState(rho_c=(f * p) @ dagger(f), p=p, t=cfg.n_steps * cfg.tau)
 
 
 def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
     """Exact survival probability after each of the n_steps measurements;
     exactly 0.0 from the step on which the conditional trace reaches 0."""
-    if rho0.dim != cfg.system_dim:
-        raise BadDimensionError(
-            f"state dim {rho0.dim} != system dim {cfg.system_dim}"
-        )
     out = np.zeros(cfg.n_steps)
-    chain = renormalized_chain(kraus_step(cfg.h, cfg.spec, cfg.tau), rho0.rho, cfg.n_steps)
-    for step, (p, _) in enumerate(chain):
+    for step, (p, _) in enumerate(renormalized_chain(*_chain_start(cfg, rho0), cfg.n_steps)):
         out[step] = p
     return out
 
@@ -152,33 +151,6 @@ class TrajectoryEnsemble:
         return self.survival_counts / self.n_traj
 
 
-def _initial_ensemble(rho0: DensityMatrix):
-    """Eigendecomposition of rho0 for sampling pure initial kets."""
-    eig = hermitian_eig(rho0.rho)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    w = w / w.sum()
-    return np.cumsum(w), eig.eigenvectors
-
-
-def _survival_curves(k: np.ndarray, kets: np.ndarray, n_steps: int):
-    """curves[n, j] = ||K^(n+1) kets[:, j]||^2, non-increasing in n, and the
-    normalized kets after the last step; a ket whose norm reaches zero keeps
-    a curve of exactly 0.0 and a zero column."""
-    v = kets
-    log_p = np.zeros(v.shape[1])
-    logs = np.empty((n_steps, v.shape[1]))
-    with np.errstate(divide="ignore"):
-        for step in range(n_steps):
-            v = k @ v
-            norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
-            log_p = log_p + np.log(norm_sq)
-            logs[step] = log_p
-            v /= np.sqrt(np.where(norm_sq > 0, norm_sq, 1.0))
-    # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
-    # counts rise too.
-    return np.minimum.accumulate(np.exp(logs), axis=0), v
-
-
 def simulate_trajectories(
     cfg: ProtocolConfig,
     rho0: DensityMatrix,
@@ -189,34 +161,36 @@ def simulate_trajectories(
     """Monte Carlo survivor counts for n_traj independent trajectories.
 
     Waiting-time sampler (Dalibard, Castin and Molmer, PRL 68, 580 (1992)):
-    a survivor that started in eigenket psi_j of rho0 is K^n psi_j / ||.||,
-    and it is alive after step n exactly when u < ||K^n psi_j||^2 for one
-    uniform u.  Row i of one Philox stream's (n_traj, 2) draw picks psi_j
-    and u for trajectory i, so a run's first N trajectories are those of an
-    n_traj=N run.  Memory is O(n_traj + dim * n_steps).
+    a trajectory starts in eigenket F e_j of rho0 (F = state_factor(rho0)),
+    picked with weight w_j = ||F e_j||^2, and survives step n exactly when one
+    uniform u < p_n ||F_n e_j||^2 / w_j, read from the chain.  Row i of one
+    Philox stream's (n_traj, 2) draw picks j and u for trajectory i, so a
+    run's first N trajectories are those of an n_traj=N run.  Memory is
+    O(n_traj + dim * n_steps).
     """
-    if rho0.dim != cfg.system_dim:
-        raise BadDimensionError(
-            f"state dim {rho0.dim} != system dim {cfg.system_dim}"
-        )
+    k, f = _chain_start(cfg, rho0)
     if n_traj < 1:
         raise ValidationError(f"n_traj must be positive, got {n_traj}")
-    cum_weights, vectors = _initial_ensemble(rho0)
-    dim = vectors.shape[0]
-    draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2))
-    picks = np.minimum(np.searchsorted(cum_weights, draws[:, 0], side="right"), dim - 1)
-    u = draws[:, 1]
-    curves, finals = _survival_curves(kraus_step(cfg.h, cfg.spec, cfg.tau), vectors, cfg.n_steps)
+    weights = np.linalg.norm(f, axis=0) ** 2  # one per eigenket kept
+    pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
+    picks = np.minimum(np.searchsorted(np.cumsum(weights), pick_u, side="right"), weights.size - 1)
+    curves = np.zeros((cfg.n_steps, weights.size))
+    for step, (p, f) in enumerate(renormalized_chain(k, f, cfg.n_steps)):
+        curves[step] = p * np.linalg.norm(f, axis=0) ** 2 / weights
+    # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
+    # counts rise too.
+    curves = np.minimum.accumulate(curves, axis=0)
 
     counts = np.zeros(cfg.n_steps, dtype=np.int64)
-    by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=dim))[:-1])
+    by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=weights.size))[:-1])
     for j, u_j in enumerate(by_pick):
         counts += np.searchsorted(u_j, curves[:, j], side="left")
 
     states = None
     if keep_states:
         alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
-        states = finals.T[picks[alive]]
+        kets = f.T[picks[alive]]  # a survivor's column has a nonzero norm
+        states = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     return TrajectoryEnsemble(
         n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states
     )

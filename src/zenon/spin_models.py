@@ -8,12 +8,12 @@ the repeatedly measured ancilla.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SiteOutOfRangeError, ValidationError
+from .linalg import finite_reals
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -44,7 +44,7 @@ def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
 def _check_finite(obj) -> None:
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        if finite_reals([v]) is None:
             raise ValidationError(f"coupling {f.name} must be a finite real, got {v!r}")
 
 

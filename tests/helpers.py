@@ -1,18 +1,22 @@
 """Shared test utilities: random draws, independent closed-form oracles, the
 stepwise Monte Carlo sampler that the waiting-time one is checked against,
-the row-by-row time-series writer that the vectorised one must match, and
-the bit-by-bit ancilla permutation that the axis-transposing one must match.
+the density-matrix chain that the factor chain must match, the row-by-row
+time-series writer that the vectorised one must match, and the bit-by-bit
+ancilla permutation that the axis-transposing one must match.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
 so they can confront derive_effective and friends as independent routes.
 """
 
+import math
+
 import numpy as np
 
 from zenon.dynamics import basis_labels
 from zenon.effective import ancilla_order
-from zenon.linalg import expm
+from zenon.errors import ProbabilityUnderflowError
+from zenon.linalg import dagger, expm, hermitian_part
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
 
 EYE2 = np.eye(2, dtype=complex)
@@ -163,6 +167,32 @@ def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     return _run_chunk(
         (u, cfg.spec.measured_state, cum_weights, vectors, seed, 0, n_traj, cfg.n_steps, False)
     )[0]
+
+
+def rho_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
+    """Reference conditional chain on the density matrix itself.
+
+    Yield (p, rho) after each of n_steps applications of rho <- A rho A^dag.
+
+    rho is renormalized to unit trace every step and the survival
+    probability p accumulated in log space, so long strongly-damped chains
+    neither underflow nor overflow: p is exp(log p), or exactly 0.0 once
+    log p <= -745, below the smallest subnormal double.  A trace that
+    reaches 0 ends the chain early, since no state is left to normalize; a
+    non-finite trace raises ProbabilityUnderflowError.
+    """
+    ad = dagger(a)
+    log_p = 0.0
+    for _ in range(n_steps):
+        rho = a @ rho @ ad
+        tr = np.trace(rho).real
+        if not math.isfinite(tr):
+            raise ProbabilityUnderflowError(f"conditional trace is {tr}")
+        if not tr > 0:
+            return
+        rho = hermitian_part(rho / tr)
+        log_p += math.log(tr)
+        yield (math.exp(log_p) if log_p > -745 else 0.0), rho
 
 
 def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> None:

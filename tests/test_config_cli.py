@@ -418,6 +418,56 @@ def test_cli_exit_2_on_malformed_scenario(stem, change, tmp_path, repo_cwd, caps
     assert capsys.readouterr().err.startswith("zenon: validation error")
 
 
+# Matrix files whose numbers break the rule a scenario's numbers obey.
+NON_REAL_MATRICES = {
+    "string": {"dim": 2, "re": ["x", 0, 0, 0], "im": [0, 0, 0, 0]},
+    "boolean": {"dim": 2, "re": [True, False, False, True], "im": [0, 0, 0, 0]},
+    "string_dim": {"dim": "2", "re": [0, 1, 1, 0], "im": [0, 0, 0, 0]},
+    "fractional_dim": {"dim": 2.5, "re": [0, 1, 1, 0], "im": [0, 0, 0, 0]},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_REAL_MATRICES))
+def test_cli_exit_2_on_matrix_file_number_that_is_not_a_finite_real(name, tmp_path, repo_cwd, capsys):
+    mpath = tmp_path / "matrix.json"
+    mpath.write_text(json.dumps(NON_REAL_MATRICES[name]))
+    scenario = {
+        "command": "simulate",
+        "model": "matrix-file",
+        "params": str(mpath),
+        "initial_state": "0",
+        "t_max": 1.0,
+        "n_samples": 3,
+    }
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(scenario))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("zenon: validation error")
+
+
+# One finite value per row, large enough that the numerics overflow: a
+# run-time failure (exit 3), never bad input and never an uncaught error.
+OVERFLOWING_SCENARIOS = [
+    ("derive_symmetric", {"g_xy": 1e200}),
+    ("simulate_symmetric", {"t_max": 1e300}),
+    ("fig4", {"g_xy": 1e300}),
+]
+
+
+@pytest.mark.parametrize(
+    "stem, change", OVERFLOWING_SCENARIOS, ids=[stem for stem, _ in OVERFLOWING_SCENARIOS]
+)
+def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, tmp_path, repo_cwd, capsys):
+    scenario = json.loads((CONFIGS / f"{stem}.json").read_text())
+    for key, v in change.items():
+        (scenario["params"] if key in scenario["params"] else scenario)[key] = v
+    cfg = tmp_path / "overflowing.json"
+    cfg.write_text(json.dumps(scenario))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([scenario["command"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("zenon: numerical error:")
+
+
 def test_cli_keeps_the_names_the_benchmark_wraps(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import workloads

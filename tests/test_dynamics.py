@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_ket, random_psd, rowwise_timeseries_csv
+from helpers import random_hermitian, random_ket, random_psd, rho_chain, rowwise_timeseries_csv
 from zenon.dynamics import (
     ConditionalState,
     DensityMatrix,
@@ -17,6 +17,7 @@ from zenon.dynamics import (
     integrate_pure_nonlinear,
     normalize,
     renormalized_chain,
+    state_factor,
     success_probability_rate,
     write_timeseries_csv,
 )
@@ -32,7 +33,7 @@ from zenon.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from zenon.linalg import frobenius_norm, trace
+from zenon.linalg import expm, frobenius_norm, trace
 from zenon.spin_models import SymmetricParams, build_symmetric
 from zenon.effective import AncillaSpec
 
@@ -278,13 +279,51 @@ def test_write_timeseries_csv_matches_rowwise_oracle(tmp_path, rho0):
 
 def test_renormalized_chain_ends_when_trace_reaches_zero():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, nilpotent
-    rho0 = DensityMatrix.basis_state(2, 1).rho
-    steps = list(renormalized_chain(a, rho0, 5))
+    f0 = state_factor(DensityMatrix.basis_state(2, 1).rho)
+    steps = list(renormalized_chain(a, f0, 5))
     assert len(steps) == 1
-    p, rho = steps[0]
-    assert p == 1.0 and np.array_equal(rho, DensityMatrix.basis_state(2, 0).rho)
+    p, f = steps[0]
+    assert p == 1.0 and np.array_equal(f @ f.conj().T, DensityMatrix.basis_state(2, 0).rho)
     with pytest.raises(ProbabilityUnderflowError), np.errstate(over="ignore", invalid="ignore"):
-        list(renormalized_chain(1e200 * np.eye(2, dtype=complex), rho0, 1))
+        list(renormalized_chain(1e200 * np.eye(2, dtype=complex), f0, 1))
+
+
+def _rotated(eigenvalues, seed):
+    q, _ = np.linalg.qr(random_hermitian(np.random.Generator(np.random.PCG64(seed)), len(eigenvalues)))
+    return q @ np.diag(eigenvalues).astype(complex) @ q.conj().T
+
+
+_CHAIN_STARTS = {
+    "pure": DensityMatrix.from_pure(random_ket(np.random.Generator(np.random.PCG64(20)), 4)),
+    "rank2": DensityMatrix(_rotated([0.7, 0.3, 0.0, 0.0], 21)),
+    "maximally_mixed": DensityMatrix.maximally_mixed(4),
+    "zero_eigenvalue": DensityMatrix(_rotated([0.5, 0.3, 0.2, 0.0], 22)),
+}
+
+
+@pytest.mark.parametrize("start", list(_CHAIN_STARTS))
+def test_renormalized_chain_matches_density_matrix_oracle(start):
+    rho0 = _CHAIN_STARTS[start].rho
+    a = expm(-1j * 0.05 * _symmetric_eff().matrix())
+    factor = list(renormalized_chain(a, state_factor(rho0), 400))
+    oracle = list(rho_chain(a, rho0, 400))
+    assert len(factor) == len(oracle) == 400
+    for (p, f), (p_ref, rho_ref) in zip(factor, oracle):
+        assert abs(p - p_ref) <= 1e-13 * p_ref
+        assert frobenius_norm(f @ f.conj().T - rho_ref) <= 1e-12
+    assert oracle[-1][0] < 0.6  # the chain has decayed, not idled
+
+
+def test_state_factor_rebuilds_rho_and_drops_non_positive_eigenvalues():
+    rho = np.diag([0.6, 0.0, 0.4, -1e-13]).astype(complex)
+    f = state_factor(rho)
+    assert f.shape == (4, 2)
+    assert frobenius_norm(f @ f.conj().T - np.diag([0.6, 0.0, 0.4, 0.0])) < 1e-15
+    for dm in _CHAIN_STARTS.values():
+        f = state_factor(dm.rho)
+        assert frobenius_norm(f @ f.conj().T - dm.rho) < 1e-14
+        assert abs(frobenius_norm(f) - 1.0) < 1e-15
+    assert state_factor(_CHAIN_STARTS["maximally_mixed"].rho).shape == (4, 4)
 
 
 def test_integrate_nonlinear_invalid_result_is_numerical_error():
