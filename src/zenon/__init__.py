@@ -22,6 +22,7 @@ from .dynamics import (
     ConditionalState,
     DensityMatrix,
     P_MIN,
+    conditional_final_state,
     conditional_trajectory,
     default_time_step,
     evolve_conditional,

@@ -22,6 +22,7 @@ from .config import COMMANDS, SWEEP_KEYS, Scenario, is_amplitude, load_scenario
 from .dilation import dilate, dilation_step, roundtrip_check
 from .dynamics import (
     DensityMatrix,
+    conditional_final_state,
     conditional_trajectory,
     default_coherence_pair,
     write_timeseries_csv,
@@ -211,10 +212,9 @@ def run_sweep(s: Scenario) -> None:
         spec = _ancilla_spec(s)
         eff = derive_effective(h, spec, tau)
         rho0 = parse_initial_state(s.initial_state, eff.dim)
-        _, survival, states = conditional_trajectory(eff.matrix(), rho0, t_max, s.n_samples)
-        final = states[-1]
+        p, final = conditional_final_state(eff.matrix(), rho0, t_max, s.n_samples)
         row = [float(entry[k]) for k in keys]
-        row += [survival[-1], bell_fidelity(final, s.bell), concurrence(final)]
+        row += [p, bell_fidelity(final, s.bell), concurrence(final)]
         if s.with_protocol:
             n_steps = max(1, round(t_max / tau))
             cfg = ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=n_steps)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, conditional_trajectory, normalize
+from .dynamics import DensityMatrix, conditional_final_state, normalize
 from .effective import AncillaSpec, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
@@ -216,9 +216,9 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
 
     Runs the exact repeated-measurement protocol on the dilated Hamiltonian
     for n = round(t / tau) steps and compares the normalized conditional
-    state against the final state of conditional_trajectory under h_eff at
-    n tau (a reference that collapses raises ProbabilityUnderflowError),
-    returning the Frobenius distance.  The ancilla coupling scale gamma tau =
+    state against conditional_final_state under h_eff at n tau (a reference
+    that collapses raises ProbabilityUnderflowError), returning the
+    Frobenius distance.  The ancilla coupling scale gamma tau =
     sqrt(f tau) must stay below 0.15 for the comparison to be meaningful.
     """
     m = as_cmatrix(h_eff)
@@ -232,5 +232,5 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
     n_steps = max(1, round(t / tau))
     cfg = ProtocolConfig(h=res.h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
     exact = normalize(simulate_conditional(cfg, rho0))
-    _, _, states = conditional_trajectory(m, rho0, n_steps * tau, 2)
-    return frobenius_norm(exact.rho - states[-1])
+    _, final = conditional_final_state(m, rho0, n_steps * tau, 2)
+    return frobenius_norm(exact.rho - final)

@@ -3,14 +3,16 @@ non-Hermitian Hamiltonian, plus the trace-preserving nonlinear form.
 
 Two faces of the same dynamics: propagating with exp(-i H_eff t) gives the
 unnormalized conditional state whose trace is the survival probability, and
-dividing that trace out is equivalent to integrating the nonlinear equation
+dividing that trace out is equivalent to integrating the nonlinear equation,
+on a factor F of rho = F F^dag (see state_factor) and with A = -i H_eff,
 
-    d rho / dt = -i [h0, rho] - (tau/2) {gamma, rho} + tau tr(gamma rho) rho,
+    dF/dt = A F - Re<F, A F> F,
 
 whose last term feeds the lost norm back in.  Both routes are implemented
-independently so they can be checked against each other.
-Repeated conditional steps, exp(-i H_eff dt) here or the protocol's Kraus
-step, all run through renormalized_chain on a factor F of rho = F F^dag.
+independently so they can be checked against each other: repeated
+conditional steps (exp(-i H_eff dt) here or the protocol's Kraus step) run
+through renormalized_chain, F <- A F, and one RK4 integrates the equation
+for a density matrix and, with F a single column, for a pure state.
 """
 
 from __future__ import annotations
@@ -143,84 +145,69 @@ def success_probability_rate(eff: EffectiveHamiltonian, cs: ConditionalState) ->
 
 
 def default_time_step(eff: EffectiveHamiltonian) -> float:
-    """1e-3 over the larger of ||h0||_F and tau ||gamma||_F."""
+    """5e-3 over the larger of ||h0||_F and tau ||gamma||_F."""
     scale = max(frobenius_norm(eff.h0), eff.tau * frobenius_norm(eff.gamma))
-    if scale == 0.0:
-        return 1e-3
-    return 1e-3 / scale
+    return 5e-3 / scale if scale > 0 else 5e-3
 
 
-def _rk4(eff: EffectiveHamiltonian, rhs, size, y, t: float, dt: float | None, what: str):
-    """Classical RK4 from y over [0, t] with a shorter last step for the
-    remainder, dividing y by size(y) after each step; the drift of size(y)
-    from 1 is asserted below 1e-12 each step."""
+def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: float | None) -> np.ndarray:
+    """Classical RK4 for dF/dt = A F - Re<F, A F> F, A = -i H_eff, from a
+    unit-norm F over [0, t], with a shorter last step for the remainder.
+
+    The right-hand side is orthogonal to F, so ||F||_F stays 1 up to the
+    truncation error; F is divided by its norm after each step, and a drift
+    of the norm from 1 above 1e-12 in one step raises NumericalError.
+    """
     if dt is None:
         dt = min(default_time_step(eff), t)
     if not dt > 0:
         raise StepTooLargeError(f"dt must be positive, got {dt}")
     if dt > t:
         raise StepTooLargeError(f"dt {dt:g} exceeds the integration time {t:g}")
-    if dt * frobenius_norm(eff.matrix()) > STEP_NORM_LIMIT:
-        raise StepTooLargeError(
-            f"dt * ||H_eff|| = {dt * frobenius_norm(eff.matrix()):.3e} > {STEP_NORM_LIMIT}"
-        )
+    a = -1j * eff.matrix()
+    if dt * frobenius_norm(a) > STEP_NORM_LIMIT:
+        raise StepTooLargeError(f"dt * ||H_eff|| = {dt * frobenius_norm(a):.3e} > {STEP_NORM_LIMIT}")
+
+    def rhs(f):
+        af = a @ f
+        return af - np.vdot(f, af).real * f
+
     n_full = int(math.floor(t / dt + 1e-12))
     remainder = t - n_full * dt
     for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step_dt * k1)
-        k3 = rhs(y + 0.5 * step_dt * k2)
-        k4 = rhs(y + step_dt * k3)
-        y = y + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = size(y)
+        k1 = rhs(f)
+        k2 = rhs(f + 0.5 * step_dt * k1)
+        k3 = rhs(f + 0.5 * step_dt * k2)
+        k4 = rhs(f + step_dt * k3)
+        f = f + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = np.linalg.norm(f)
         if abs(s - 1.0) > 1e-12:
-            raise NumericalError(f"{what} drift {s - 1.0:.3e} exceeds 1e-12 per step")
-        y = y / s
-    return y
+            raise NumericalError(f"norm drift {s - 1.0:.3e} exceeds 1e-12 per step")
+        f = f / s
+    return f
 
 
 def integrate_nonlinear(
     eff: EffectiveHamiltonian, rho0: DensityMatrix, t: float, dt: float | None = None
 ) -> DensityMatrix:
-    """RK4 integration of the trace-preserving nonlinear equation.
-
-    The right-hand side has exactly zero trace on unit-trace input, so the
-    per-step renormalization only removes rounding.  A result that is no
-    longer a valid density matrix (a step too coarse for the state's
-    smallest eigenvalue) is a run-time failure: NumericalError.
-    """
+    """RK4 integration of the trace-preserving nonlinear equation, run on the
+    factor F = state_factor(rho0): the result F F^dag is positive and of unit
+    trace by construction."""
     if t < 0:
         raise ValidationError(f"t must be nonnegative, got {t}")
     if rho0.dim != eff.dim:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     if t == 0:
         return rho0
-
-    h0 = eff.h0
-    gamma = eff.gamma
-    tau = eff.tau
-
-    def rhs(rho):
-        hr = h0 @ rho
-        gr = gamma @ rho
-        feed = tau * np.trace(gr).real
-        return (
-            -1j * (hr - dagger(hr))
-            - 0.5 * tau * (gr + dagger(gr))
-            + feed * rho
-        )
-
-    rho = _rk4(eff, rhs, lambda r: np.trace(r).real, rho0.rho.copy(), t, dt, "trace")
-    try:
-        return DensityMatrix(hermitian_part(rho))
-    except ValidationError as exc:
-        raise NumericalError(f"RK4 result is not a density matrix: {exc}") from exc
+    f = _integrate_factor(eff, state_factor(rho0.rho), t, dt)
+    return DensityMatrix(f @ dagger(f))
 
 
 def integrate_pure_nonlinear(
     eff: EffectiveHamiltonian, psi0, t: float, dt: float | None = None
 ) -> np.ndarray:
-    """Pure-state version: d psi/dt = (-i h0 - (tau/2) gamma + (tau/2)<gamma>) psi."""
+    """Pure-state version: the same integrator on the one-column factor psi,
+    d psi/dt = (-i h0 - (tau/2) gamma + (tau/2)<gamma>) psi."""
     psi = np.asarray(psi0, dtype=complex).ravel()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValidationError("psi0 must be normalized to 1e-12")
@@ -230,17 +217,7 @@ def integrate_pure_nonlinear(
         raise ValidationError(f"t must be nonnegative, got {t}")
     if t == 0:
         return psi.copy()
-
-    h0 = eff.h0
-    gamma = eff.gamma
-    tau = eff.tau
-
-    def rhs(v):
-        gv = gamma @ v
-        avg = (v.conj() @ gv).real
-        return -1j * (h0 @ v) - 0.5 * tau * gv + 0.5 * tau * avg * v
-
-    return _rk4(eff, rhs, np.linalg.norm, psi, t, dt, "norm")
+    return _integrate_factor(eff, psi, t, dt)
 
 
 def expectation(state, observable) -> float:
@@ -288,16 +265,11 @@ def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
         yield (math.exp(log_p) if log_p > -745 else 0.0), f
 
 
-def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
-    """Normalized conditional states on a uniform grid, with survival tracking.
-
-    Works directly on a (possibly non-Hermitian) generator matrix h_eff by
-    running renormalized_chain with exp(-i h_eff dt) on the factor of rho0.
-    Returns (times, survival, states) with states an (n_samples, dim, dim)
-    stack of unit-trace matrices F F^dag; survival may reach exactly 0.0
-    once exp underflows.  A trace that reaches 0 leaves no state to return
-    and raises ProbabilityUnderflowError.
-    """
+def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
+    """Validated renormalized_chain with exp(-i h_eff dt) on the factor of
+    rho0, dt = t_max / (n_samples - 1).  Returns dt and a generator of
+    (k, p, F) at t = k dt for k = 1 .. n_samples - 1; a trace that reaches 0
+    leaves no state to return and raises ProbabilityUnderflowError."""
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {m.shape[0]}")
@@ -306,19 +278,43 @@ def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: 
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)
+
+    def steps():
+        chain = renormalized_chain(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1)
+        k = 0
+        for k, (p, f) in enumerate(chain, 1):
+            yield k, p, f
+        if k < n_samples - 1:
+            raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {(k + 1) * dt:g}")
+
+    return dt, steps()
+
+
+def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
+    """Normalized conditional states on a uniform grid of n_samples times
+    from 0 to t_max under a (possibly non-Hermitian) generator h_eff, with
+    survival tracking: (times, survival, states), states an (n_samples, dim,
+    dim) stack of F F^dag.  survival may reach exactly 0.0 once exp
+    underflows; a collapse raises ProbabilityUnderflowError (_grid_chain)."""
+    dt, steps = _grid_chain(h_eff, rho0, t_max, n_samples)
     times = np.array([k * dt for k in range(n_samples)])
     survival = np.empty(n_samples)
     states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
     survival[0] = 1.0
     states[0] = rho0.rho
-    chain = renormalized_chain(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1)
-    k = 0
-    for k, (p, f) in enumerate(chain, 1):
+    for k, p, f in steps:
         survival[k] = p
         np.matmul(f, dagger(f), out=states[k])
-    if k < n_samples - 1:
-        raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {times[k + 1]:g}")
     return times, survival, states
+
+
+def conditional_final_state(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
+    """(survival, state) at t_max: the last sample of conditional_trajectory
+    with the same arguments, bit for bit, without the stack of states."""
+    _, steps = _grid_chain(h_eff, rho0, t_max, n_samples)
+    for _, p, f in steps:
+        pass
+    return p, f @ dagger(f)
 
 
 def basis_labels(dim: int) -> list[str]:

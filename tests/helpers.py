@@ -1,6 +1,7 @@
 """Shared test utilities: random draws, independent closed-form oracles, the
 stepwise Monte Carlo sampler that the waiting-time one is checked against,
-the density-matrix chain that the factor chain must match, the row-by-row
+the density-matrix chain that the factor chain must match, the
+density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, and the bit-by-bit
 ancilla permutation that the axis-transposing one must match.
 
@@ -13,10 +14,10 @@ import math
 
 import numpy as np
 
-from zenon.dynamics import basis_labels
+from zenon.dynamics import STEP_NORM_LIMIT, basis_labels
 from zenon.effective import ancilla_order
-from zenon.errors import ProbabilityUnderflowError
-from zenon.linalg import dagger, expm, hermitian_part
+from zenon.errors import NumericalError, ProbabilityUnderflowError, StepTooLargeError
+from zenon.linalg import dagger, expm, frobenius_norm, hermitian_part
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
 
 EYE2 = np.eye(2, dtype=complex)
@@ -193,6 +194,54 @@ def rho_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
         rho = hermitian_part(rho / tr)
         log_p += math.log(tr)
         yield (math.exp(log_p) if log_p > -745 else 0.0), rho
+
+
+def rho_rk4(eff, rho0: np.ndarray, t: float, dt: float | None = None) -> np.ndarray:
+    """Reference RK4 on the density matrix itself for the trace-preserving
+    nonlinear equation
+
+        d rho / dt = -i [h0, rho] - (tau/2) {gamma, rho} + tau tr(gamma rho) rho
+
+    from rho0 over [0, t], by default at 1e-3 over the larger of ||h0||_F and
+    tau ||gamma||_F, with a shorter last step for the remainder.  rho is
+    divided by its trace after each step; a drift of the trace from 1 above
+    1e-12 in one step raises NumericalError.  Returns hermitian_part(rho),
+    not validated as a state: on a pure start a coarse step can leave a
+    slightly negative eigenvalue.
+    """
+    if dt is None:
+        scale = max(frobenius_norm(eff.h0), eff.tau * frobenius_norm(eff.gamma))
+        dt = min(1e-3 / scale if scale > 0 else 1e-3, t)
+    if not 0 < dt <= t or dt * frobenius_norm(eff.matrix()) > STEP_NORM_LIMIT:
+        raise StepTooLargeError(f"dt {dt:g} outside (0, min(t, {STEP_NORM_LIMIT} / ||H_eff||)]")
+    h0 = eff.h0
+    gamma = eff.gamma
+    tau = eff.tau
+
+    def rhs(rho):
+        hr = h0 @ rho
+        gr = gamma @ rho
+        feed = tau * np.trace(gr).real
+        return (
+            -1j * (hr - dagger(hr))
+            - 0.5 * tau * (gr + dagger(gr))
+            + feed * rho
+        )
+
+    rho = np.array(rho0, dtype=complex)
+    n_full = int(math.floor(t / dt + 1e-12))
+    remainder = t - n_full * dt
+    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * step_dt * k1)
+        k3 = rhs(rho + 0.5 * step_dt * k2)
+        k4 = rhs(rho + step_dt * k3)
+        rho = rho + (step_dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = np.trace(rho).real
+        if abs(s - 1.0) > 1e-12:
+            raise NumericalError(f"trace drift {s - 1.0:.3e} exceeds 1e-12 per step")
+        rho = rho / s
+    return hermitian_part(rho)
 
 
 def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> None:

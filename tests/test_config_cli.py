@@ -21,7 +21,7 @@ from zenon.config import (
     scenario_to_json,
 )
 from zenon.dilation import DilationResult
-from zenon.dynamics import DensityMatrix
+from zenon.dynamics import DensityMatrix, default_time_step
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
 from zenon.spin_models import SymmetricParams, build_symmetric
@@ -474,6 +474,19 @@ def test_cli_keeps_the_names_the_benchmark_wraps(monkeypatch):
 
     for name in [*workloads.CLI_LAYER_CALLS, "load_matrix_file"]:
         assert hasattr(zenon.cli, name), name
+
+
+def test_benchmark_counts_one_rk4_step_per_four_rhs_calls(monkeypatch, tmp_path):
+    # the paper_suite step counter profiles calls of a function named rhs
+    # in zenon.dynamics; a rename or a changed stage count must fail here
+    # rather than read a wrong count
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    suite = workloads.PaperSuite(tmp_path)
+    # full steps of default_time_step plus one shorter remainder step
+    steps = sum(math.ceil(t / default_time_step(eff)) for eff, _, t in suite.cases)
+    assert suite.counts()["dynamics.rk4_steps"] == steps
 
 
 # The JSON kinds each scenario field accepts, as the README documents them.
