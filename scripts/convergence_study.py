@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 from zenon.dynamics import DensityMatrix  # noqa: E402
 from zenon.effective import AncillaSpec  # noqa: E402
 from zenon.linalg import write_csv  # noqa: E402
-from zenon.protocol import ProtocolConfig, stroboscopic_error  # noqa: E402
+from zenon.protocol import ProtocolConfig, steps_for, stroboscopic_error  # noqa: E402
 from zenon.spin_models import SymmetricParams, build_symmetric  # noqa: E402
 
 PARAMS = SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=2.0, g_z=0.3)
@@ -40,7 +40,7 @@ def main() -> int:
     rows = []
     tau = 0.02
     for _ in range(args.rungs):
-        n_steps = max(1, round(args.t_total / tau))
+        n_steps = steps_for(args.t_total, tau)
         cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
         rows.append((tau, n_steps, stroboscopic_error(cfg, rho0)))
         tau /= 2.0

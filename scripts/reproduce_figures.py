@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled figure data sets from their scenario configs.
+"""Regenerate every bundled output from its scenario config.
 
-Runs the odd-parity (singlet-forming) and even-parity (triplet-forming)
-figure scenarios plus the regime sweep, writing CSV files under out/.
+Runs each configs/*.json through the zenon CLI with the command named in the
+file, writing its outputs under <out>/<config stem>.  Matrix-file paths in
+the configs are read relative to the repository root, so the script works
+from any directory.
 Usage: python3 scripts/reproduce_figures.py [--out DIR]
 """
 
 import argparse
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -15,26 +19,23 @@ sys.path.insert(0, str(REPO / "src"))
 
 from zenon.cli import main as zenon_main  # noqa: E402
 
-RUNS = (
-    ("figures", "configs/fig4.json", "fig4"),
-    ("figures", "configs/fig5.json", "fig5"),
-    ("sweep", "configs/sweep_fig5_regimes.json", "fig5_regimes"),
-)
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root directory")
     args = parser.parse_args()
-    for command, config, subdir in RUNS:
-        out_dir = str(Path(args.out) / subdir)
-        argv = [command, "--config", str(REPO / config), "--out", out_dir]
+    out_root = Path(args.out).resolve()
+    os.chdir(REPO)
+    for config in sorted(Path("configs").glob("*.json")):
+        command = json.loads(config.read_text())["command"]
+        out_dir = out_root / config.stem
+        argv = [command, "--config", str(config), "--out", str(out_dir)]
         print(f"zenon {' '.join(argv)}")
         code = zenon_main(argv)
         if code != 0:
             print(f"failed with exit code {code}", file=sys.stderr)
             return code
-        for produced in sorted(Path(out_dir).glob("*.csv")):
+        for produced in sorted(out_dir.iterdir()):
             print(f"  wrote {produced}")
     return 0
 

@@ -94,6 +94,7 @@ from .spin_models import (
     build_anisotropic,
     build_symmetric,
     pauli,
+    xyz_hamiltonian,
 )
 
 __version__ = "0.1.0"

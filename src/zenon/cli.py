@@ -43,6 +43,7 @@ from .protocol import (
     ProtocolConfig,
     conditional_survival_curve,
     simulate_trajectories,
+    steps_for,
     stroboscopic_error,
     write_ensemble_csv,
 )
@@ -130,7 +131,7 @@ def run_simulate(s: Scenario) -> None:
 
 
 def _protocol_config(s: Scenario) -> ProtocolConfig:
-    n_steps = s.n_steps if s.n_steps is not None else max(1, round(s.t_max / s.tau))
+    n_steps = s.n_steps if s.n_steps is not None else steps_for(s.t_max, s.tau)
     return ProtocolConfig(
         h=_composite_hamiltonian(s), spec=_ancilla_spec(s), tau=s.tau, n_steps=n_steps
     )
@@ -216,8 +217,7 @@ def run_sweep(s: Scenario) -> None:
         row = [float(entry[k]) for k in keys]
         row += [p, bell_fidelity(final, s.bell), concurrence(final)]
         if s.with_protocol:
-            n_steps = max(1, round(t_max / tau))
-            cfg = ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=n_steps)
+            cfg = ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=steps_for(t_max, tau))
             row.append(stroboscopic_error(cfg, rho0))
         rows.append(row)
     write_csv(os.path.join(_out_dir(s), "sweep.csv"), header, rows)

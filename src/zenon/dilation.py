@@ -42,7 +42,7 @@ from .linalg import (
     matrix_to_json,
     psd_sqrt,
 )
-from .protocol import ProtocolConfig, simulate_conditional
+from .protocol import ProtocolConfig, simulate_conditional, steps_for
 
 ROUNDTRIP_TOL = 1e-10
 TAU_BOHR_PRODUCT = 0.01
@@ -215,7 +215,7 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
     """Distance between the dilated protocol and direct h_eff propagation.
 
     Runs the exact repeated-measurement protocol on the dilated Hamiltonian
-    for n = round(t / tau) steps and compares the normalized conditional
+    for n = steps_for(t, tau) steps and compares the normalized conditional
     state against conditional_final_state under h_eff at n tau (a reference
     that collapses raises ProbabilityUnderflowError), returning the
     Frobenius distance.  The ancilla coupling scale gamma tau =
@@ -229,7 +229,7 @@ def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> f
         raise ValidationError(
             f"gamma tau = sqrt(f tau) = {math.sqrt(res.f * tau):.3f} >= {GAMMA_TAU_LIMIT}"
         )
-    n_steps = max(1, round(t / tau))
+    n_steps = steps_for(t, tau)
     cfg = ProtocolConfig(h=res.h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
     exact = normalize(simulate_conditional(cfg, rho0))
     _, final = conditional_final_state(m, rho0, n_steps * tau, 2)

@@ -39,6 +39,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     is_hermitian,
+    psd_eig,
     trace,
     write_csv,
 )
@@ -233,10 +234,12 @@ def expectation(state, observable) -> float:
 
 
 def state_factor(rho) -> np.ndarray:
-    """F with F F^dag = rho and unit Frobenius norm: the eigenvectors of rho
-    with positive weight, each times the square root of its weight."""
-    eig = hermitian_eig(rho)
-    first = bisect.bisect_right(eig.eigenvalues.tolist(), 0.0)  # ascending: positive ones last
+    """F with F F^dag = rho (PSD, see psd_eig) and unit Frobenius norm: each
+    eigenvector of rho with weight above 1e-14 times the largest (rounding
+    noise adds no column) times the square root of its weight."""
+    eig = psd_eig(rho)
+    w = eig.eigenvalues.tolist()  # ascending: the largest weights last
+    first = bisect.bisect_right(w, 1e-14 * w[-1])
     f = eig.eigenvectors[:, first:] * np.sqrt(eig.eigenvalues[first:])
     return f / np.linalg.norm(f)
 

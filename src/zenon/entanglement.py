@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix
+from .dynamics import DensityMatrix, state_factor
 from .errors import (
     BadDimensionError,
     NotBlockDiagonalError,
     NumericalError,
     ValidationError,
 )
-from .linalg import as_cmatrix, frobenius_norm, hermitian_eig, psd_sqrt
+from .linalg import as_cmatrix, frobenius_norm, hermitian_eig
 from .spin_models import SIGMA, SymmetricParams
 
 PLUS_INDICES = (0, 3)
@@ -248,19 +248,16 @@ def bell_fidelity(state, which: str) -> float:
 
 
 def concurrence(state) -> float:
-    """Two-qubit concurrence via the spin-flip construction.
+    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4) of rho / tr rho.
 
-    C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots of the
-    eigenvalues of sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho).
-    """
-    rho = _as_rho(state)
-    yy = np.kron(SIGMA["y"], SIGMA["y"])
-    flipped = yy @ rho.conj() @ yy
-    root = psd_sqrt(rho)
-    core = root @ flipped @ root
-    w = hermitian_eig((core + core.conj().T) / 2).eigenvalues
-    lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    Wootters' l_k are the singular values of M = F^T (sy x sy) F with
+    F = state_factor(rho) (Uhlmann, PRA 62, 032307 (2000)), read as the
+    nonnegative eigenvalues of the Hermitian [[0, M], [M^dag, 0]]."""
+    f = state_factor(_as_rho(state))
+    m = f.T @ np.kron(SIGMA["y"], SIGMA["y"]) @ f
+    zero = np.zeros_like(m)
+    lam = hermitian_eig(np.block([[zero, m], [m.conj().T, zero]])).eigenvalues[m.shape[0]:]
+    return float(max(0.0, lam[-1] - lam[:-1].sum()))
 
 
 def embed_block_state(psi, sector: str) -> np.ndarray:

@@ -108,24 +108,24 @@ def expm(a) -> np.ndarray:
     return out
 
 
-def psd_sqrt(a, tol: float | None = None) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol raises
-    NotPSDError.  tol defaults to 1e-10 times the Frobenius norm.
-    """
-    m = as_cmatrix(a)
-    if tol is None:
-        tol = 1e-10 * frobenius_norm(m)
-    eig = hermitian_eig(m)
-    w = eig.eigenvalues
-    if w[0] < -tol:
+def psd_eig(a) -> EigenDecomposition:
+    """hermitian_eig of a positive semidefinite matrix: an eigenvalue below
+    -tol raises NotPSDError, tol = 1e-10 times the Frobenius norm."""
+    eig = hermitian_eig(a)
+    tol = 1e-10 * frobenius_norm(a)
+    if eig.eigenvalues[0] < -tol:
         raise NotPSDError(
-            f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}"
+            f"minimum eigenvalue {eig.eigenvalues[0]:.6e} is below the PSD tolerance -{tol:.6e}"
         )
+    return eig
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix (see psd_eig);
+    eigenvalues in [-tol, 0) are clamped to zero."""
+    eig = psd_eig(a)
     v = eig.eigenvectors
-    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    return hermitian_part(r)
+    return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
 
 
 def matrix_to_json(a) -> dict:

@@ -38,6 +38,11 @@ from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, is_hermit
 CHAIN_CONSISTENCY_RTOL = 1e-12
 
 
+def steps_for(t: float, tau: float) -> int:
+    """Protocol steps of length tau that cover time t: round(t / tau), at least 1."""
+    return max(1, round(t / tau))
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Composite Hamiltonian, ancilla addressing, step length, step count.

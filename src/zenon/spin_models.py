@@ -1,4 +1,4 @@
-"""Multi-qubit Pauli operators and the two three-spin interaction models.
+"""Pauli operators, the n-qubit XYZ bond builder, and the three-spin models.
 
 Conventions used everywhere: basis states are labelled |q1 q2 ... qn> with
 qubit 1 as the most significant bit of the basis index, and sigma_z|0> = +|0>.
@@ -9,6 +9,7 @@ the repeatedly measured ancilla.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -24,21 +25,34 @@ SIGMA = {
 _EYE2 = np.eye(2, dtype=complex)
 
 
-def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
-    """Single-site Pauli operator embedded in an n-qubit register.
-
-    site is 1-based; site 1 is the most significant tensor factor.
-    """
+def _chain(axis: str, sites: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """sigma_axis at each of the 1-based sites and the identity elsewhere, as
+    one Kronecker chain with site 1 the most significant factor."""
     if axis not in SIGMA:
         raise ValidationError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    for site in sites:
+        if not 1 <= site <= n_qubits:
+            raise SiteOutOfRangeError(f"site {site} outside 1..{n_qubits}")
+    factors = [SIGMA[axis] if k in sites else _EYE2 for k in range(1, n_qubits + 1)]
+    return reduce(np.kron, factors[1:], factors[0].copy())  # never the shared SIGMA array
+
+
+def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
+    """Single-site Pauli operator at the 1-based site of an n-qubit register."""
+    return _chain(axis, (site,), n_qubits)
+
+
+def xyz_hamiltonian(n_qubits: int, bonds) -> np.ndarray:
+    """Sum of J sigma_a^i sigma_a^j over bonds ((i, j), a, J), added to zeros in
+    the order given; a site outside 1..n_qubits, or i == j, raises SiteOutOfRangeError."""
     if n_qubits < 1:
         raise ValidationError(f"n_qubits must be positive, got {n_qubits}")
-    if not 1 <= site <= n_qubits:
-        raise SiteOutOfRangeError(f"site {site} outside 1..{n_qubits}")
-    out = np.array([[1.0 + 0j]])
-    for k in range(1, n_qubits + 1):
-        out = np.kron(out, SIGMA[axis] if k == site else _EYE2)
-    return out
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for (i, j), axis, coupling in bonds:
+        if i == j:
+            raise SiteOutOfRangeError(f"bond ({i}, {j}) joins site {i} to itself")
+        h = h + coupling * _chain(axis, (i, j), n_qubits)
+    return h
 
 
 def _check_finite(obj) -> None:
@@ -61,17 +75,8 @@ class SymmetricParams:
         _check_finite(self)
 
     def as_anisotropic(self) -> "AnisotropicParams":
-        return AnisotropicParams(
-            gamma_x=self.gamma_xy,
-            gamma_y=self.gamma_xy,
-            gamma_z=self.gamma_z,
-            alpha_x=self.g_xy,
-            alpha_y=self.g_xy,
-            alpha_z=self.g_z,
-            beta_x=self.g_xy,
-            beta_y=self.g_xy,
-            beta_z=self.g_z,
-        )
+        xy, z = self.g_xy, self.g_z  # both system qubits couple alike to the ancilla
+        return AnisotropicParams(self.gamma_xy, self.gamma_xy, self.gamma_z, xy, xy, z, xy, xy, z)
 
 
 @dataclass(frozen=True)
@@ -92,31 +97,18 @@ class AnisotropicParams:
     def __post_init__(self):
         _check_finite(self)
 
-
-def _two_body(axis: str, i: int, j: int) -> np.ndarray:
-    return pauli(axis, i, 3) @ pauli(axis, j, 3)
+    def bonds(self) -> list:
+        """The nine bonds ((i, j), axis, J) in build order: pairs 1-2, 1-3, 2-3."""
+        pairs = (((1, 2), "gamma"), ((1, 3), "alpha"), ((2, 3), "beta"))
+        return [(ij, a, getattr(self, f"{name}_{a}")) for ij, name in pairs for a in "xyz"]
 
 
 def build_symmetric(p: SymmetricParams) -> np.ndarray:
     """8x8 three-spin Hamiltonian with equal couplings of both system qubits
     to the ancilla."""
-    h = p.gamma_xy * (_two_body("x", 1, 2) + _two_body("y", 1, 2))
-    h = h + p.gamma_z * _two_body("z", 1, 2)
-    h = h + p.g_xy * (_two_body("x", 1, 3) + _two_body("y", 1, 3))
-    h = h + p.g_xy * (_two_body("x", 2, 3) + _two_body("y", 2, 3))
-    h = h + p.g_z * (_two_body("z", 1, 3) + _two_body("z", 2, 3))
-    return h
+    return build_anisotropic(p.as_anisotropic())
 
 
 def build_anisotropic(p: AnisotropicParams) -> np.ndarray:
     """8x8 three-spin Hamiltonian with one coupling per axis per bond."""
-    h = p.gamma_x * _two_body("x", 1, 2)
-    h = h + p.gamma_y * _two_body("y", 1, 2)
-    h = h + p.gamma_z * _two_body("z", 1, 2)
-    h = h + p.alpha_x * _two_body("x", 1, 3)
-    h = h + p.alpha_y * _two_body("y", 1, 3)
-    h = h + p.alpha_z * _two_body("z", 1, 3)
-    h = h + p.beta_x * _two_body("x", 2, 3)
-    h = h + p.beta_y * _two_body("y", 2, 3)
-    h = h + p.beta_z * _two_body("z", 2, 3)
-    return h
+    return xyz_hamiltonian(3, p.bonds())

@@ -1,6 +1,7 @@
 """Shared test utilities: random draws, independent closed-form oracles, the
-stepwise Monte Carlo sampler that the waiting-time one is checked against,
-the density-matrix chain that the factor chain must match, the
+two hand-written nine-term spin Hamiltonians that the bond builder must
+match, the stepwise Monte Carlo sampler that the waiting-time one is checked
+against, the density-matrix chain that the factor chain must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, and the bit-by-bit
 ancilla permutation that the axis-transposing one must match.
@@ -18,7 +19,7 @@ from zenon.dynamics import STEP_NORM_LIMIT, basis_labels
 from zenon.effective import ancilla_order
 from zenon.errors import NumericalError, ProbabilityUnderflowError, StepTooLargeError
 from zenon.linalg import dagger, expm, frobenius_norm, hermitian_part
-from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
+from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams, pauli
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -33,6 +34,35 @@ YY = two_qubit("y", 1) @ two_qubit("y", 2)
 ZZ = two_qubit("z", 1) @ two_qubit("z", 2)
 Z1 = two_qubit("z", 1)
 Z2 = two_qubit("z", 2)
+
+
+def _two_body(axis: str, i: int, j: int) -> np.ndarray:
+    return pauli(axis, i, 3) @ pauli(axis, j, 3)
+
+
+def nine_term_symmetric(p: SymmetricParams) -> np.ndarray:
+    """8x8 three-spin Hamiltonian with equal couplings of both system qubits
+    to the ancilla."""
+    h = p.gamma_xy * (_two_body("x", 1, 2) + _two_body("y", 1, 2))
+    h = h + p.gamma_z * _two_body("z", 1, 2)
+    h = h + p.g_xy * (_two_body("x", 1, 3) + _two_body("y", 1, 3))
+    h = h + p.g_xy * (_two_body("x", 2, 3) + _two_body("y", 2, 3))
+    h = h + p.g_z * (_two_body("z", 1, 3) + _two_body("z", 2, 3))
+    return h
+
+
+def nine_term_anisotropic(p: AnisotropicParams) -> np.ndarray:
+    """8x8 three-spin Hamiltonian with one coupling per axis per bond."""
+    h = p.gamma_x * _two_body("x", 1, 2)
+    h = h + p.gamma_y * _two_body("y", 1, 2)
+    h = h + p.gamma_z * _two_body("z", 1, 2)
+    h = h + p.alpha_x * _two_body("x", 1, 3)
+    h = h + p.alpha_y * _two_body("y", 1, 3)
+    h = h + p.alpha_z * _two_body("z", 1, 3)
+    h = h + p.beta_x * _two_body("x", 2, 3)
+    h = h + p.beta_y * _two_body("y", 2, 3)
+    h = h + p.beta_z * _two_body("z", 2, 3)
+    return h
 
 
 def symmetric_effective_matrix(p: SymmetricParams, tau: float) -> np.ndarray:

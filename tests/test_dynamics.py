@@ -359,6 +359,11 @@ def test_state_factor_rebuilds_rho_and_drops_non_positive_eigenvalues():
         assert frobenius_norm(f @ f.conj().T - dm.rho) < 1e-14
         assert abs(frobenius_norm(f) - 1.0) < 1e-15
     assert state_factor(_CHAIN_STARTS["maximally_mixed"].rho).shape == (4, 4)
+    # rounding noise in the zero eigenvalues adds no column
+    assert state_factor(_CHAIN_STARTS["rank2"].rho).shape == (4, 2)
+    rng = np.random.Generator(np.random.PCG64(23))
+    for _ in range(12):
+        assert state_factor(DensityMatrix.from_pure(random_ket(rng, 4)).rho).shape == (4, 1)
 
 
 def _criterion7_case0():

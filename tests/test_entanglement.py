@@ -8,6 +8,7 @@ from helpers import (
     anisotropic_block_coefficients,
     anisotropic_effective_matrix,
     random_anisotropic_params,
+    random_ket,
     taylor_expm,
 )
 from zenon.dynamics import DensityMatrix
@@ -33,6 +34,7 @@ from zenon.entanglement import (
 from zenon.errors import (
     BadDimensionError,
     NotBlockDiagonalError,
+    NotPSDError,
     ValidationError,
 )
 from zenon.spin_models import SymmetricParams, build_anisotropic
@@ -270,6 +272,16 @@ def test_concurrence_reference_values():
     assert concurrence(DensityMatrix.maximally_mixed(4)) == pytest.approx(0.0, abs=1e-10)
     product = np.kron(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0]))
     assert concurrence(DensityMatrix.from_pure(product)) == pytest.approx(0.0, abs=1e-8)
+    with pytest.raises(NotPSDError):
+        concurrence(np.diag([0.6, 0.5, 0.0, -0.1]))
+
+
+def test_concurrence_matches_exact_pure_state_formula():
+    rng = np.random.Generator(np.random.PCG64(2245))
+    for _ in range(200):
+        a, b, c, d = random_ket(rng, 4)
+        exact = 2.0 * abs(a * d - b * c)  # |psi^T (sy x sy) psi|
+        assert abs(concurrence(DensityMatrix.from_pure([a, b, c, d])) - exact) < 1e-14
 
 
 def test_concurrence_partially_entangled_and_werner():

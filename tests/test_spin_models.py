@@ -1,9 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_anisotropic_params, random_symmetric_params
+from helpers import (
+    nine_term_anisotropic,
+    nine_term_symmetric,
+    random_anisotropic_params,
+    random_symmetric_params,
+)
+from zenon.config import SWEEP_KEYS, load_scenario
 from zenon.errors import SiteOutOfRangeError, ValidationError
 from zenon.linalg import commutator, frobenius_norm, is_hermitian
 from zenon.spin_models import (
@@ -13,7 +22,10 @@ from zenon.spin_models import (
     build_anisotropic,
     build_symmetric,
     pauli,
+    xyz_hamiltonian,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_pauli_single_qubit():
@@ -65,12 +77,77 @@ def test_build_symmetric_diagonal_entry(seed):
     assert is_hermitian(h, 1e-14) or frobenius_norm(h) == 0
 
 
+def _decades(seed: int, n: int) -> list[float]:
+    """n couplings of random sign and magnitude from 1e-6 to 1e6."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [float(x) for x in rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-6, 6, n)]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_symmetric_is_anisotropic_special_case(seed):
-    p = random_symmetric_params(np.random.Generator(np.random.PCG64(seed)))
-    gap = frobenius_norm(build_symmetric(p) - build_anisotropic(p.as_anisotropic()))
-    assert gap < 1e-14 * max(1.0, frobenius_norm(build_symmetric(p)))
+    # the symmetric H is built as an anisotropic one; against the hand-written
+    # symmetric sum only the order of the diagonal zz additions differs
+    p = SymmetricParams(*_decades(seed, 4))
+    h, ref = build_symmetric(p), nine_term_symmetric(p)
+    assert np.max(np.abs(h - ref)) <= np.spacing(np.max(np.abs(ref)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50)
+def test_build_anisotropic_matches_nine_term_oracle(seed):
+    p = AnisotropicParams(*_decades(seed, 9))
+    assert np.array_equal(build_anisotropic(p), nine_term_anisotropic(p))
+
+
+def test_bundled_symmetric_couplings_build_bit_identically():
+    checked = 0
+    for path in sorted(CONFIGS.glob("*.json")):
+        s = load_scenario(path)
+        if s.model != "symmetric":
+            continue
+        for entry in s.grid or [{}]:
+            couplings = {k: v for k, v in entry.items() if k not in SWEEP_KEYS}
+            p = dataclasses.replace(s.params, **couplings)
+            assert np.array_equal(build_symmetric(p), nine_term_symmetric(p)), path.name
+            checked += 1
+    assert checked
+
+
+def _ring_bonds(n: int, couplings) -> list:
+    """XYZ bonds (i, i+1) around an n-site ring, couplings[i - 1] = (Jx, Jy, Jz)."""
+    return [
+        ((i, i % n + 1), a, couplings[i - 1][k]) for i in range(1, n + 1) for k, a in enumerate("xyz")
+    ]
+
+
+def test_xyz_ring_matches_explicit_kron_sum():
+    couplings = np.random.default_rng(41).uniform(-2, 2, (4, 3))
+    h = xyz_hamiltonian(4, _ring_bonds(4, couplings))
+    ref = np.zeros((16, 16), dtype=complex)
+    for i in range(4):
+        j = (i + 1) % 4
+        for k, a in enumerate("xyz"):
+            ops = [SIGMA[a] if site in (i, j) else np.eye(2) for site in range(4)]
+            ref += couplings[i, k] * np.kron(np.kron(np.kron(ops[0], ops[1]), ops[2]), ops[3])
+    assert np.array_equal(h, ref)
+
+
+def test_heisenberg_ring_conserves_total_sz():
+    n = 5
+    h = xyz_hamiltonian(n, _ring_bonds(n, np.full((n, 3), 0.7)))
+    total_sz = sum(pauli("z", site, n) for site in range(1, n + 1))
+    assert frobenius_norm(h) > 1.0
+    assert frobenius_norm(commutator(h, total_sz)) < 1e-14
+
+
+def test_xyz_hamiltonian_rejects_bad_sites():
+    with pytest.raises(SiteOutOfRangeError):
+        xyz_hamiltonian(3, [((1, 4), "x", 1.0)])
+    with pytest.raises(SiteOutOfRangeError):
+        xyz_hamiltonian(3, [((0, 2), "z", 1.0)])
+    with pytest.raises(SiteOutOfRangeError):
+        xyz_hamiltonian(3, [((2, 2), "y", 1.0)])
 
 
 def test_build_symmetric_swap_invariance():
