@@ -11,18 +11,21 @@ on a factor F of rho = F F^dag (see state_factor) and with A = -i H_eff,
 whose last term feeds the lost norm back in.  Both routes are implemented
 independently so they can be checked against each other: repeated
 conditional steps (exp(-i H_eff dt) here or the protocol's Kraus step) run
-through renormalized_chain, F <- A F, and one RK4 integrates the equation
-for a density matrix and, with F a single column, for a pure state.
+through chain.renormalized_blocks, F <- A F advanced up to 64 steps per
+stacked product of precomputed powers of A, and one RK4 integrates the
+equation for a density matrix and, with F a single column, for a pure state.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import renormalized_blocks
 from .effective import EffectiveHamiltonian
 from .errors import (
     BadDimensionError,
@@ -175,7 +178,8 @@ def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: fl
 
     n_full = int(math.floor(t / dt + 1e-12))
     remainder = t - n_full * dt
-    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
+    tail = [remainder] if remainder > 1e-15 * t else []
+    for step_dt in itertools.chain(itertools.repeat(dt, n_full), tail):
         k1 = rhs(f)
         k2 = rhs(f + 0.5 * step_dt * k1)
         k3 = rhs(f + 0.5 * step_dt * k2)
@@ -244,35 +248,12 @@ def state_factor(rho) -> np.ndarray:
     return f / np.linalg.norm(f)
 
 
-def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
-    """Yield (p, F) after each of n_steps applications of F <- A F, that is
-    rho <- A rho A^dag on the state rho = F F^dag (see state_factor).
-
-    F is renormalized to unit Frobenius norm (unit trace of rho) every step
-    and the survival probability p accumulated in log space, so long
-    strongly-damped chains neither underflow nor overflow: p is exp(log p),
-    or exactly 0.0 once log p <= -745, below the smallest subnormal double.
-    A trace that reaches 0 ends the chain early, since no state is left to
-    normalize; a non-finite trace raises ProbabilityUnderflowError.
-    """
-    log_p = 0.0
-    for _ in range(n_steps):
-        f = a @ f
-        tr = np.vdot(f, f).real
-        if not math.isfinite(tr):
-            raise ProbabilityUnderflowError(f"conditional trace is {tr}")
-        if not tr > 0:
-            return
-        f = f / math.sqrt(tr)
-        log_p += math.log(tr)
-        yield (math.exp(log_p) if log_p > -745 else 0.0), f
-
-
 def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
-    """Validated renormalized_chain with exp(-i h_eff dt) on the factor of
+    """Validated renormalized_blocks with exp(-i h_eff dt) on the factor of
     rho0, dt = t_max / (n_samples - 1).  Returns dt and a generator of
-    (k, p, F) at t = k dt for k = 1 .. n_samples - 1; a trace that reaches 0
-    leaves no state to return and raises ProbabilityUnderflowError."""
+    (k, p, F) blocks, p[j] and F[j] at t = (k + j) dt, that covers
+    k = 1 .. n_samples - 1; a trace that reaches 0 leaves no state to return
+    and raises ProbabilityUnderflowError."""
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {m.shape[0]}")
@@ -282,42 +263,43 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)
 
-    def steps():
-        chain = renormalized_chain(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1)
-        k = 0
-        for k, (p, f) in enumerate(chain, 1):
-            yield k, p, f
-        if k < n_samples - 1:
-            raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {(k + 1) * dt:g}")
+    def blocks():
+        k = 1
+        for p, fs in renormalized_blocks(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1):
+            yield k, p, fs
+            k += len(p)
+        if k < n_samples:
+            raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {k * dt:g}")
 
-    return dt, steps()
+    return dt, blocks()
 
 
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """Normalized conditional states on a uniform grid of n_samples times
     from 0 to t_max under a (possibly non-Hermitian) generator h_eff, with
     survival tracking: (times, survival, states), states an (n_samples, dim,
-    dim) stack of F F^dag.  survival may reach exactly 0.0 once exp
-    underflows; a collapse raises ProbabilityUnderflowError (_grid_chain)."""
-    dt, steps = _grid_chain(h_eff, rho0, t_max, n_samples)
-    times = np.array([k * dt for k in range(n_samples)])
+    dim) stack of F F^dag, filled one stacked product per chain block.
+    survival may reach exactly 0.0 once exp underflows; a collapse raises
+    ProbabilityUnderflowError (_grid_chain)."""
+    dt, blocks = _grid_chain(h_eff, rho0, t_max, n_samples)
+    times = np.arange(n_samples) * dt
     survival = np.empty(n_samples)
     states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
     survival[0] = 1.0
     states[0] = rho0.rho
-    for k, p, f in steps:
-        survival[k] = p
-        np.matmul(f, dagger(f), out=states[k])
+    for k, p, fs in blocks:
+        survival[k : k + len(p)] = p
+        np.matmul(fs, dagger(fs), out=states[k : k + len(p)])
     return times, survival, states
 
 
 def conditional_final_state(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """(survival, state) at t_max: the last sample of conditional_trajectory
     with the same arguments, bit for bit, without the stack of states."""
-    _, steps = _grid_chain(h_eff, rho0, t_max, n_samples)
-    for _, p, f in steps:
+    _, blocks = _grid_chain(h_eff, rho0, t_max, n_samples)
+    for _, p, fs in blocks:
         pass
-    return p, f @ dagger(f)
+    return float(p[-1]), fs[-1] @ dagger(fs[-1])
 
 
 def basis_labels(dim: int) -> list[str]:
@@ -344,7 +326,7 @@ def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValidationError(f"coherence pair {coherence_pair} outside 0..{dim - 1}")
     header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
-    block = 4096
+    block = 512
 
     def rows():
         for start in range(0, len(states), block):

@@ -5,8 +5,8 @@ under the full Hamiltonian, measure the ancilla, keep the run only when the
 measured outcome equals the monitored state, i.e. apply K = <m|U(tau)|m>.
 The filtered state, the exact survival curve and the waiting-time Monte
 Carlo (one uniform per trajectory against the survival curve of its initial
-eigenket, a column of F) all read dynamics.renormalized_chain with K on the
-factor F of rho0 = F F^dag.
+eigenket, a column of F) all read chain.renormalized_blocks with K on the
+factor F of rho0 = F F^dag, up to 64 steps per stacked product.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import renormalized_blocks
 from .dynamics import (
     ConditionalState,
     DensityMatrix,
     P_MIN,
     evolve_conditional,
     normalize,
-    renormalized_chain,
     state_factor,
 )
 from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_step
@@ -93,7 +93,7 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
 
     The survival probability is accumulated two independent ways, as the
     trace of K^n rho0 K^n dagger and as the telescoping product of per-step
-    conditional probabilities of renormalized_chain; both must agree to
+    conditional probabilities of renormalized_blocks; both must agree to
     CHAIN_CONSISTENCY_RTOL.  A chain that ends early or a probability at or
     below P_MIN leaves no state to normalize: ProbabilityUnderflowError.
     """
@@ -105,10 +105,12 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
     del k_pow
     steps = 0
-    for p_chain, f in renormalized_chain(k, f, cfg.n_steps):
-        steps += 1
+    # f takes each block's stack in turn, so the start factor is not kept alive
+    for p, f in renormalized_blocks(k, f, cfg.n_steps):
+        steps += len(p)
     if steps < cfg.n_steps:
         raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {steps + 1}")
+    p_chain, f = float(p[-1]), f[-1]
     if p_direct > 1e-250:
         gap = abs(p_direct - p_chain)
         if gap > CHAIN_CONSISTENCY_RTOL * max(p_direct, p_chain):
@@ -127,8 +129,10 @@ def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.n
     """Exact survival probability after each of the n_steps measurements;
     exactly 0.0 from the step on which the conditional trace reaches 0."""
     out = np.zeros(cfg.n_steps)
-    for step, (p, _) in enumerate(renormalized_chain(*_chain_start(cfg, rho0), cfg.n_steps)):
-        out[step] = p
+    step = 0
+    for p, _ in renormalized_blocks(*_chain_start(cfg, rho0), cfg.n_steps):
+        out[step : step + len(p)] = p
+        step += len(p)
     return out
 
 
@@ -180,8 +184,11 @@ def simulate_trajectories(
     pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
     picks = np.minimum(np.searchsorted(np.cumsum(weights), pick_u, side="right"), weights.size - 1)
     curves = np.zeros((cfg.n_steps, weights.size))
-    for step, (p, f) in enumerate(renormalized_chain(k, f, cfg.n_steps)):
-        curves[step] = p * np.linalg.norm(f, axis=0) ** 2 / weights
+    step = 0
+    for p, fs in renormalized_blocks(k, f, cfg.n_steps):
+        curves[step : step + len(p)] = p[:, None] * np.linalg.norm(fs, axis=1) ** 2 / weights
+        step += len(p)
+        f = fs[-1]
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
     # counts rise too.
     curves = np.minimum.accumulate(curves, axis=0)

@@ -2,6 +2,7 @@
 two hand-written nine-term spin Hamiltonians that the bond builder must
 match, the stepwise Monte Carlo sampler that the waiting-time one is checked
 against, the density-matrix chain that the factor chain must match, the
+stepwise factor chain that the block-batched one must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, and the bit-by-bit
 ancilla permutation that the axis-transposing one must match.
@@ -224,6 +225,32 @@ def rho_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
         rho = hermitian_part(rho / tr)
         log_p += math.log(tr)
         yield (math.exp(log_p) if log_p > -745 else 0.0), rho
+
+
+def stepwise_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
+    """Reference conditional chain, one step at a time.
+
+    Yield (p, F) after each of n_steps applications of F <- A F, that is
+    rho <- A rho A^dag on the state rho = F F^dag (see state_factor).
+
+    F is renormalized to unit Frobenius norm (unit trace of rho) every step
+    and the survival probability p accumulated in log space, so long
+    strongly-damped chains neither underflow nor overflow: p is exp(log p),
+    or exactly 0.0 once log p <= -745, below the smallest subnormal double.
+    A trace that reaches 0 ends the chain early, since no state is left to
+    normalize; a non-finite trace raises ProbabilityUnderflowError.
+    """
+    log_p = 0.0
+    for _ in range(n_steps):
+        f = a @ f
+        tr = np.vdot(f, f).real
+        if not math.isfinite(tr):
+            raise ProbabilityUnderflowError(f"conditional trace is {tr}")
+        if not tr > 0:
+            return
+        f = f / math.sqrt(tr)
+        log_p += math.log(tr)
+        yield (math.exp(log_p) if log_p > -745 else 0.0), f
 
 
 def rho_rk4(eff, rho0: np.ndarray, t: float, dt: float | None = None) -> np.ndarray:

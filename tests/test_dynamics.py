@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,9 @@ from helpers import (
     rho_chain,
     rho_rk4,
     rowwise_timeseries_csv,
+    stepwise_chain,
 )
+from zenon.chain import chain_block_size, renormalized_blocks, renormalized_chain
 from zenon.dynamics import (
     STEP_NORM_LIMIT,
     ConditionalState,
@@ -25,7 +30,6 @@ from zenon.dynamics import (
     integrate_nonlinear,
     integrate_pure_nonlinear,
     normalize,
-    renormalized_chain,
     state_factor,
     success_probability_rate,
     write_timeseries_csv,
@@ -323,6 +327,95 @@ def test_renormalized_chain_ends_when_trace_reaches_zero():
         list(renormalized_chain(1e200 * np.eye(2, dtype=complex), f0, 1))
 
 
+def _max_abs_log_singular_value(a):
+    return float(np.max(np.abs(np.log(np.linalg.svd(a, compute_uv=False)))))
+
+
+def test_chain_block_size_rule():
+    rng = np.random.Generator(np.random.PCG64(30))
+    # singular: an annihilated component must stay an exact zero
+    singular = expm(-1j * 0.05 * _symmetric_eff().matrix()) @ np.diag([1.0, 1.0, 1.0, 0.0])
+    assert chain_block_size(singular, 400) == 1
+    # a Gram matrix beyond the double range: the chain itself must raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert chain_block_size(1e200 * np.eye(2, dtype=complex), 5) == 1
+    # dimension 64 and above: one BLAS-bound product per step
+    assert chain_block_size(np.eye(64, dtype=complex), 100) == 1
+    assert chain_block_size(np.eye(100, dtype=complex), 100) == 1
+    # an isometry caps at min(64, 4096 // d^2, n_steps)
+    assert chain_block_size(np.eye(4, dtype=complex), 1000) == 64
+    assert chain_block_size(np.eye(16, dtype=complex), 1000) == 16
+    assert chain_block_size(np.eye(4, dtype=complex), 10) == 10
+    assert chain_block_size(np.eye(4, dtype=complex), 0) == 1
+    for scale in (1e-3, 1e-2, 0.1, 0.5, 2.0):
+        for _ in range(20):
+            a = expm(-1j * scale * (random_hermitian(rng, 4) - 0.5j * random_psd(rng, 4)))
+            b = chain_block_size(a, 1000)
+            spread = _max_abs_log_singular_value(a)
+            # no power in a block scales a vector by more than e, unless one step does
+            assert b * spread <= 1 + 1e-12 or b == 1
+            # the largest such B below the caps
+            assert b == 64 or (b + 1) * spread > 1 - 1e-12
+
+
+def _chain_matrix():
+    a = expm(-1j * 0.05 * _symmetric_eff().matrix())
+    assert 1 < chain_block_size(a, 400) and 400 % chain_block_size(a, 400)  # a partial last block
+    return a
+
+
+@pytest.mark.parametrize("start", ["pure", "rank2", "maximally_mixed"])
+def test_renormalized_blocks_match_stepwise_oracle(start):
+    a = _chain_matrix()
+    f0 = state_factor(_CHAIN_STARTS[start].rho)
+    blocks = list(renormalized_blocks(a, f0, 400))
+    assert len(blocks) == math.ceil(400 / chain_block_size(a, 400))
+    p = np.concatenate([ps for ps, _ in blocks])
+    fs = np.concatenate([fs for _, fs in blocks])
+    oracle = list(stepwise_chain(a, f0, 400))
+    assert len(p) == len(fs) == len(oracle) == 400
+    for p_k, f_k, (p_ref, f_ref) in zip(p, fs, oracle):
+        assert abs(p_k - p_ref) <= 1e-13 * p_ref
+        assert frobenius_norm(f_k @ f_k.conj().T - f_ref @ f_ref.conj().T) <= 1e-12
+    assert oracle[-1][0] < 0.6  # the chain has decayed, not idled
+
+
+def _random_contraction(rng, dim):
+    a = expm(-1j * 0.05 * (random_hermitian(rng, dim) - 0.5j * random_psd(rng, dim)))
+    return a / np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("case", ["singular", "dim64"])
+def test_renormalized_chain_is_the_stepwise_chain_bit_for_bit_at_block_size_one(case):
+    rng = np.random.Generator(np.random.PCG64(31))
+    if case == "singular":
+        a = _chain_matrix() @ np.diag([1.0, 1.0, 0.0, 1.0])
+        f0 = state_factor(_CHAIN_STARTS["maximally_mixed"].rho)
+    else:
+        a = _random_contraction(rng, 64)
+        f0 = state_factor(DensityMatrix(np.eye(64, dtype=complex) / 64).rho)
+    assert chain_block_size(a, 40) == 1
+    chain = list(renormalized_chain(a, f0, 40))
+    oracle = list(stepwise_chain(a, f0, 40))
+    assert len(chain) == len(oracle) == 40
+    for (p, f), (p_ref, f_ref) in zip(chain, oracle):
+        assert p == p_ref and np.array_equal(f, f_ref)
+
+
+def test_conditional_final_state_memory_independent_of_sample_count():
+    h_eff = _symmetric_eff().matrix()
+    rho0 = _CHAIN_STARTS["rank2"]
+    peaks = []
+    for n_samples in (2_000, 200_000):
+        tracemalloc.start()
+        try:
+            conditional_final_state(h_eff, rho0, 20.0, n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
+
+
 def _rotated(eigenvalues, seed):
     q, _ = np.linalg.qr(random_hermitian(np.random.Generator(np.random.PCG64(seed)), len(eigenvalues)))
     return q @ np.diag(eigenvalues).astype(complex) @ q.conj().T
@@ -391,6 +484,24 @@ def test_integrate_nonlinear_norm_drift_is_numerical_error():
     dt = 0.5 * STEP_NORM_LIMIT / frobenius_norm(eff.matrix())
     with pytest.raises(NumericalError, match="drift"):
         integrate_nonlinear(eff, rho0, t, dt)
+
+
+def test_integrate_pure_nonlinear_memory_independent_of_step_count():
+    # the step schedule is iterated, not built as a list of every step
+    eff = EffectiveHamiltonian(
+        h0=np.diag([0.5, -0.5]).astype(complex), gamma=np.diag([1.0, 0.0]).astype(complex), tau=0.1
+    )
+    psi0 = np.array([1.0, 1.0]) / math.sqrt(2)
+    dt = default_time_step(eff)
+    peaks = []
+    for n_steps in (500, 3_000):
+        tracemalloc.start()
+        try:
+            integrate_pure_nonlinear(eff, psi0, n_steps * dt, dt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16 * 1024
 
 
 @pytest.mark.parametrize("start", ["pure", "rank2", "maximally_mixed"])
