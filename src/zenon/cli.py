@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .config import COMMANDS, SWEEP_KEYS, Scenario, is_amplitude, load_scenario
+from .config import COMMANDS, SWEEP_KEYS, Scenario, is_amplitude, load_scenario, read_json, write_json
 from .dilation import dilate, dilation_step, roundtrip_check
 from .dynamics import (
     DensityMatrix,
@@ -51,14 +50,7 @@ from .spin_models import build_anisotropic, build_symmetric
 
 
 def load_matrix_file(path) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
-        raise ValidationError(f"matrix file {path} is not valid JSON: {exc}") from exc
-    return matrix_from_json(obj)
+    return matrix_from_json(read_json(path, "matrix file"))
 
 
 def parse_initial_state(value, dim: int) -> DensityMatrix:
@@ -90,12 +82,12 @@ def _ancilla_spec(s: Scenario) -> AncillaSpec:
     return AncillaSpec(ancilla_site=s.ancilla_site)
 
 
-def _composite_hamiltonian(s: Scenario) -> np.ndarray:
-    if s.model == "symmetric":
-        return build_symmetric(s.params)
-    if s.model == "anisotropic":
-        return build_anisotropic(s.params)
-    return load_matrix_file(s.params)
+def _composite_hamiltonian(model: str, params) -> np.ndarray:
+    if model == "symmetric":
+        return build_symmetric(params)
+    if model == "anisotropic":
+        return build_anisotropic(params)
+    return load_matrix_file(params)
 
 
 def _out_dir(s: Scenario) -> str:
@@ -103,22 +95,16 @@ def _out_dir(s: Scenario) -> str:
     return s.output_dir
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def run_derive(s: Scenario) -> None:
-    eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), s.tau)
-    _write_json(os.path.join(_out_dir(s), "effective.json"), eff.to_json())
+    eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
+    write_json(os.path.join(_out_dir(s), "effective.json"), eff.to_json())
 
 
 def run_simulate(s: Scenario) -> None:
     if s.model == "matrix-file":
         h_eff = load_matrix_file(s.params)
     else:
-        eff = derive_effective(_composite_hamiltonian(s), _ancilla_spec(s), s.tau)
+        eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
         h_eff = eff.matrix()
     rho0 = parse_initial_state(s.initial_state, h_eff.shape[0])
     times, survival, states = conditional_trajectory(h_eff, rho0, s.t_max, s.n_samples)
@@ -133,7 +119,7 @@ def run_simulate(s: Scenario) -> None:
 def _protocol_config(s: Scenario) -> ProtocolConfig:
     n_steps = s.n_steps if s.n_steps is not None else steps_for(s.t_max, s.tau)
     return ProtocolConfig(
-        h=_composite_hamiltonian(s), spec=_ancilla_spec(s), tau=s.tau, n_steps=n_steps
+        h=_composite_hamiltonian(s.model, s.params), spec=_ancilla_spec(s), tau=s.tau, n_steps=n_steps
     )
 
 
@@ -148,7 +134,7 @@ def run_protocol(s: Scenario) -> None:
 def run_dilate(s: Scenario) -> None:
     h_eff = load_matrix_file(s.params)
     res = dilate(h_eff, s.tau if s.tau is not None else dilation_step(h_eff))
-    _write_json(os.path.join(_out_dir(s), "dilation.json"), res.to_json())
+    write_json(os.path.join(_out_dir(s), "dilation.json"), res.to_json())
 
 
 def run_roundtrip(s: Scenario) -> None:
@@ -169,7 +155,7 @@ def run_roundtrip(s: Scenario) -> None:
         entry = {"file": fname, "tau": tau}
         entry.update(dataclasses.asdict(report))
         results.append(entry)
-    _write_json(os.path.join(_out_dir(s), "roundtrip.json"), {"results": results})
+    write_json(os.path.join(_out_dir(s), "roundtrip.json"), {"results": results})
 
 
 def run_figures(s: Scenario) -> None:
@@ -188,7 +174,7 @@ def run_figures(s: Scenario) -> None:
             fig4_coherence_rows(block, gt_max, s.n_samples),
         )
     else:
-        eff = derive_effective(build_anisotropic(s.params), _ancilla_spec(s), s.tau)
+        eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
         plus, _ = block_decompose(eff.matrix())
         mxt_max = plus.mu_x * s.t_max
         write_csv(
@@ -206,10 +192,9 @@ def run_sweep(s: Scenario) -> None:
     rows = []
     for entry in s.grid:
         couplings = {k: v for k, v in entry.items() if k not in SWEEP_KEYS}
-        params = dataclasses.replace(s.params, **couplings)
+        h = _composite_hamiltonian(s.model, dataclasses.replace(s.params, **couplings))
         tau = float(entry.get("tau", s.tau))
         t_max = float(entry.get("t_max", s.t_max))
-        h = _composite_hamiltonian(dataclasses.replace(s, params=params))
         spec = _ancilla_spec(s)
         eff = derive_effective(h, spec, tau)
         rho0 = parse_initial_state(s.initial_state, eff.dim)
@@ -255,8 +240,9 @@ def main(argv=None) -> int:
             raise ValidationError(
                 f"config is for command {scenario.command!r}, not {args.command!r}"
             )
-        overrides = {"output_dir": args.out, "seed": args.seed}
-        scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+        overrides = {k: v for k, v in {"output_dir": args.out, "seed": args.seed}.items() if v is not None}
+        if overrides:  # the loaded scenario is valid; only an override needs a new check
+            scenario = dataclasses.replace(scenario, **overrides)
         if args.threads < 1:
             raise ValidationError(f"threads must be positive, got {args.threads}")
         _RUNNERS[args.command](scenario)

@@ -7,7 +7,8 @@ Building a Scenario runs every check that needs no matrix: each field's
 JSON type (its annotation; a bool is never a number) and range, and what
 its command needs, so a scenario that loads is one its command can run.
 Serialization round-trips exactly: scenario_from_json(scenario_to_json(s))
-compares equal to s.
+compares equal to s.  read_json and write_json read and write every JSON
+file of the package: scenarios, matrix files and the CLI's outputs.
 """
 
 from __future__ import annotations
@@ -175,18 +176,26 @@ def scenario_to_json(s: Scenario) -> dict:
     return out
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path, what: str):
+    """The JSON value in the file at path; `what` names the file in errors."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an int too long to parse
-        raise ValidationError(f"scenario {path} is not valid JSON: {exc}") from exc
-    return scenario_from_json(obj)
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_json(read_json(path, "scenario"))
 
 
 def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json(s), fh, indent=2)
-        fh.write("\n")
+    write_json(path, scenario_to_json(s))

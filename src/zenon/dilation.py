@@ -12,6 +12,7 @@ i (H_eff - H_eff^dag) / tau lifts the operator under the square root to
 positive semidefinite; tau is chosen as 0.01 over the largest Bohr frequency
 of i (H_eff - H_eff^dag), keeping the protocol deep in the stroboscopic
 regime at the price of an ancilla coupling of order sqrt(f / tau).
+validate_stroboscopic is protocol.stroboscopic_error on the dilated model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, conditional_final_state, normalize
+from .dynamics import DensityMatrix
 from .effective import AncillaSpec, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
@@ -42,7 +43,7 @@ from .linalg import (
     matrix_to_json,
     psd_sqrt,
 )
-from .protocol import ProtocolConfig, simulate_conditional, steps_for
+from .protocol import ProtocolConfig, steps_for, stroboscopic_error
 
 ROUNDTRIP_TOL = 1e-10
 TAU_BOHR_PRODUCT = 0.01
@@ -212,25 +213,20 @@ def roundtrip_check(h_eff, tau: float) -> RoundTripReport:
 
 
 def validate_stroboscopic(h_eff, tau: float, t: float, rho0: DensityMatrix) -> float:
-    """Distance between the dilated protocol and direct h_eff propagation.
-
-    Runs the exact repeated-measurement protocol on the dilated Hamiltonian
-    for n = steps_for(t, tau) steps and compares the normalized conditional
-    state against conditional_final_state under h_eff at n tau (a reference
-    that collapses raises ProbabilityUnderflowError), returning the
-    Frobenius distance.  The ancilla coupling scale gamma tau =
-    sqrt(f tau) must stay below 0.15 for the comparison to be meaningful.
+    """protocol.stroboscopic_error of the dilated model over n = steps_for(t, tau)
+    steps: the Frobenius distance between the normalized exact protocol state
+    and rho0 propagated by the generator derived from the dilated model,
+    which is h_eff (to roundtrip_check's residuals) plus an identity shift
+    that normalization removes.  A reference state that collapses raises
+    ProbabilityUnderflowError.  The ancilla coupling scale
+    gamma tau = sqrt(f tau) must stay below 0.15 for the comparison to be
+    meaningful.
     """
-    m = as_cmatrix(h_eff)
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
-    res = dilate(m, tau)
+    res = dilate(h_eff, tau)
     if math.sqrt(max(res.f, 0.0) * tau) >= GAMMA_TAU_LIMIT:
         raise ValidationError(
             f"gamma tau = sqrt(f tau) = {math.sqrt(res.f * tau):.3f} >= {GAMMA_TAU_LIMIT}"
         )
-    n_steps = steps_for(t, tau)
-    cfg = ProtocolConfig(h=res.h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
-    exact = normalize(simulate_conditional(cfg, rho0))
-    _, final = conditional_final_state(m, rho0, n_steps * tau, 2)
-    return frobenius_norm(exact.rho - final)
+    return stroboscopic_error(ProtocolConfig(res.h, AncillaSpec(), tau, steps_for(t, tau)), rho0)

@@ -272,27 +272,29 @@ def embed_block_state(psi, sector: str) -> np.ndarray:
     return out
 
 
+def _time_axis(rate: float, x_max: float, n_samples: int, name: str) -> list[tuple[float, float]]:
+    """(x, t) on n_samples uniform points x = x_max k / (n_samples - 1) of the
+    dimensionless time x = rate * t; a zero rate (called name) sets no axis."""
+    if rate == 0:
+        raise ValidationError(f"curves need {name} != 0 to set the time axis")
+    xs = [x_max * k / (n_samples - 1) for k in range(n_samples)]
+    return [(x, x / rate) for x in xs]
+
+
 def fig4_population_rows(block: EffectiveBlockParams, gt_max: float = 15.0, n_samples: int = 400):
     """Rows (gt_axis, pop10, pop01) on a uniform grid of the dimensionless
     time gamma * t."""
-    if block.gamma == 0:
-        raise ValidationError("population curves need gamma != 0 to set the time axis")
-    rows = []
-    for k in range(n_samples):
-        gt = gt_max * k / (n_samples - 1)
-        t = gt / block.gamma
-        rows.append((gt, transition_probability(block, t), survival_probability(block, t)))
-    return rows
+    return [
+        (gt, transition_probability(block, t), survival_probability(block, t))
+        for gt, t in _time_axis(block.gamma, gt_max, n_samples, "gamma")
+    ]
 
 
 def fig4_coherence_rows(block: EffectiveBlockParams, gt_max: float = 15.0, n_samples: int = 400):
     """Rows (gt_axis, re_coh, im_coh) on the same grid as the populations."""
-    if block.gamma == 0:
-        raise ValidationError("coherence curves need gamma != 0 to set the time axis")
     rows = []
-    for k in range(n_samples):
-        gt = gt_max * k / (n_samples - 1)
-        c = coherence(block, gt / block.gamma)
+    for gt, t in _time_axis(block.gamma, gt_max, n_samples, "gamma"):
+        c = coherence(block, t)
         rows.append((gt, c.real, c.imag))
     return rows
 
@@ -300,15 +302,13 @@ def fig4_coherence_rows(block: EffectiveBlockParams, gt_max: float = 15.0, n_sam
 def fig5_rows(block: TwoLevelBlockParams, mxt_max: float = 40.0, n_samples: int = 400):
     """Rows (mxt_axis, pop11, re_coh, im_coh) for the even-parity block
     started in |00>, on a uniform grid of mu_x * t."""
-    if block.mu_x == 0:
-        raise ValidationError("fig5 curves need mu_x != 0 to set the time axis")
+    axis = _time_axis(block.mu_x, mxt_max, n_samples, "mu_x")
     if block.sector != "plus":
         raise ValidationError("fig5 curves live in the even-parity sector")
     psi0 = np.array([1.0, 0.0], dtype=complex)
     rows = []
-    for k in range(n_samples):
-        mxt = mxt_max * k / (n_samples - 1)
-        psi = evolve_block_state(block, psi0, mxt / block.mu_x)
+    for mxt, t in axis:
+        psi = evolve_block_state(block, psi0, t)
         coh = psi[0] * np.conj(psi[1])
         rows.append((mxt, float(abs(psi[1]) ** 2), coh.real, coh.imag))
     return rows

@@ -71,12 +71,12 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_RTOL) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, symmetrized before solving."""
     m = as_cmatrix(a)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitianError(
-            f"matrix is not Hermitian within relative tolerance {tol:g}"
+            f"matrix is not Hermitian within relative tolerance {HERMITICITY_RTOL:g}"
         )
     w, v = np.linalg.eigh(hermitian_part(m))
     return EigenDecomposition(w, v)

@@ -11,6 +11,7 @@ factor F of rho0 = F F^dag, up to 64 steps per stacked product.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +41,10 @@ CHAIN_CONSISTENCY_RTOL = 1e-12
 
 def steps_for(t: float, tau: float) -> int:
     """Protocol steps of length tau that cover time t: round(t / tau), at least 1."""
-    return max(1, round(t / tau))
+    ratio = t / tau
+    if not math.isfinite(ratio):
+        raise NumericalError(f"step count t / tau = {t:g} / {tau:g} is not finite")
+    return max(1, round(ratio))
 
 
 @dataclass(frozen=True)

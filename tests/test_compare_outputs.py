@@ -1,0 +1,54 @@
+"""scripts/compare_outputs.py, the drift table between two output trees."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+
+SWEEP = "tau,p\n0.1,0.5\n0.05,0.25\n"
+ENSEMBLE = "step,survivors,p_exact\n1,10,0.9\n2,8,0.81\n"
+EFFECTIVE = '{"tau": 0.1, "dim": 4, "name": "h"}\n'
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def _compare(tmp_path, a: dict[str, str], b: dict[str, str]):
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), str(_tree(tmp_path / "a", a)), str(_tree(tmp_path / "b", b))],
+        capture_output=True,
+        text=True,
+    )
+    return run.returncode, run.stdout
+
+
+def test_identical_trees_are_reported_byte_identical(tmp_path):
+    files = {"sweep/sweep.csv": SWEEP, "protocol/ensemble.csv": ENSEMBLE, "derive/effective.json": EFFECTIVE}
+    code, out = _compare(tmp_path, files, files)
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(f"{rel}: byte-identical" for rel in files)
+
+
+def test_a_float_drift_is_printed_and_passes(tmp_path):
+    code, out = _compare(tmp_path, {"sweep.csv": SWEEP}, {"sweep.csv": SWEEP.replace("0.25", "0.250000000001")})
+    assert code == 0
+    assert "  p: max |diff| 1.000e-12" in out.splitlines()
+    assert "  tau: max |diff| 0.000e+00" in out.splitlines()
+
+
+def test_a_changed_integer_cell_fails(tmp_path):
+    code, out = _compare(tmp_path, {"ensemble.csv": ENSEMBLE}, {"ensemble.csv": ENSEMBLE.replace("2,8,", "2,9,")})
+    assert code == 1
+    assert "ERROR line 3, column survivors: integer 8 vs 9" in out
+
+
+def test_a_file_missing_from_one_tree_fails(tmp_path):
+    code, out = _compare(tmp_path, {"sweep.csv": SWEEP, "extra.json": EFFECTIVE}, {"sweep.csv": SWEEP})
+    assert code == 1
+    assert f"extra.json: only in {tmp_path / 'a'}" in out

@@ -257,6 +257,31 @@ def test_cli_sweep_fig5_regimes(tmp_path, repo_cwd):
     assert max(fidelities) > 0.9  # the strongly damped regime purifies phi_plus
 
 
+def test_cli_sweep_validates_its_scenario_once(tmp_path, monkeypatch):
+    # a grid point builds its model from the couplings alone; a Scenario per
+    # point would walk the whole grid again each time, O(G^2) per sweep
+    scenario = json.loads((CONFIGS / "sweep_fig5_regimes.json").read_text())
+    scenario.update(
+        grid=[{"alpha_y": 1 + k * 1e-3} for k in range(50)],
+        n_samples=20,
+        t_max=4,
+        output_dir=str(tmp_path / "out"),
+    )
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(scenario))
+    calls = []
+    check = Scenario.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 51
+
+
 def test_cli_sweep_accepts_grid_keys_in_any_order(tmp_path, repo_cwd):
     scenario = {
         "command": "sweep",
@@ -451,6 +476,7 @@ OVERFLOWING_SCENARIOS = [
     ("derive_symmetric", {"g_xy": 1e200}),
     ("simulate_symmetric", {"t_max": 1e300}),
     ("fig4", {"g_xy": 1e300}),
+    ("protocol_symmetric", {"t_max": 1e300, "tau": 1e-10, "n_steps": None}),
 ]
 
 
