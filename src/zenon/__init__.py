@@ -13,7 +13,6 @@ from .dilation import (
     RoundTripReport,
     bohr_frequencies,
     choose_tau,
-    decay_generator,
     dilate,
     roundtrip_check,
     validate_stroboscopic,
@@ -36,6 +35,7 @@ from .effective import (
     AncillaSpec,
     EffectiveHamiltonian,
     ancilla_blocks,
+    decay_generator,
     derive_effective,
     effective_from_matrix,
     kraus_step,

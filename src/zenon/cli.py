@@ -26,7 +26,7 @@ from .dynamics import (
     default_coherence_pair,
     write_timeseries_csv,
 )
-from .effective import AncillaSpec, derive_effective
+from .effective import AncillaSpec, EffectiveHamiltonian, derive_effective
 from .entanglement import (
     EffectiveBlockParams,
     bell_fidelity,
@@ -95,17 +95,16 @@ def _out_dir(s: Scenario) -> str:
     return s.output_dir
 
 
+def _derived(s: Scenario) -> EffectiveHamiltonian:
+    return derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
+
+
 def run_derive(s: Scenario) -> None:
-    eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
-    write_json(os.path.join(_out_dir(s), "effective.json"), eff.to_json())
+    write_json(os.path.join(_out_dir(s), "effective.json"), _derived(s).to_json())
 
 
 def run_simulate(s: Scenario) -> None:
-    if s.model == "matrix-file":
-        h_eff = load_matrix_file(s.params)
-    else:
-        eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
-        h_eff = eff.matrix()
+    h_eff = load_matrix_file(s.params) if s.model == "matrix-file" else _derived(s).matrix()
     rho0 = parse_initial_state(s.initial_state, h_eff.shape[0])
     times, survival, states = conditional_trajectory(h_eff, rho0, s.t_max, s.n_samples)
     if s.coherence_pair is not None:
@@ -174,8 +173,7 @@ def run_figures(s: Scenario) -> None:
             fig4_coherence_rows(block, gt_max, s.n_samples),
         )
     else:
-        eff = derive_effective(_composite_hamiltonian(s.model, s.params), _ancilla_spec(s), s.tau)
-        plus, _ = block_decompose(eff.matrix())
+        plus, _ = block_decompose(_derived(s).matrix())
         mxt_max = plus.mu_x * s.t_max
         write_csv(
             os.path.join(out, "fig5.csv"),

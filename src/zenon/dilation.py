@@ -4,14 +4,14 @@ Given a target generator H_eff on the system alone, build the composite
 Hermitian Hamiltonian
 
     H = (H_eff + H_eff^dag)/2 (x) |0><0|  +  R (x) (|0><1| + |1><0|),
-    R = sqrt(c I + i (H_eff - H_eff^dag) / tau),
+    R = sqrt(c I + G / tau) = V sqrt(c + w / tau) V^dag,
 
 whose repeated-measurement limit reproduces H_eff up to the identity shift
--i tau c / 2.  The constant c = max(0, -M) with M the smallest eigenvalue of
-i (H_eff - H_eff^dag) / tau lifts the operator under the square root to
-positive semidefinite; tau is chosen as 0.01 over the largest Bohr frequency
-of i (H_eff - H_eff^dag), keeping the protocol deep in the stroboscopic
-regime at the price of an ancilla coupling of order sqrt(f / tau).
+-i tau c / 2.  G = i (H_eff - H_eff^dag) = V diag(w) V^dag is the decay
+generator; c = max(0, -M), M = w_0 / tau, lifts its weights to >= 0, and on
+G's own eigenvectors R's null weight c + w_0 / tau is exactly 0.  tau is
+0.01 over G's largest Bohr frequency f: deep in the stroboscopic regime, at
+the price of an ancilla coupling of order sqrt(f / tau).
 validate_stroboscopic is protocol.stroboscopic_error on the dilated model.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .effective import AncillaSpec, derive_effective, remove_identity_shift
+from .effective import AncillaSpec, decay_generator, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
     RoundTripFailureError,
@@ -35,13 +35,14 @@ from .errors import (
 from .linalg import (
     as_cmatrix,
     dagger,
+    eig_sqrt,
+    EigenDecomposition,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
     kron,
     matrix_from_json,
     matrix_to_json,
-    psd_sqrt,
 )
 from .protocol import ProtocolConfig, steps_for, stroboscopic_error
 
@@ -56,17 +57,9 @@ _FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
 def bohr_frequencies(a) -> np.ndarray:
     """All eigenvalue gaps |w_j - w_i|, i < j, of a Hermitian matrix, ascending."""
     w = hermitian_eig(a).eigenvalues
-    if w.size < 2:
-        return np.array([])
     gaps = w[None, :] - w[:, None]
     iu = np.triu_indices(w.size, k=1)
     return np.sort(np.abs(gaps[iu]))
-
-
-def decay_generator(h_eff) -> np.ndarray:
-    """The Hermitian operator i (H_eff - H_eff^dag)."""
-    m = as_cmatrix(h_eff)
-    return hermitian_part(1j * (m - dagger(m)))
 
 
 def choose_tau(f: float) -> float:
@@ -83,7 +76,7 @@ def dilation_step(h_eff, fallback: float | None = None) -> float:
     """Step tau for dilating h_eff: choose_tau of the largest Bohr frequency
     of its decay generator, or fallback when that frequency is 0."""
     w = hermitian_eig(decay_generator(h_eff)).eigenvalues
-    f = float(w[-1] - w[0]) if w.size > 1 else 0.0
+    f = float(w[-1] - w[0])
     if f > 0 or fallback is None:
         return choose_tau(f)
     return fallback
@@ -118,7 +111,7 @@ class DilationResult:
                 f"f * tau = {self.f * self.tau:.4f} > 0.011; dilation leaves the "
                 "intended stroboscopic regime",
                 StroboscopicRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def to_json(self) -> dict:
@@ -147,18 +140,17 @@ class DilationResult:
 
 
 def dilate(h_eff, tau: float) -> DilationResult:
-    """Build the composite Hermitian Hamiltonian realizing h_eff at step tau."""
+    """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
+    with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G."""
     m = as_cmatrix(h_eff)
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    g0 = decay_generator(m)
-    w = hermitian_eig(g0).eigenvalues
-    f = float(w[-1] - w[0]) if w.size > 1 else 0.0
+    eig = hermitian_eig(decay_generator(m))
+    w = eig.eigenvalues
+    f = float(w[-1] - w[0])
     m_min = float(w[0]) / tau
     c = max(0.0, -m_min)
-    dim = m.shape[0]
-    gamma_target = c * np.eye(dim, dtype=complex) + g0 / tau
-    coupling = psd_sqrt(gamma_target)
+    coupling = eig_sqrt(EigenDecomposition(c + w / tau, eig.eigenvectors))
     h = kron(hermitian_part(m), _P0) + kron(coupling, _FLIP)
     return DilationResult(h=hermitian_part(h), tau=tau, c=c, f=f, m=m_min)
 

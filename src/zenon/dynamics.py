@@ -29,6 +29,7 @@ from .chain import renormalized_blocks
 from .effective import EffectiveHamiltonian
 from .errors import (
     BadDimensionError,
+    NotPSDError,
     NumericalError,
     ProbabilityUnderflowError,
     StepTooLargeError,
@@ -39,7 +40,6 @@ from .linalg import (
     dagger,
     expm,
     frobenius_norm,
-    hermitian_eig,
     hermitian_part,
     is_hermitian,
     psd_eig,
@@ -57,9 +57,10 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
         raise ValidationError("density matrix must be Hermitian")
     if abs(trace(m) - 1.0) > 1e-10:
         raise ValidationError(f"density matrix trace {trace(m):.12f} != 1")
-    w = hermitian_eig(m).eigenvalues
-    if w[0] < -1e-10 * max(1.0, frobenius_norm(m)):
-        raise ValidationError(f"density matrix has eigenvalue {w[0]:.6e} < 0")
+    try:
+        psd_eig(m)  # the PSD rule of state_factor, so a state it rejects fails here
+    except NotPSDError as exc:
+        raise ValidationError(f"density matrix is not PSD: {exc}") from exc
     return hermitian_part(m)
 
 

@@ -227,9 +227,13 @@ def effective_from_matrix(h_eff, tau: float) -> EffectiveHamiltonian:
     m = as_cmatrix(h_eff)
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    h0 = hermitian_part(m)
-    gamma = hermitian_part(1j * (m - dagger(m)) / tau)
-    return EffectiveHamiltonian(h0=h0, gamma=gamma, tau=tau)
+    return EffectiveHamiltonian(h0=hermitian_part(m), gamma=decay_generator(m) / tau, tau=tau)
+
+
+def decay_generator(h_eff) -> np.ndarray:
+    """The Hermitian operator i (H_eff - H_eff^dag), tau Gamma of H_eff."""
+    m = as_cmatrix(h_eff)
+    return hermitian_part(1j * (m - dagger(m)))
 
 
 def remove_identity_shift(a) -> np.ndarray:

@@ -120,12 +120,16 @@ def psd_eig(a) -> EigenDecomposition:
     return eig
 
 
+def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
+    """V sqrt(w) V^dag of an eigendecomposition (w, V), negative w clamped to 0."""
+    v = eig.eigenvectors
+    return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix (see psd_eig);
     eigenvalues in [-tol, 0) are clamped to zero."""
-    eig = psd_eig(a)
-    v = eig.eigenvectors
-    return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
+    return eig_sqrt(psd_eig(a))
 
 
 def matrix_to_json(a) -> dict:

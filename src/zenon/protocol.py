@@ -77,7 +77,7 @@ class ProtocolConfig:
                 f"tau * max Bohr frequency = {self.tau * (w[-1] - w[0]):.3f} >= 1; "
                 "stroboscopic limit not trustworthy",
                 StroboscopicRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

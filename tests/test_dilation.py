@@ -17,7 +17,7 @@ from zenon.dilation import (
     validate_stroboscopic,
 )
 from zenon.dynamics import DensityMatrix
-from zenon.effective import AncillaSpec, derive_effective
+from zenon.effective import AncillaSpec, ancilla_blocks, derive_effective
 from zenon.errors import (
     NotHermitianError,
     RoundTripFailureError,
@@ -113,6 +113,27 @@ def test_dilation_result_validation_and_warning():
         DilationResult(h=np.array([[0, 1], [0, 0]]), tau=0.1, c=0.0, f=0.0, m=0.0)
     with pytest.warns(StroboscopicRegimeWarning):
         DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
+
+
+def test_dilation_result_regime_warning_names_the_caller():
+    with pytest.warns(StroboscopicRegimeWarning) as record:
+        DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_coupling_null_direction_is_exact_on_every_fixture():
+    """R = sqrt(cI + G/tau) against its definition: R^2 = T, and when the lift
+    c is active, T is singular and so is R, to rounding."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        m = matrix_from_json(json.loads(path.read_text()))
+        tau = dilation_step(m, fallback=0.01)
+        res = dilate(m, tau)
+        r = ancilla_blocks(res.h)[1]
+        t = res.c * np.eye(m.shape[0]) + decay_generator(m) / tau
+        assert frobenius_norm(r @ r - t) <= 1e-14 * max(1.0, frobenius_norm(t)), path.name
+        if res.c > 0:
+            sv = np.linalg.svd(r, compute_uv=False)
+            assert sv[-1] <= 1e-12 * sv[0], path.name
 
 
 def test_dilation_result_json_roundtrip():

@@ -66,6 +66,15 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def test_density_matrix_rejects_what_state_factor_rejects():
+    # ||rho||_F = 0.577: -8e-11 is above -1e-10 * max(1, ||rho||_F) but below
+    # state_factor's PSD floor -1e-10 * ||rho||_F, so it must fail as input
+    with pytest.raises(ValidationError):
+        DensityMatrix(_rotated([1 / 3, 1 / 3, 1 / 3 + 8e-11, -8e-11], 23))
+    inside = DensityMatrix(_rotated([1 / 3, 1 / 3, 1 / 3 + 5e-11, -5e-11], 23))
+    assert state_factor(inside.rho).shape == (4, 3)
+
+
 def test_density_matrix_constructors():
     psi = np.array([1.0, 1.0j]) / np.sqrt(2)
     dm = DensityMatrix.from_pure(psi)

@@ -53,6 +53,13 @@ def test_protocol_config_warns_outside_stroboscopic_regime():
         ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.1, n_steps=1)
 
 
+def test_protocol_config_regime_warning_names_the_caller():
+    h = kron(np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex))
+    with pytest.warns(StroboscopicRegimeWarning) as record:
+        ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.6, n_steps=1)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_simulate_conditional_zero_steps_is_identity():
     cfg = _cfg(n_steps=0)
     rho0 = DensityMatrix.basis_state(4, 1)
