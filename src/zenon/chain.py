@@ -95,9 +95,3 @@ def renormalized_blocks(a: np.ndarray, f: np.ndarray, n_steps: int):
         f, log_p = fs[-1], logs[-1]
         yield np.array([math.exp(x) if x > -745 else 0.0 for x in logs]), fs
 
-
-def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
-    """renormalized_blocks one step at a time: yield (p, F) after each of
-    n_steps applications of F <- A F; it ends and raises where they do."""
-    for p, fs in renormalized_blocks(a, f, n_steps):
-        yield from zip(p.tolist(), fs)

@@ -5,7 +5,8 @@ The schema is deliberately flat.  `model` picks the Hamiltonian source
 remaining fields parameterize whichever command consumes the scenario.
 Building a Scenario runs every check that needs no matrix: each field's
 JSON type (its annotation; a bool is never a number) and range, and what
-its command needs, so a scenario that loads is one its command can run.
+its command needs (among them each protocol run's step count), so a
+scenario that loads is one its command can run.
 Serialization round-trips exactly: scenario_from_json(scenario_to_json(s))
 compares equal to s.  read_json and write_json read and write every JSON
 file of the package: scenarios, matrix files and the CLI's outputs.
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from .entanglement import BELL_STATES
 from .errors import ValidationError
 from .linalg import finite_reals
+from .protocol import MAX_PROTOCOL_STEPS, steps_for
 from .spin_models import AnisotropicParams, SymmetricParams
 
 COMMANDS = ("derive", "simulate", "protocol", "dilate", "roundtrip", "figures", "sweep")
@@ -66,7 +68,7 @@ _RANGES = {
     "seed": (lambda v: v >= 0, "nonnegative"),
     "output_dir": (bool, "a nonempty path"),
     "n_traj": (lambda v: v >= 1, "positive"),
-    "n_steps": (lambda v: v >= 0, "nonnegative"),
+    "n_steps": (lambda v: 0 <= v <= MAX_PROTOCOL_STEPS, f"in 0..{MAX_PROTOCOL_STEPS}"),
     "grid": (_same_key_mappings, "a nonempty list of mappings with the same override keys"),
     "bell": (BELL_STATES.__contains__, f"one of {sorted(BELL_STATES)}"),
     "coherence_pair": (
@@ -119,6 +121,8 @@ class Scenario:
             raise ValidationError(f"command {self.command!r} needs tau in the scenario")
         if self.initial_state is None and self.command in ("simulate", "protocol", "sweep"):
             raise ValidationError(f"command {self.command!r} needs an initial_state in the scenario")
+        if self.command == "protocol" and self.n_steps is None:
+            steps_for(self.t_max, self.tau)  # the step count is capped
         if self.command == "sweep":
             self._check_sweep_grid()
 
@@ -134,6 +138,8 @@ class Scenario:
                     raise ValidationError(f"sweep value {key} = {v!r} is not a finite number in range")
         if self.tau is None and "tau" not in self.grid[0]:
             raise ValidationError("sweep needs tau in the scenario or in every grid entry")
+        for entry in self.grid if self.with_protocol else ():
+            steps_for(float(entry.get("t_max", self.t_max)), float(entry.get("tau", self.tau)))
 
 
 def _admitted_types(hint) -> tuple:

@@ -2,8 +2,10 @@
 
 A composite Hamiltonian lives on system (x) ancilla with the ancilla as a
 dimension-2 factor.  The conditional step for survival outcome m is the
-sub-block K(tau) = <m| exp(-i H tau) |m>, and in the small-tau limit n such
-steps are generated by
+sub-block K(tau) = <m| exp(-i H tau) |m>, built from the eigendecomposition
+H = V diag(w) V^dag as I + V_m diag(exp(-i tau w) - 1) V_m^dag (no matrix
+exponential of the composite), and in the small-tau limit n such steps are
+generated by
 
     H_eff = H_0 - i (tau / 2) Gamma,
 
@@ -15,28 +17,24 @@ check on the block bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import BadDimensionError, NotHermitianError, NotPSDError, NumericalError, ValidationError
 from .linalg import (
+    EigenDecomposition,
     as_cmatrix,
     dagger,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
-    expm,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
     trace,
 )
-from .errors import NotHermitianError, NotPSDError
 
 GAMMA_FORM_ATOL = 1e-12
 GAMMA_PSD_RTOL = 1e-10
@@ -104,20 +102,32 @@ def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
 
 
 def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """Exact conditional step <m| exp(-i H tau) |m>.
+    """Exact conditional step <m| exp(-i H tau) |m> of a Hermitian H."""
+    return kraus_from_eig(hermitian_eig(h), spec, tau)
 
-    As a sub-block of a unitary its operator norm cannot exceed 1; that is
-    verified to 1e-10 before returning.
-    """
-    hm = as_cmatrix(h)
-    if not is_hermitian(hm):
-        raise NotHermitianError("composite Hamiltonian must be Hermitian")
+
+def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np.ndarray:
+    """<m| exp(-i H tau) |m> from H = V diag(w) V^dag as I + V_m diag(phi) V_m^dag, V_m
+    the rows of V for ancilla state m in canonical order: V's rounding enters
+    K scaled by tau, not at full size as in V exp(-i tau w) V^dag.  phi =
+    exp(-i tau w) - 1 is an order-18 series at |tau w| / 2^s <= 1/2 doubled s
+    times by expm1(2x) = expm1(x) (2 + expm1(x)), with no libm sin (new library
+    pages for a protocol run).  K's operator norm is verified to be <= 1 + 1e-10."""
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    hc = _canonical(hm, spec)
-    u = expm(-1j * tau * hc)
-    m = spec.measured_state
-    k = u[m::2, m::2]
+    vm = eig.eigenvectors[ancilla_order(eig.eigenvalues.size, spec)[spec.measured_state :: 2]]
+    w = eig.eigenvalues.tolist()  # ascending
+    top = tau * max(-w[0], w[-1])  # the largest |tau w|
+    if not top < 2.0**53:  # from there on a double resolves no phase mod 2 pi
+        raise NumericalError(f"step phase tau * |w| = {top:g} is not resolved in double precision")
+    s = max(0, math.frexp(top)[1] + 1)
+    z = eig.eigenvalues * (-1j * math.ldexp(tau, -s))
+    phi = z / 18
+    for j in range(17, 0, -1):
+        phi = z / j * (1 + phi)
+    for _ in range(s):
+        phi = phi * (2 + phi)
+    k = np.eye(vm.shape[0], dtype=complex) + (vm * phi) @ dagger(vm)
     sv_sq = hermitian_eig(dagger(k) @ k).eigenvalues[-1]
     if sv_sq > 1.0 + 1e-10:
         raise NumericalError(

@@ -16,10 +16,11 @@ import math
 
 import numpy as np
 
+from zenon.chain import renormalized_blocks
 from zenon.dynamics import STEP_NORM_LIMIT, basis_labels
-from zenon.effective import ancilla_order
-from zenon.errors import NumericalError, ProbabilityUnderflowError, StepTooLargeError
-from zenon.linalg import dagger, expm, frobenius_norm, hermitian_part
+from zenon.effective import AncillaSpec, ancilla_order
+from zenon.errors import NotHermitianError, NumericalError, ProbabilityUnderflowError, StepTooLargeError, ValidationError
+from zenon.linalg import as_cmatrix, dagger, expm, frobenius_norm, hermitian_eig, hermitian_part, is_hermitian
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams, pauli
 
 EYE2 = np.eye(2, dtype=complex)
@@ -251,6 +252,32 @@ def stepwise_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
         f = f / math.sqrt(tr)
         log_p += math.log(tr)
         yield (math.exp(log_p) if log_p > -745 else 0.0), f
+
+
+def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
+    """renormalized_blocks one step at a time: yield (p, F) after each of
+    n_steps applications of F <- A F; it ends and raises where they do."""
+    for p, fs in renormalized_blocks(a, f, n_steps):
+        yield from zip(p.tolist(), fs)
+
+
+def taylor_kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
+    """Reference conditional step <m| exp(-i H tau) |m>: the order-18 Taylor
+    expm (scaling and squaring) of the whole canonical composite, then its
+    measured block, with the same norm check as kraus_step."""
+    hm = as_cmatrix(h)
+    if not is_hermitian(hm):
+        raise NotHermitianError("composite Hamiltonian must be Hermitian")
+    if not tau > 0:
+        raise ValidationError(f"tau must be positive, got {tau}")
+    order = ancilla_order(hm.shape[0], spec)
+    u = expm(-1j * tau * hm[np.ix_(order, order)])
+    m = spec.measured_state
+    k = u[m::2, m::2]
+    sv_sq = hermitian_eig(dagger(k) @ k).eigenvalues[-1]
+    if sv_sq > 1.0 + 1e-10:
+        raise NumericalError(f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1")
+    return k
 
 
 def rho_rk4(eff, rho0: np.ndarray, t: float, dt: float | None = None) -> np.ndarray:

@@ -353,7 +353,8 @@ def test_cli_exit_3_on_numerical_collapse(tmp_path, repo_cwd):
 
 def test_cli_protocol_annihilating_step_writes_zero_survival(tmp_path, repo_cwd):
     # I2 (x) sigma_x at tau = pi/2 flips the ancilla within one step, so
-    # <0|U|0> = 0: exact survival and survivor count are 0 on every row
+    # <0|U|0> = cos(fl(pi/2)) I = 6.1e-17 I: exact survival is below
+    # 1e-30 per step and the survivor count is 0 on every row
     matrix = {
         "dim": 4,
         "re": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
@@ -380,8 +381,8 @@ def test_cli_protocol_annihilating_step_writes_zero_survival(tmp_path, repo_cwd)
     assert lines[0] == "step,survivors,p_exact,p_empirical"
     assert len(lines) == 6
     for line in lines[1:]:
-        _, survivors, p_exact, p_empirical = line.split(",")
-        assert survivors == "0" and p_exact == "0.0" and p_empirical == "0.0"
+        step, survivors, p_exact, p_empirical = line.split(",")
+        assert survivors == "0" and 0 <= float(p_exact) <= 1e-30 ** int(step) and p_empirical == "0.0"
 
 
 def test_cli_simulate_accepts_matrix_file_generator(tmp_path, repo_cwd):
@@ -423,6 +424,7 @@ MALFORMED_SCENARIOS = [
     ("derive_symmetric", {"ancilla_site": "1"}),
     ("derive_symmetric", {"output_dir": 5}),  # run without --out
     ("fig4", {"bell": ["x"]}),
+    ("protocol_symmetric", {"n_steps": 10**6 + 1}),  # above protocol.MAX_PROTOCOL_STEPS
 ]
 
 
@@ -494,6 +496,15 @@ def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, tmp_path, repo_
     assert capsys.readouterr().err.startswith("zenon: numerical error:")
 
 
+def test_step_count_cap_is_checked_at_load_on_every_protocol_rung():
+    sweep = json.loads((CONFIGS / "sweep_tau.json").read_text())
+    sweep["grid"] = [{"tau": 0.01}, {"tau": 1e-300}]
+    with pytest.raises(ValidationError, match="steps"):
+        scenario_from_json(sweep)
+    sweep["with_protocol"] = False  # then no rung runs the protocol
+    scenario_from_json(sweep)
+
+
 def test_cli_keeps_the_names_the_benchmark_wraps(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import workloads
@@ -548,7 +559,8 @@ def _json_kinds(v) -> set:
 
 # Numbers come from small sets, so that sizes (n_samples, n_traj, n_steps,
 # t_max/tau, grid rungs) stay small and each example runs in milliseconds;
-# sizes without a bound are not what this test probes.
+# sizes without a bound are not what this test probes, except a tau of
+# 1e-300, whose protocol step count t_max / tau must be rejected at load.
 _NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 5]) | st.sampled_from(
     [0.0, -0.5, 0.05, 0.1, 0.5, 1.0, 2.5, math.inf, -math.inf, math.nan]
 )
@@ -570,9 +582,32 @@ def _small_scenario(data, stem: str) -> dict:
     scenario["t_max"] = data.draw(st.sampled_from([0.1, 1.0, 2.0]))
     if "n_traj" in scenario:
         scenario["n_traj"] = data.draw(st.sampled_from([1, 20, 200]))
+    if "tau" in scenario:
+        scenario["tau"] = data.draw(st.sampled_from([scenario["tau"]] * 3 + [1e-300]))
     if "n_steps" in scenario:
-        scenario["n_steps"] = data.draw(st.sampled_from([0, 3, 40]))
+        scenario["n_steps"] = data.draw(st.sampled_from([0, 3, 40, None]))
     return scenario
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stem=st.sampled_from(["protocol_symmetric", "sweep_tau", "sweep_fig5_regimes"]),
+    tau=st.floats(1e-300, 1e-6, exclude_max=True),
+    t_max=st.floats(2.0, 1e3),
+)
+def test_fuzzed_step_counts_above_the_cap_exit_2_at_load(stem, tau, t_max):
+    # t_max / tau > 2e6 protocol steps: rejected before any numerics, not run
+    scenario = dict(_BUNDLED[stem], t_max=t_max, n_steps=None, with_protocol=True)
+    if stem == "sweep_tau":
+        scenario["grid"] = [{"tau": 0.01}, {"tau": tau}]
+    else:
+        scenario["tau"] = tau
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_text(json.dumps(scenario))
+        code = main([scenario["command"], "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code == 2 and "steps" in err.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)

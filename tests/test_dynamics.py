@@ -10,12 +10,13 @@ from helpers import (
     random_hermitian,
     random_ket,
     random_psd,
+    renormalized_chain,
     rho_chain,
     rho_rk4,
     rowwise_timeseries_csv,
     stepwise_chain,
 )
-from zenon.chain import chain_block_size, renormalized_blocks, renormalized_chain
+from zenon.chain import chain_block_size, renormalized_blocks
 from zenon.dynamics import (
     STEP_NORM_LIMIT,
     ConditionalState,

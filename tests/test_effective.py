@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from helpers import (
     random_hermitian,
     random_symmetric_params,
     symmetric_effective_matrix,
+    taylor_kraus_step,
 )
 from zenon.effective import (
     AncillaSpec,
@@ -18,6 +21,7 @@ from zenon.effective import (
     ancilla_order,
     derive_effective,
     effective_from_matrix,
+    kraus_from_eig,
     kraus_step,
     remove_identity_shift,
 )
@@ -25,6 +29,7 @@ from zenon.errors import (
     BadDimensionError,
     NotHermitianError,
     NotPSDError,
+    NumericalError,
     ValidationError,
 )
 from zenon.linalg import dagger, expm, frobenius_norm, hermitian_eig, kron
@@ -108,6 +113,31 @@ def test_kraus_step_validation():
         kraus_step(np.array([[0, 1], [0, 0]]), AncillaSpec(), 0.1)
     with pytest.raises(ValidationError):
         kraus_step(np.zeros((4, 4)), AncillaSpec(), 0.0)
+
+
+def test_kraus_step_rejects_unresolved_phases():
+    h = kron(np.diag([1.0, -1.0]), np.eye(2))
+    for scale, tau in ((1e10, 1e300), (1.0, 1e300), (1.0, 2.0**53)):  # tau * |w| = inf, 1e300, 2^53
+        with pytest.raises(NumericalError):
+            kraus_step(scale * h, AncillaSpec(), tau)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 64, 256])
+def test_kraus_from_eig_matches_taylor_oracle(dim):
+    # every ancilla site and outcome, tau from far below to just under the
+    # stroboscopic limit; at tau * spread = 1e-4 the identity-plus-phase form
+    # keeps K's error proportional to tau (the plain V e^{-i tau w} V^dag
+    # agrees with the oracle only to about 3e-16 there)
+    h = random_hermitian(np.random.Generator(np.random.PCG64(dim)), dim)
+    eig = hermitian_eig(h)
+    spread = eig.eigenvalues[-1] - eig.eigenvalues[0]
+    sites = [None, *range(1, dim.bit_length())]
+    for site, m, tau_spread in itertools.product(sites, (0, 1), (1e-4, 0.05, 0.5, 0.99)):
+        spec = AncillaSpec(ancilla_site=site, measured_state=m)
+        oracle = taylor_kraus_step(h, spec, tau_spread / spread)
+        k = kraus_from_eig(eig, spec, tau_spread / spread)
+        rel = frobenius_norm(k - oracle) / frobenius_norm(oracle)
+        assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, m, tau_spread, rel)
 
 
 def test_kraus_step_close_to_effective_exponential():

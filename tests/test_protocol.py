@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import zenon.linalg
 from helpers import random_hermitian, stepwise_trajectories, taylor_expm
 from zenon.dynamics import DensityMatrix, normalize
 from zenon.effective import AncillaSpec, kraus_step
@@ -17,11 +19,13 @@ from zenon.errors import (
 )
 from zenon.linalg import frobenius_norm, hermitian_eig, kron
 from zenon.protocol import (
+    MAX_PROTOCOL_STEPS,
     ProtocolConfig,
     TrajectoryEnsemble,
     conditional_survival_curve,
     simulate_conditional,
     simulate_trajectories,
+    steps_for,
     stroboscopic_error,
     write_ensemble_csv,
 )
@@ -42,6 +46,45 @@ def test_protocol_config_validation():
         ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=-1)
     with pytest.raises(BadDimensionError):
         ProtocolConfig(h=np.eye(5), spec=AncillaSpec(), tau=0.1, n_steps=1)
+
+
+def test_step_count_is_capped():
+    with pytest.raises(ValidationError):
+        steps_for(4.0, 1e-300)
+    assert steps_for(1.0, 1.0 / MAX_PROTOCOL_STEPS) == MAX_PROTOCOL_STEPS
+    with pytest.raises(ValidationError):
+        ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=MAX_PROTOCOL_STEPS + 1)
+    assert ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=MAX_PROTOCOL_STEPS).n_steps == MAX_PROTOCOL_STEPS
+
+
+def test_protocol_config_kraus_is_kraus_step_bit_for_bit():
+    h = _cfg().h
+    for spec in (AncillaSpec(), AncillaSpec(ancilla_site=2, measured_state=1)):
+        cfg = ProtocolConfig(h=h, spec=spec, tau=0.07, n_steps=3)
+        assert np.array_equal(cfg.kraus, kraus_step(cfg.h, cfg.spec, cfg.tau))
+
+
+def test_protocol_makes_one_eigh_of_the_composite_and_no_expm(monkeypatch):
+    calls = {"eigh": 0, "expm": 0}
+    eigh, expm = np.linalg.eigh, zenon.linalg.expm
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += a.shape == (8, 8)  # the composite, not the 4x4 system
+        return eigh(a, *args, **kwargs)
+
+    def counting_expm(a):
+        calls["expm"] += 1
+        return expm(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zenon") and hasattr(module, "expm"):
+            monkeypatch.setattr(module, "expm", counting_expm)
+    cfg = _cfg(n_steps=30)
+    simulate_conditional(cfg, _MIXED)
+    conditional_survival_curve(cfg, _MIXED)
+    simulate_trajectories(cfg, _MIXED, n_traj=50, seed=3)
+    assert calls == {"eigh": 1, "expm": 0}
 
 
 def test_protocol_config_warns_outside_stroboscopic_regime():
@@ -242,11 +285,13 @@ def test_simulate_trajectories_never_picks_zero_weight_eigenket():
 
 
 def test_simulate_trajectories_annihilating_step_has_no_survivors():
-    # an ancilla flip completed within one tau leaves <m|U|m> = 0 exactly
+    # an ancilla flip completed within one tau: <m|U|m> = cos(tau) I, which
+    # at tau = fl(pi/2) is 6.1e-17 I; computed to rounding (~3e-16), a step
+    # keeps about 1e-31 of the trace
     h = kron(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.warns(StroboscopicRegimeWarning):
         cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=math.pi / 2, n_steps=6)
-    assert not np.any(kraus_step(cfg.h, cfg.spec, cfg.tau))
+    assert np.max(np.abs(kraus_step(cfg.h, cfg.spec, cfg.tau) - math.cos(cfg.tau) * np.eye(2))) <= 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4, keep_states=True)
@@ -262,7 +307,9 @@ def test_annihilating_step_exact_curve_is_zero_and_filtered_state_raises():
     with pytest.warns(StroboscopicRegimeWarning):
         cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=math.pi / 2, n_steps=6)
     rho0 = DensityMatrix.basis_state(2, 0)
-    assert np.array_equal(conditional_survival_curve(cfg, rho0), np.zeros(6))
+    # K = cos(fl(pi/2)) I = 6.1e-17 I to rounding (~3e-16): p_k is about 1e-31^k
+    curve = conditional_survival_curve(cfg, rho0)
+    assert np.all((curve >= 0) & (curve <= 1e-30 ** np.arange(1, 7)))
     with pytest.raises(ProbabilityUnderflowError):
         simulate_conditional(cfg, rho0)
 
