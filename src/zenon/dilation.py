@@ -37,6 +37,7 @@ from .linalg import (
     dagger,
     eig_sqrt,
     EigenDecomposition,
+    finite_reals,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
@@ -128,15 +129,13 @@ class DilationResult:
         if not isinstance(obj, dict):
             raise ValidationError("dilation result must be a JSON mapping")
         try:
-            return cls(
-                h=matrix_from_json(obj["H"]),
-                tau=float(obj["tau"]),
-                c=float(obj["c"]),
-                f=float(obj["f"]),
-                m=float(obj["M"]),
-            )
+            h, scalars = matrix_from_json(obj["H"]), [obj[k] for k in ("tau", "c", "f", "M")]
         except KeyError as exc:
             raise ValidationError(f"missing field {exc} in dilation result") from exc
+        if finite_reals(scalars) is None:
+            raise ValidationError(f"dilation result tau, c, f and M must be finite real numbers, got {scalars!r}")
+        tau, c, f, m = map(float, scalars)
+        return cls(h=h, tau=tau, c=c, f=f, m=m)
 
 
 def dilate(h_eff, tau: float) -> DilationResult:

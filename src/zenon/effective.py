@@ -9,10 +9,11 @@ generated by
 
     H_eff = H_0 - i (tau / 2) Gamma,
 
-with H_0 = <m|H|m> and Gamma = <m|H^2|m> - H_0^2 = <m|H|o><o|H|m> >= 0
-(m = measured ancilla state, o = the other one).  Both Gamma forms are
-computed and must agree; their equality is a strong internal consistency
-check on the block bookkeeping.
+with H_0 = <m|H|m> and Gamma = B B^dag >= 0, B = <m|H|o> (m = measured
+ancilla state, o = the other one).  Gamma is returned in this product form,
+positive semidefinite by construction; the second-moment form
+<m|H^2|m> - H_0^2 of the same operator is computed only to check it, a
+strong internal consistency check on the block bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,22 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, NotHermitianError, NotPSDError, NumericalError, ValidationError
+from .errors import BadDimensionError, NotHermitianError, NumericalError, ValidationError
 from .linalg import (
     EigenDecomposition,
     as_cmatrix,
     dagger,
+    finite_reals,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    psd_eig,
     trace,
 )
 
 GAMMA_FORM_ATOL = 1e-12
-GAMMA_PSD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,21 @@ def ancilla_order(dim: int, spec: AncillaSpec) -> np.ndarray:
     return np.arange(dim).reshape((2,) * n).transpose(axes).ravel()
 
 
-def _canonical(h: np.ndarray, spec: AncillaSpec) -> np.ndarray:
-    order = ancilla_order(h.shape[0], spec)
-    return h[np.ix_(order, order)]
+def ancilla_rows(dim: int, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Composite indices (rows_m, rows_o) of ancilla state m = measured_state
+    and of the other state o, each in system-index order: the one reader of
+    the ancilla layout."""
+    order = ancilla_order(dim, spec)
+    m = spec.measured_state
+    return order[m::2], order[1 - m :: 2]
 
 
 def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
     """System-space blocks (<m|A|m>, <m|A|o>, <o|A|m>, <o|A|o>) of a composite
     operator, with m the measured ancilla state and o the other one."""
-    hc = _canonical(as_cmatrix(h), spec)
-    m = spec.measured_state
-    o = 1 - m
-    return (hc[m::2, m::2], hc[m::2, o::2], hc[o::2, m::2], hc[o::2, o::2])
+    a = as_cmatrix(h)
+    rm, ro = ancilla_rows(a.shape[0], spec)
+    return (a[np.ix_(rm, rm)], a[np.ix_(rm, ro)], a[np.ix_(ro, rm)], a[np.ix_(ro, ro)])
 
 
 def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
@@ -115,7 +120,7 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     pages for a protocol run).  K's operator norm is verified to be <= 1 + 1e-10."""
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    vm = eig.eigenvectors[ancilla_order(eig.eigenvalues.size, spec)[spec.measured_state :: 2]]
+    vm = eig.eigenvectors[ancilla_rows(eig.eigenvalues.size, spec)[0]]
     w = eig.eigenvalues.tolist()  # ascending
     top = tau * max(-w[0], w[-1])  # the largest |tau w|
     if not top < 2.0**53:  # from there on a double resolves no phase mod 2 pi
@@ -141,6 +146,7 @@ class EffectiveHamiltonian:
     """Stroboscopic generator split into Hermitian drift and PSD decay parts.
 
     The full non-Hermitian matrix is h0 - i (tau / 2) gamma, see matrix().
+    gamma must pass linalg.psd_eig, the package's one PSD rule.
     """
 
     h0: np.ndarray
@@ -158,11 +164,7 @@ class EffectiveHamiltonian:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if not is_hermitian(h0):
             raise NotHermitianError("h0 must be Hermitian")
-        if not is_hermitian(gamma):
-            raise NotHermitianError("gamma must be Hermitian")
-        w = hermitian_eig(gamma).eigenvalues
-        if w[0] < -GAMMA_PSD_RTOL * max(1.0, frobenius_norm(gamma)):
-            raise NotPSDError(f"gamma has eigenvalue {w[0]:.6e} below tolerance")
+        psd_eig(gamma)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "gamma", gamma)
 
@@ -186,44 +188,41 @@ class EffectiveHamiltonian:
         if not isinstance(obj, dict):
             raise ValidationError("effective Hamiltonian must be a JSON mapping")
         try:
-            return cls(
-                h0=matrix_from_json(obj["h0"]),
-                gamma=matrix_from_json(obj["gamma"]),
-                tau=float(obj["tau"]),
-            )
+            h0, gamma, tau = matrix_from_json(obj["h0"]), matrix_from_json(obj["gamma"]), obj["tau"]
         except KeyError as exc:
             raise ValidationError(f"missing field {exc} in effective Hamiltonian") from exc
+        if finite_reals([tau]) is None:
+            raise ValidationError(f"effective Hamiltonian tau must be a finite real number, got {tau!r}")
+        return cls(h0=h0, gamma=gamma, tau=float(tau))
 
 
 def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
     """Effective generator of the repeated-measurement limit.
 
-    Gamma is computed both as the second-moment defect <m|H^2|m> - H_0^2 and
-    as the product <m|H|o><o|H|m>; the two must agree to GAMMA_FORM_ATOL
-    (relative to the larger of 1 and its norm) or a NumericalError is raised.
+    Gamma is the product B B^dag, B = <m|H|o>.  Its second-moment form
+    <m|H^2|m> - H_0^2, read from the m rows and columns of H alone, is only
+    its check: the two must agree to GAMMA_FORM_ATOL (relative to the larger
+    of 1 and the moment form's norm) or a NumericalError is raised.
     """
     hm = as_cmatrix(h)
     if not is_hermitian(hm):
         raise NotHermitianError("composite Hamiltonian must be Hermitian")
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    hc = _canonical(hm, spec)
-    m = spec.measured_state
-    o = 1 - m
-    h0 = hc[m::2, m::2]
-    b = hc[m::2, o::2]
-    c = hc[o::2, m::2]
-    gamma_product = b @ c
-    h2 = hc @ hc
-    gamma_moment = h2[m::2, m::2] - h0 @ h0
-    gap = frobenius_norm(gamma_moment - gamma_product)
+    rm, ro = ancilla_rows(hm.shape[0], spec)
+    rows = hm[rm]
+    h0 = rows[:, rm]
+    b = rows[:, ro]
+    gamma = b @ dagger(b)
+    gamma_moment = rows @ hm[:, rm] - h0 @ h0
+    gap = frobenius_norm(gamma_moment - gamma)
     if not gap <= GAMMA_FORM_ATOL * max(1.0, frobenius_norm(gamma_moment)):
         raise NumericalError(
             f"the two decay-operator forms disagree by {gap:.3e} (Frobenius)"
         )
     return EffectiveHamiltonian(
         h0=hermitian_part(h0),
-        gamma=hermitian_part((gamma_moment + gamma_product) / 2),
+        gamma=hermitian_part(gamma),
         tau=tau,
     )
 

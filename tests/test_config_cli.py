@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -425,6 +426,9 @@ MALFORMED_SCENARIOS = [
     ("derive_symmetric", {"output_dir": 5}),  # run without --out
     ("fig4", {"bell": ["x"]}),
     ("protocol_symmetric", {"n_steps": 10**6 + 1}),  # above protocol.MAX_PROTOCOL_STEPS
+    # t_max / tau overflows to inf: a step count above the cap too
+    ("protocol_symmetric", {"t_max": 1e300, "tau": 1e-300, "n_steps": None}),
+    ("sweep_tau", {"grid": [{"tau": 0.01, "t_max": 1.0}, {"tau": 1e-300, "t_max": 1e300}], "with_protocol": True}),
 ]
 
 
@@ -478,7 +482,7 @@ OVERFLOWING_SCENARIOS = [
     ("derive_symmetric", {"g_xy": 1e200}),
     ("simulate_symmetric", {"t_max": 1e300}),
     ("fig4", {"g_xy": 1e300}),
-    ("protocol_symmetric", {"t_max": 1e300, "tau": 1e-10, "n_steps": None}),
+    ("protocol_symmetric", {"g_xy": 1e300}),  # a step phase no double resolves
 ]
 
 
@@ -505,12 +509,29 @@ def test_step_count_cap_is_checked_at_load_on_every_protocol_rung():
     scenario_from_json(sweep)
 
 
-def test_cli_keeps_the_names_the_benchmark_wraps(monkeypatch):
-    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    import workloads
-
-    for name in [*workloads.CLI_LAYER_CALLS, "load_matrix_file"]:
-        assert hasattr(zenon.cli, name), name
+def test_cli_keeps_the_names_the_benchmark_wraps():
+    # perfbench wraps each CLI_LAYER_CALLS name in zenon.cli's namespace by
+    # attribute; a name that cli.py drops, or no longer uses inside a
+    # function, fails every traced iteration or times nothing.  The table is
+    # read with ast, so perfbench is neither imported nor changed.
+    workloads = ast.parse((REPO / "perfbench" / "workloads.py").read_text())
+    table = next(
+        node.value
+        for node in workloads.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_LAYER_CALLS"]
+    )
+    cli = ast.parse(Path(zenon.cli.__file__).read_text())
+    used = {
+        node.id
+        for func in ast.walk(cli)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name)
+    }
+    names = [ast.literal_eval(key) for key in table.keys]
+    assert names
+    for name in [*names, "load_matrix_file"]:
+        assert hasattr(zenon.cli, name) and name in used, name
 
 
 def test_benchmark_counts_one_rk4_step_per_four_rhs_calls(monkeypatch, tmp_path):

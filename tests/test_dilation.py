@@ -146,6 +146,15 @@ def test_dilation_result_json_roundtrip():
         DilationResult.from_json({"tau": 0.1})
 
 
+@pytest.mark.parametrize("key", ["tau", "c", "f", "M"])
+@pytest.mark.parametrize("value", [True, "0.05", [0.05], None, "abc", float("inf")])
+def test_dilation_result_from_json_takes_scalars_only_as_finite_numbers(key, value):
+    obj = dilate(DECAYING, 0.01).to_json()
+    obj[key] = value
+    with pytest.raises(ValidationError, match="finite real numbers"):
+        DilationResult.from_json(obj)
+
+
 def test_roundtrip_recovers_generator_up_to_identity_shift():
     tau = choose_tau(2.0)
     report = roundtrip_check(PT_2X2, tau)

@@ -32,7 +32,7 @@ from zenon.errors import (
     NumericalError,
     ValidationError,
 )
-from zenon.linalg import dagger, expm, frobenius_norm, hermitian_eig, kron
+from zenon.linalg import dagger, expm, frobenius_norm, hermitian_eig, kron, psd_eig
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric, pauli
 
 
@@ -98,6 +98,21 @@ def test_derive_effective_site_addressing_consistent():
     eff_site1 = derive_effective(h_moved, AncillaSpec(ancilla_site=1), 0.1)
     assert np.allclose(eff_site1.h0, eff_minor.h0, atol=1e-12)
     assert np.allclose(eff_site1.gamma, eff_minor.gamma, atol=1e-12)
+    # every ancilla address of 3- and 4-qubit registers, both outcomes: the
+    # bit-loop permutation moves the ancilla to the minor slot, and sigma_x
+    # on it turns outcome 1 into outcome 0 of the default spec
+    for n in (3, 4):
+        h = random_hermitian(rng, 2**n)
+        flip = kron(np.eye(2 ** (n - 1)), pauli("x", 1, 1))
+        for site, m in itertools.product(range(1, n + 1), (0, 1)):
+            order = bitloop_ancilla_order(2**n, site)
+            moved = h[np.ix_(order, order)]
+            if m == 1:
+                moved = flip @ moved @ flip
+            want = derive_effective(moved, AncillaSpec(), 0.1)
+            got = derive_effective(h, AncillaSpec(ancilla_site=site, measured_state=m), 0.1)
+            for a, b in ((got.h0, want.h0), (got.gamma, want.gamma)):
+                assert frobenius_norm(a - b) <= 1e-12 * max(1.0, frobenius_norm(b)), (n, site, m)
 
 
 def test_kraus_step_identity_and_unitary_cases():
@@ -197,7 +212,20 @@ def test_derive_effective_gamma_always_psd(seed, dim):
     h = random_hermitian(rng, dim)
     eff = derive_effective(h, AncillaSpec(), 0.1)
     w = hermitian_eig(eff.gamma).eigenvalues
-    assert w[0] >= -1e-10 * max(1.0, frobenius_norm(eff.gamma))
+    assert w[0] >= -1e-10 * frobenius_norm(eff.gamma)
+
+
+def test_weak_coupling_gamma_passes_the_psd_rule():
+    # g_xy down to 1e-7 against couplings of order 10: the second-moment
+    # form <m|H^2|m> - H_0^2 cancels to its rounding there, the product form
+    # B B^dag stays PSD to rounding relative to its own norm
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(300):
+        gamma_xy, gamma_z, g_z = (float(x) for x in rng.uniform(1, 20, 3))
+        g_xy = float(10 ** rng.uniform(-7, -2))
+        p = SymmetricParams(gamma_xy=gamma_xy, gamma_z=gamma_z, g_xy=g_xy, g_z=g_z)
+        eff = derive_effective(build_symmetric(p), AncillaSpec(), 0.05)
+        psd_eig(eff.gamma)
 
 
 def test_derive_effective_gamma_equals_coupling_product():
@@ -234,6 +262,14 @@ def test_effective_hamiltonian_json_roundtrip():
     assert np.array_equal(again.h0, eff.h0)
     assert np.array_equal(again.gamma, eff.gamma)
     assert again.tau == eff.tau
+
+
+@pytest.mark.parametrize("tau", [True, "0.05", [0.05], None, "abc", float("inf")])
+def test_effective_hamiltonian_from_json_takes_tau_only_as_a_finite_number(tau):
+    obj = EffectiveHamiltonian(h0=np.eye(2), gamma=np.eye(2), tau=0.05).to_json()
+    obj["tau"] = tau
+    with pytest.raises(ValidationError, match="tau"):
+        EffectiveHamiltonian.from_json(obj)
 
 
 def test_effective_from_matrix_splits_and_rejects():

@@ -49,8 +49,9 @@ def test_protocol_config_validation():
 
 
 def test_step_count_is_capped():
-    with pytest.raises(ValidationError):
-        steps_for(4.0, 1e-300)
+    for t, tau in ((4.0, 1e-300), (1e300, 1e-300), (math.inf, math.inf)):  # t / tau > cap, inf, NaN
+        with pytest.raises(ValidationError):
+            steps_for(t, tau)
     assert steps_for(1.0, 1.0 / MAX_PROTOCOL_STEPS) == MAX_PROTOCOL_STEPS
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=MAX_PROTOCOL_STEPS + 1)
