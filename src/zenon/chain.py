@@ -65,7 +65,8 @@ def renormalized_blocks(a: np.ndarray, f: np.ndarray, n_steps: int):
     subnormal double.  A trace that reaches 0 ends the chain early, since no
     state is left to normalize; a non-finite trace raises
     ProbabilityUnderflowError.  Both can happen only at B = 1, where each
-    step is the stepwise chain's own np.vdot trace and division, bit for bit.
+    step is the stepwise chain's own np.vdot trace and division, bit for bit
+    (the division as an in-place product with 1 / sqrt(trace)).
     """
     b = chain_block_size(a, n_steps)
     if b > 1:
@@ -91,7 +92,12 @@ def renormalized_blocks(a: np.ndarray, f: np.ndarray, n_steps: int):
             if not tr > 0:
                 return
             logs = [log_p + math.log(tr)]
-            fs = (f / math.sqrt(tr))[None]
+            # numpy's complex f / s is (x + 0) * (1 / s) (Smith's algorithm at a zero
+            # imaginary part); the fresh product scaled in place by 1 / s differs
+            # from it only in the sign of an exact zero, which a matmul (its sums
+            # start at +0) does not leave
+            f *= 1 / math.sqrt(tr)
+            fs = f[None]
         f, log_p = fs[-1], logs[-1]
         yield np.array([math.exp(x) if x > -745 else 0.0 for x in logs]), fs
 

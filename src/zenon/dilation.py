@@ -34,13 +34,13 @@ from .errors import (
 )
 from .linalg import (
     as_cmatrix,
-    dagger,
     eig_sqrt,
     EigenDecomposition,
     finite_reals,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
+    hermitian_residual,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -100,7 +100,7 @@ class DilationResult:
 
     def __post_init__(self):
         hm = as_cmatrix(self.h)
-        if frobenius_norm(hm - dagger(hm)) > 1e-12 * max(1.0, frobenius_norm(hm)):
+        if hermitian_residual(hm) > 1e-12 * max(1.0, frobenius_norm(hm)):
             raise NotHermitianError("dilated Hamiltonian must be Hermitian to 1e-12")
         if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .linalg import (
     as_cmatrix,
+    check_psd,
     dagger,
     expm,
     frobenius_norm,
@@ -58,7 +59,7 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
     if abs(trace(m) - 1.0) > 1e-10:
         raise ValidationError(f"density matrix trace {trace(m):.12f} != 1")
     try:
-        psd_eig(m)  # the PSD rule of state_factor, so a state it rejects fails here
+        check_psd(m)  # the PSD rule of state_factor, so a state it rejects fails here
     except NotPSDError as exc:
         raise ValidationError(f"density matrix is not PSD: {exc}") from exc
     return hermitian_part(m)

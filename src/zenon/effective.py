@@ -27,15 +27,16 @@ from .errors import BadDimensionError, NotHermitianError, NumericalError, Valida
 from .linalg import (
     EigenDecomposition,
     as_cmatrix,
+    check_psd,
     dagger,
     finite_reals,
     frobenius_norm,
     hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    psd_eig,
     trace,
 )
 
@@ -133,7 +134,7 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     for _ in range(s):
         phi = phi * (2 + phi)
     k = np.eye(vm.shape[0], dtype=complex) + (vm * phi) @ dagger(vm)
-    sv_sq = hermitian_eig(dagger(k) @ k).eigenvalues[-1]
+    sv_sq = hermitian_eigvals(dagger(k) @ k)[-1]
     if sv_sq > 1.0 + 1e-10:
         raise NumericalError(
             f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1"
@@ -146,7 +147,8 @@ class EffectiveHamiltonian:
     """Stroboscopic generator split into Hermitian drift and PSD decay parts.
 
     The full non-Hermitian matrix is h0 - i (tau / 2) gamma, see matrix().
-    gamma must pass linalg.psd_eig, the package's one PSD rule.
+    gamma must pass linalg.check_psd, the package's one PSD rule read from
+    the eigenvalues alone.
     """
 
     h0: np.ndarray
@@ -164,7 +166,7 @@ class EffectiveHamiltonian:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if not is_hermitian(h0):
             raise NotHermitianError("h0 must be Hermitian")
-        psd_eig(gamma)
+        check_psd(gamma)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "gamma", gamma)
 

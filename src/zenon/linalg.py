@@ -17,6 +17,7 @@ from .errors import NotHermitianError, NotPSDError, NumericalError, ValidationEr
 HERMITICITY_RTOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
 EXPM_SERIES_ORDER = 18
+EIGVALSH_MIN_DIM = 32
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -49,14 +50,39 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """A^dag written once into a fresh C-ordered buffer, for the caller to
+    finish in place."""
+    return np.conjugate(a.swapaxes(-1, -2), order="C")
+
+
+def _halved_sum(a: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 in adj's own buffer: the same elementwise operations,
+    in the same operand order, as the expression, so bit for bit."""
+    np.add(a, adj, out=adj)
+    adj /= 2
+    return adj
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^dag) / 2."""
-    return (a + dagger(a)) / 2
+    """Return (A + A^dag) / 2, with A^dag its one temporary (an integer A is
+    taken as float, as the quotient would be)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    return _halved_sum(a, _adjoint(a))
+
+
+def hermitian_residual(a: np.ndarray) -> float:
+    """||A - A^dag||_F, the difference formed in A^dag's one buffer."""
+    a = np.asarray(a)
+    adj = _adjoint(a)
+    return frobenius_norm(np.subtract(a, adj, out=adj))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_RTOL) -> bool:
-    """Relative Frobenius test of A == A^dag (a zero matrix passes)."""
-    return frobenius_norm(a - dagger(a)) <= tol * frobenius_norm(a)
+    """Relative Frobenius test of A == A^dag (a zero matrix passes; a NaN fails)."""
+    return hermitian_residual(a) <= tol * frobenius_norm(a)
 
 
 @dataclass(frozen=True)
@@ -71,15 +97,32 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, symmetrized before solving."""
+def _symmetrized(a) -> np.ndarray:
+    """hermitian_part of a matrix that passes is_hermitian, else
+    NotHermitianError; A^dag is formed once for the check and the sum."""
     m = as_cmatrix(a)
-    if not is_hermitian(m):
+    adj = _adjoint(m)
+    if not frobenius_norm(m - adj) <= HERMITICITY_RTOL * frobenius_norm(m):
         raise NotHermitianError(
             f"matrix is not Hermitian within relative tolerance {HERMITICITY_RTOL:g}"
         )
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return EigenDecomposition(w, v)
+    return _halved_sum(m, adj)
+
+
+def hermitian_eig(a) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, symmetrized before solving."""
+    return EigenDecomposition(*np.linalg.eigh(_symmetrized(a)))
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, for a caller that reads no
+    eigenvector: hermitian_eig's check and symmetrization, then eigvalsh from
+    dimension EIGVALSH_MIN_DIM on.  Below it eigh's eigenvalues serve: the
+    vectors cost microseconds there, while a first eigvalsh maps 64 KB of
+    LAPACK code (its eigenvalue-only tridiagonal solver) that a small run
+    never needs otherwise."""
+    m = _symmetrized(a)
+    return np.linalg.eigvalsh(m) if m.shape[0] >= EIGVALSH_MIN_DIM else np.linalg.eigh(m)[0]
 
 
 def expm(a) -> np.ndarray:
@@ -108,16 +151,25 @@ def expm(a) -> np.ndarray:
     return out
 
 
-def psd_eig(a) -> EigenDecomposition:
-    """hermitian_eig of a positive semidefinite matrix: an eigenvalue below
-    -tol raises NotPSDError, tol = 1e-10 times the Frobenius norm."""
-    eig = hermitian_eig(a)
+def _psd_rule(a, w: np.ndarray) -> None:
+    """The one PSD rule, on A's ascending eigenvalues w: w_0 below -tol
+    raises NotPSDError, tol = 1e-10 times the Frobenius norm of A."""
     tol = 1e-10 * frobenius_norm(a)
-    if eig.eigenvalues[0] < -tol:
-        raise NotPSDError(
-            f"minimum eigenvalue {eig.eigenvalues[0]:.6e} is below the PSD tolerance -{tol:.6e}"
-        )
+    if w[0] < -tol:
+        raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
+
+
+def psd_eig(a) -> EigenDecomposition:
+    """hermitian_eig of a positive semidefinite matrix (see _psd_rule)."""
+    eig = hermitian_eig(a)
+    _psd_rule(a, eig.eigenvalues)
     return eig
+
+
+def check_psd(a) -> None:
+    """psd_eig's verdict from the eigenvalues alone: raises what psd_eig
+    raises, for a caller that keeps no eigenvector."""
+    _psd_rule(a, hermitian_eigvals(a))
 
 
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:

@@ -79,7 +79,7 @@ class ProtocolConfig:
         tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
         if tau_spread >= 1.0:
             warnings.warn(
-                f"tau * max Bohr frequency = {tau_spread:.3f} >= 1; "
+                f"tau * max Bohr frequency = {tau_spread:.3g} >= 1; "
                 "stroboscopic limit not trustworthy",
                 StroboscopicRegimeWarning,
                 stacklevel=3,

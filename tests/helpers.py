@@ -4,8 +4,10 @@ match, the stepwise Monte Carlo sampler that the waiting-time one is checked
 against, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
-time-series writer that the vectorised one must match, and the bit-by-bit
-ancilla permutation that the axis-transposing one must match.
+time-series writer that the vectorised one must match, the bit-by-bit
+ancilla permutation that the axis-transposing one must match, and the
+expression forms of the Hermitian part, the Hermiticity test and the PSD
+eigendecomposition that the one-pass linalg helpers must match bit for bit.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -19,8 +21,25 @@ import numpy as np
 from zenon.chain import renormalized_blocks
 from zenon.dynamics import STEP_NORM_LIMIT, basis_labels
 from zenon.effective import AncillaSpec, ancilla_order
-from zenon.errors import NotHermitianError, NumericalError, ProbabilityUnderflowError, StepTooLargeError, ValidationError
-from zenon.linalg import as_cmatrix, dagger, expm, frobenius_norm, hermitian_eig, hermitian_part, is_hermitian
+from zenon.errors import (
+    NotHermitianError,
+    NotPSDError,
+    NumericalError,
+    ProbabilityUnderflowError,
+    StepTooLargeError,
+    ValidationError,
+)
+from zenon.linalg import (
+    HERMITICITY_RTOL,
+    EigenDecomposition,
+    as_cmatrix,
+    dagger,
+    expm,
+    frobenius_norm,
+    hermitian_eig,
+    hermitian_part,
+    is_hermitian,
+)
 from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams, pauli
 
 EYE2 = np.eye(2, dtype=complex)
@@ -359,3 +378,29 @@ def bitloop_ancilla_order(dim: int, site: int) -> np.ndarray:
         bits.insert(site - 1, a)
         order[j] = sum(b << (n - 1 - i) for i, b in enumerate(bits))
     return order
+
+
+def expression_hermitian_part(a: np.ndarray) -> np.ndarray:
+    """Reference (A + A^dag) / 2, written as the expression: the conjugate,
+    the sum and the quotient each a fresh array."""
+    return (a + dagger(a)) / 2
+
+
+def expression_is_hermitian(a: np.ndarray, tol: float = HERMITICITY_RTOL) -> bool:
+    """Reference relative Frobenius test of A == A^dag, the difference formed
+    from a fresh conjugate."""
+    return frobenius_norm(a - dagger(a)) <= tol * frobenius_norm(a)
+
+
+def expression_psd_eig(a) -> EigenDecomposition:
+    """Reference PSD eigendecomposition: the expression-form Hermiticity check
+    and symmetrization, eigh, then an eigenvalue below -1e-10 ||A||_F raises
+    NotPSDError."""
+    m = as_cmatrix(a)
+    if not expression_is_hermitian(m):
+        raise NotHermitianError(f"matrix is not Hermitian within relative tolerance {HERMITICITY_RTOL:g}")
+    w, v = np.linalg.eigh(expression_hermitian_part(m))
+    tol = 1e-10 * frobenius_norm(a)
+    if w[0] < -tol:
+        raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
+    return EigenDecomposition(w, v)

@@ -500,6 +500,18 @@ def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, tmp_path, repo_
     assert capsys.readouterr().err.startswith("zenon: numerical error:")
 
 
+def test_cli_protocol_at_a_huge_coupling_warns_briefly_and_exits_3(tmp_path, repo_cwd, capsys):
+    scenario = json.loads((CONFIGS / "protocol_symmetric.json").read_text())
+    scenario["params"]["g_xy"] = 1e300
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(scenario))
+    with pytest.warns(StroboscopicRegimeWarning) as record, np.errstate(over="ignore", invalid="ignore"):
+        assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    messages = [str(w.message) for w in record if w.category is StroboscopicRegimeWarning]
+    assert messages and all(len(m) < 200 for m in messages)
+    assert capsys.readouterr().err.startswith("zenon: numerical error:")
+
+
 def test_step_count_cap_is_checked_at_load_on_every_protocol_rung():
     sweep = json.loads((CONFIGS / "sweep_tau.json").read_text())
     sweep["grid"] = [{"tau": 0.01}, {"tau": 1e-300}]

@@ -1,21 +1,38 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_complex, random_hermitian, random_psd, taylor_expm
+from helpers import (
+    expression_hermitian_part,
+    expression_is_hermitian,
+    expression_psd_eig,
+    random_complex,
+    random_hermitian,
+    random_psd,
+    taylor_expm,
+)
 from zenon.errors import NotHermitianError, NotPSDError, ValidationError
 from zenon.linalg import (
+    EIGVALSH_MIN_DIM,
     as_cmatrix,
+    check_psd,
     commutator,
     dagger,
     expm,
     frobenius_norm,
     hermitian_eig,
+    hermitian_eigvals,
+    hermitian_part,
+    hermitian_residual,
     is_hermitian,
     kron,
     matrix_from_json,
     matrix_to_json,
+    psd_eig,
     psd_sqrt,
     trace,
     write_csv,
@@ -65,6 +82,141 @@ def test_is_hermitian():
     assert is_hermitian(SY)
     assert is_hermitian(np.zeros((3, 3)))
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array, so -0.0 != +0.0 and
+    NaN payloads count."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+HELPER_INPUTS = ["random", "hermitian", "real", "integer", "fortran", "sliced", "signed_zeros", "nan"]
+
+
+def _helper_input(kind: str, seed: int, dim: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m = random_complex(rng, dim)
+    if kind == "hermitian":
+        return expression_hermitian_part(m)
+    if kind == "real":
+        return m.real.copy()
+    if kind == "integer":
+        return rng.integers(-5, 6, (dim, dim))
+    if kind == "fortran":
+        return np.asfortranarray(m)
+    if kind == "sliced":
+        return random_complex(rng, 3 * dim)[1::3, ::2][:, :dim]
+    if kind == "signed_zeros":
+        parts = m.view(np.float64)  # the real and imaginary words of m
+        parts[rng.random(parts.shape) < 0.6] = 0.0
+        parts[rng.random(parts.shape) < 0.5] *= -1.0  # flips the sign of some zeros too
+        return expression_hermitian_part(m) if seed % 2 else m
+    m[rng.integers(dim), rng.integers(dim)] = complex(np.nan, 1.0) if seed % 2 else np.nan
+    return m
+
+
+@given(st.sampled_from(HELPER_INPUTS), st.integers(0, 2**32 - 1), st.integers(1, 9))
+@settings(max_examples=150)
+def test_one_pass_hermitian_helpers_match_the_expression_forms_bit_for_bit(kind, seed, dim):
+    a = _helper_input(kind, seed, dim)
+    part, oracle = hermitian_part(a), expression_hermitian_part(a)
+    assert part.dtype == oracle.dtype == (float if kind == "integer" else a.dtype)  # real stays real
+    assert part.shape == oracle.shape and np.array_equal(_bits(part), _bits(oracle))
+    for tol in (1e-10, 1e-14, 0.0):
+        assert is_hermitian(a, tol) == expression_is_hermitian(a, tol)
+    if kind == "nan":
+        assert not is_hermitian(a)
+    elif kind == "hermitian" or (kind == "signed_zeros" and seed % 2):
+        assert hermitian_residual(a) == 0.0 and is_hermitian(a, 0.0)
+    if is_hermitian(a):
+        eig, ref = hermitian_eig(a), np.linalg.eigh(expression_hermitian_part(as_cmatrix(a)))
+        assert np.array_equal(_bits(eig.eigenvalues), _bits(ref[0]))
+        assert np.array_equal(_bits(eig.eigenvectors), _bits(ref[1]))
+        assert np.allclose(hermitian_eigvals(a), ref[0], rtol=0, atol=1e-13 * max(1.0, frobenius_norm(a)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=40)
+def test_psd_eig_matches_its_expression_form_bit_for_bit(seed, dim):
+    m = random_psd(np.random.Generator(np.random.PCG64(seed)), dim)
+    eig, ref = psd_eig(m), expression_psd_eig(m)
+    assert np.array_equal(_bits(eig.eigenvalues), _bits(ref.eigenvalues))
+    assert np.array_equal(_bits(eig.eigenvectors), _bits(ref.eigenvectors))
+    check_psd(m)
+
+
+def test_eigenvalue_helpers_share_the_hermiticity_check():
+    for check in (hermitian_eigvals, check_psd, psd_eig):
+        with pytest.raises(NotHermitianError):
+            check(np.array([[0, 1], [0, 0]]))
+        with pytest.raises(NotHermitianError):
+            check(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+PSD_MESSAGE = re.compile(r"minimum eigenvalue (-\d\.\d{6}e[-+]\d+) is below the PSD tolerance -(\d\.\d{6}e[-+]\d+)")
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim", [4, 8, EIGVALSH_MIN_DIM + 8])
+def test_check_psd_gives_psd_eig_verdict_and_message_at_the_rule_boundary(seed, dim):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    v, _ = np.linalg.qr(random_complex(rng, dim))  # a random unitary
+    w = np.linspace(1.0, 3.0, dim)
+    tol = 1e-10 * np.linalg.norm(w[1:])  # the rule's tolerance, to O(tol^2) relative
+    for factor in (0.5, 2.0):
+        w[0] = -factor * tol
+        a = (v * w) @ dagger(v)  # exactly as V diag(w) V^dag
+        if factor < 1:
+            check_psd(a)
+            psd_eig(a)
+            expression_psd_eig(a)
+            continue
+        messages = []
+        for check in (check_psd, psd_eig, expression_psd_eig):
+            with pytest.raises(NotPSDError) as info:
+                check(a)
+            messages.append(PSD_MESSAGE.fullmatch(str(info.value)))
+        assert all(messages)
+        assert len({m.group(2) for m in messages}) == 1  # one tolerance, to the last digit
+        for m in messages:
+            assert float(m.group(1)) == pytest.approx(w[0], rel=1e-5)
+            assert float(m.group(2)) == pytest.approx(tol, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM - 1, EIGVALSH_MIN_DIM])
+def test_hermitian_eigvals_takes_eigvalsh_from_its_minimum_dimension(dim, monkeypatch):
+    h = random_hermitian(np.random.Generator(np.random.PCG64(dim)), dim)
+    ref = np.linalg.eigh(expression_hermitian_part(h))[0]
+    calls = []
+
+    def counting(name):
+        kernel = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append(name)
+            return kernel(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    w = hermitian_eigvals(h)
+    if dim < EIGVALSH_MIN_DIM:
+        assert calls == ["eigh"] and np.array_equal(_bits(w), _bits(ref))
+    else:
+        assert calls == ["eigvalsh"] and np.allclose(w, ref, rtol=0, atol=1e-13 * frobenius_norm(h))
+
+
+@pytest.mark.parametrize("helper", [is_hermitian, hermitian_part, hermitian_residual])
+def test_one_pass_hermitian_helpers_hold_one_temporary(helper):
+    h = random_hermitian(np.random.Generator(np.random.PCG64(9)), 512)  # 4 MB
+    tracemalloc.start()
+    try:
+        helper(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * h.nbytes
 
 
 def test_hermitian_eig_pauli_z():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -8,8 +9,8 @@ import pytest
 
 import zenon.linalg
 from helpers import random_hermitian, stepwise_trajectories, taylor_expm
-from zenon.dynamics import DensityMatrix, normalize
-from zenon.effective import AncillaSpec, kraus_step
+from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
+from zenon.effective import AncillaSpec, derive_effective, kraus_step
 from zenon.errors import (
     BadDimensionError,
     NumericalError,
@@ -17,7 +18,7 @@ from zenon.errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from zenon.linalg import frobenius_norm, hermitian_eig, kron
+from zenon.linalg import EIGVALSH_MIN_DIM, frobenius_norm, hermitian_eig, kron
 from zenon.protocol import (
     MAX_PROTOCOL_STEPS,
     ProtocolConfig,
@@ -86,6 +87,44 @@ def test_protocol_makes_one_eigh_of_the_composite_and_no_expm(monkeypatch):
     conditional_survival_curve(cfg, _MIXED)
     simulate_trajectories(cfg, _MIXED, n_traj=50, seed=3)
     assert calls == {"eigh": 1, "expm": 0}
+
+
+@pytest.mark.parametrize("system_dim", [4, EIGVALSH_MIN_DIM])
+def test_checks_read_eigenvalues_only_and_the_protocol_config_one_eigh_of_the_composite(system_dim, monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    if system_dim == 4:  # the bundled sizes: an 8x8 composite
+        h = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1.0, g_z=0.3))
+    else:
+        h = random_hermitian(np.random.Generator(np.random.PCG64(64)), 2 * system_dim)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    eff = derive_effective(h, AncillaSpec(), 0.05)  # checks gamma
+    DensityMatrix(np.eye(system_dim, dtype=complex) / system_dim)
+    normalize(evolve_conditional(eff, DensityMatrix.basis_state(system_dim, 1), 0.5))
+    ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.05, n_steps=10)  # checks ||K||_2
+    composite, system = (2 * system_dim,) * 2, (system_dim,) * 2
+    if system_dim >= EIGVALSH_MIN_DIM:
+        # the Gamma, density-matrix and ||K||_2 checks read eigvalsh's eigenvalues;
+        # the one eigh is the composite's, whose vectors build the step
+        assert shapes == [composite]
+    else:
+        # below EIGVALSH_MIN_DIM the same checks read eigh's eigenvalues
+        assert shapes == [system] * 4 + [composite, system]
+
+
+def test_protocol_config_regime_warning_stays_short_at_huge_couplings():
+    h = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1e300, g_z=0.3))
+    with pytest.warns(StroboscopicRegimeWarning) as record, pytest.raises(NumericalError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.05, n_steps=10)
+    [message] = [str(w.message) for w in record if w.category is StroboscopicRegimeWarning]
+    assert len(message) < 200
+    assert re.search(r"frequency = \d\.\d\de\+299 >= 1;", message)
 
 
 def test_protocol_config_warns_outside_stroboscopic_regime():
