@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .entanglement import BELL_STATES
 from .errors import ValidationError
 from .linalg import finite_reals
-from .protocol import MAX_PROTOCOL_STEPS, steps_for
+from .protocol import MAX_PROTOCOL_STEPS, MAX_TRAJECTORIES, steps_for
 from .spin_models import AnisotropicParams, SymmetricParams
 
 COMMANDS = ("derive", "simulate", "protocol", "dilate", "roundtrip", "figures", "sweep")
@@ -67,7 +67,7 @@ _RANGES = {
     "n_samples": (lambda v: v >= 2, "at least 2"),
     "seed": (lambda v: v >= 0, "nonnegative"),
     "output_dir": (bool, "a nonempty path"),
-    "n_traj": (lambda v: v >= 1, "positive"),
+    "n_traj": (lambda v: 1 <= v <= MAX_TRAJECTORIES, f"in 1..{MAX_TRAJECTORIES}"),
     "n_steps": (lambda v: 0 <= v <= MAX_PROTOCOL_STEPS, f"in 0..{MAX_PROTOCOL_STEPS}"),
     "grid": (_same_key_mappings, "a nonempty list of mappings with the same override keys"),
     "bell": (BELL_STATES.__contains__, f"one of {sorted(BELL_STATES)}"),

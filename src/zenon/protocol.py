@@ -39,8 +39,22 @@ from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
 """Largest protocol step count.  At the cap a 4-dimensional system's exact
-curve takes 1-1.5 s and its Monte Carlo 2 s (2-core Xeon, numpy 2.4), and the
-Monte Carlo's curves hold n_steps * rank * 8 B = 8 MB per start eigenket."""
+curve takes 0.4-0.8 s from a pure start and 0.9-1.4 s from the maximally mixed
+one, and a 1000-trajectory Monte Carlo 0.6-1.1 s and 1.4-2.0 s (2-core Xeon,
+numpy 2.4).  The Monte Carlo's curves hold n_steps * rank * 8 B = 8 MB per
+start eigenket; its tracemalloc peak is 25 MB and 64 MB."""
+MAX_TRAJECTORIES = 10**9
+"""Largest Monte Carlo trajectory count.  At the cap, 200 steps of a
+4-dimensional system take 81-87 s from a pure start and 122-128 s from the
+maximally mixed one (2-core Xeon, numpy 2.4), in O(MC_CHUNK + rank * n_steps)
+memory."""
+MC_CHUNK = 2**12
+"""Monte Carlo (pick, u) rows drawn from the Philox stream at a time."""
+
+
+def _is_count(v) -> bool:
+    """An int (a Python or numpy integer), not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def steps_for(t: float, tau: float) -> int:
@@ -182,17 +196,21 @@ def simulate_trajectories(
     Waiting-time sampler (Dalibard, Castin and Molmer, PRL 68, 580 (1992)):
     a trajectory starts in eigenket F e_j of rho0 (F = state_factor(rho0)),
     picked with weight w_j = ||F e_j||^2, and survives step n exactly when one
-    uniform u < p_n ||F_n e_j||^2 / w_j, read from the chain.  Row i of one
-    Philox stream's (n_traj, 2) draw picks j and u for trajectory i, so a
-    run's first N trajectories are those of an n_traj=N run.  Memory is
-    O(n_traj + dim * n_steps).
+    uniform u < curve_j[n] = p_n ||F_n e_j||^2 / w_j, read from the chain.
+    The curve does not increase, so that holds on a prefix of the steps: the
+    trajectory's waiting time, n_steps minus the number of curve values <= u,
+    found by one binary search in the reversed curve.  Survivors after step n
+    are the trajectories that wait longer than n; no uniform is sorted.
+    Row i of one Philox stream's (pick, u) rows belongs to trajectory i, drawn
+    MC_CHUNK rows at a time, so a run's first N trajectories are those of an
+    n_traj=N run.  Memory is O(MC_CHUNK + rank * n_steps), plus the kept kets.
     """
     k, f = _chain_start(cfg, rho0)
-    if n_traj < 1:
-        raise ValidationError(f"n_traj must be positive, got {n_traj}")
+    if not _is_count(n_traj) or not 1 <= n_traj <= MAX_TRAJECTORIES:
+        raise ValidationError(f"n_traj must be an int in 1..{MAX_TRAJECTORIES}, got {n_traj!r}")
+    if not _is_count(seed) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
     weights = np.linalg.norm(f, axis=0) ** 2  # one per eigenket kept
-    pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
-    picks = np.minimum(np.searchsorted(np.cumsum(weights), pick_u, side="right"), weights.size - 1)
     curves = np.zeros((cfg.n_steps, weights.size))
     step = 0
     for p, fs in renormalized_blocks(k, f, cfg.n_steps):
@@ -201,17 +219,31 @@ def simulate_trajectories(
         f = fs[-1]
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
     # counts rise too.
-    curves = np.minimum.accumulate(curves, axis=0)
+    np.minimum.accumulate(curves, axis=0, out=curves)
+    rising = curves[::-1].T.copy()  # row j: eigenket j's curve, ascending
+    del curves
 
-    counts = np.zeros(cfg.n_steps, dtype=np.int64)
-    by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=weights.size))[:-1])
-    for j, u_j in enumerate(by_pick):
-        counts += np.searchsorted(u_j, curves[:, j], side="left")
+    cum_weights = np.cumsum(weights)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    # hist[s]: trajectories with s curve values <= u, i.e. waiting n_steps - s steps
+    hist = np.zeros(cfg.n_steps + 1, dtype=np.int64)
+    kept = []
+    for start in range(0, n_traj, MC_CHUNK):
+        pick_u, u = rng.random((min(MC_CHUNK, n_traj - start), 2)).T
+        picks = np.minimum(np.searchsorted(cum_weights, pick_u, side="right"), weights.size - 1)
+        for j in range(weights.size):
+            # a pure start takes u whole: the masked copy costs a pass and,
+            # measured, about 0.1 MB of peak RSS in a protocol run
+            u_j = u if weights.size == 1 else u[picks == j]
+            hist += np.bincount(np.searchsorted(rising[j], u_j, side="right"), minlength=cfg.n_steps + 1)
+        if keep_states:
+            kept.append(picks[u < rising[picks, 0]] if cfg.n_steps else picks)
+    del rising  # released before the counts, so the two never share the peak
+    counts = n_traj - np.cumsum(hist[:0:-1])  # hist[:0:-1][w]: trajectories waiting w steps
 
     states = None
     if keep_states:
-        alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
-        kets = f.T[picks[alive]]  # a survivor's column has a nonzero norm
+        kets = f.T[np.concatenate(kept)]  # a survivor's column has a nonzero norm
         states = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     return TrajectoryEnsemble(
         n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states

@@ -1,7 +1,8 @@
 """Shared test utilities: random draws, independent closed-form oracles, the
 two hand-written nine-term spin Hamiltonians that the bond builder must
 match, the stepwise Monte Carlo sampler that the waiting-time one is checked
-against, the density-matrix chain that the factor chain must match, the
+against, the sorting survivor counter that its search must match bit for
+bit, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, the bit-by-bit
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from zenon.chain import renormalized_blocks
-from zenon.dynamics import STEP_NORM_LIMIT, basis_labels
+from zenon.dynamics import STEP_NORM_LIMIT, basis_labels, state_factor
 from zenon.effective import AncillaSpec, ancilla_order
 from zenon.errors import (
     NotHermitianError,
@@ -219,6 +220,34 @@ def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     return _run_chunk(
         (u, cfg.spec.measured_state, cum_weights, vectors, seed, 0, n_traj, cfg.n_steps, False)
     )[0]
+
+
+def sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
+    """Reference waiting-time Monte Carlo that counts survivors by sorting:
+    all n_traj (pick, u) rows in one draw of the Philox stream, the uniforms
+    sorted within each start eigenket, and the survivors of step n read as
+    searchsorted(sort(u_j), curve_j[n], "left").  Returns (survivor counts,
+    normalized survivor kets in trajectory order)."""
+    f = state_factor(rho0.rho)
+    weights = np.linalg.norm(f, axis=0) ** 2
+    pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
+    picks = np.minimum(np.searchsorted(np.cumsum(weights), pick_u, side="right"), weights.size - 1)
+    curves = np.zeros((cfg.n_steps, weights.size))
+    step = 0
+    for p, fs in renormalized_blocks(cfg.kraus, f, cfg.n_steps):
+        curves[step : step + len(p)] = p[:, None] * np.linalg.norm(fs, axis=1) ** 2 / weights
+        step += len(p)
+        f = fs[-1]
+    curves = np.minimum.accumulate(curves, axis=0)
+
+    counts = np.zeros(cfg.n_steps, dtype=np.int64)
+    by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=weights.size))[:-1])
+    for j, u_j in enumerate(by_pick):
+        counts += np.searchsorted(u_j, curves[:, j], side="left")
+
+    alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
+    kets = f.T[picks[alive]]
+    return counts, kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
 def rho_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):

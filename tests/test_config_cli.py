@@ -429,6 +429,8 @@ MALFORMED_SCENARIOS = [
     # t_max / tau overflows to inf: a step count above the cap too
     ("protocol_symmetric", {"t_max": 1e300, "tau": 1e-300, "n_steps": None}),
     ("sweep_tau", {"grid": [{"tau": 0.01, "t_max": 1.0}, {"tau": 1e-300, "t_max": 1e300}], "with_protocol": True}),
+    ("protocol_symmetric", {"n_traj": 10**12}),  # above protocol.MAX_TRAJECTORIES
+    ("protocol_symmetric", {"n_traj": 10**30}),
 ]
 
 

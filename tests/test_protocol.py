@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zenon.linalg
-from helpers import random_hermitian, stepwise_trajectories, taylor_expm
+from helpers import random_hermitian, random_ket, sorting_trajectories, stepwise_trajectories, taylor_expm
 from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
 from zenon.effective import AncillaSpec, derive_effective, kraus_step
 from zenon.errors import (
@@ -21,6 +21,8 @@ from zenon.errors import (
 from zenon.linalg import EIGVALSH_MIN_DIM, frobenius_norm, hermitian_eig, kron
 from zenon.protocol import (
     MAX_PROTOCOL_STEPS,
+    MAX_TRAJECTORIES,
+    MC_CHUNK,
     ProtocolConfig,
     TrajectoryEnsemble,
     conditional_survival_curve,
@@ -278,10 +280,89 @@ def test_simulate_trajectories_mixed_initial_state():
 
 def test_simulate_trajectories_validation():
     cfg = _cfg(n_steps=5)
-    with pytest.raises(ValidationError):
-        simulate_trajectories(cfg, DensityMatrix.basis_state(4, 0), n_traj=0, seed=1)
+    rho0 = DensityMatrix.basis_state(4, 0)
+    # seed None would draw OS entropy; -1, 1.5 and the bools are not nonnegative ints
+    for bad in (
+        {"n_traj": 0},
+        {"n_traj": MAX_TRAJECTORIES + 1},
+        {"n_traj": 2.5},
+        {"n_traj": True},
+        {"seed": None},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": False},
+    ):
+        with pytest.raises(ValidationError):
+            simulate_trajectories(cfg, rho0, **{"n_traj": 10, "seed": 1, **bad})
+    ens = simulate_trajectories(cfg, rho0, n_traj=np.int64(10), seed=np.uint32(1))
+    assert ens.survival_counts.shape == (5,)
     with pytest.raises(BadDimensionError):
         simulate_trajectories(cfg, DensityMatrix.basis_state(2, 0), n_traj=10, seed=1)
+
+
+def test_philox_stream_continues_across_chunked_draws():
+    def stream():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+
+    whole = stream().random((70_001, 2))
+    rng = stream()
+    chunked = np.concatenate([rng.random((n, 2)) for n in (65_536, 3, 4_462)])
+    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+
+_SYMMETRIC = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1.0, g_z=0.3))
+_FLIP = kron(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
+_KETS = [random_ket(np.random.Generator(np.random.PCG64(14)), 4) for _ in range(2)]
+# start -> (composite H, tau, rho0); "annihilating" is the ancilla flip of
+# test_simulate_trajectories_annihilating_step_has_no_survivors
+_SORTING_ORACLE_STARTS = {
+    "pure": (_SYMMETRIC, 0.05, DensityMatrix.basis_state(4, 1)),
+    "rank2": (_SYMMETRIC, 0.05, DensityMatrix(rho=sum(w * np.outer(k, k.conj()) for w, k in zip((0.6, 0.4), _KETS)))),
+    "maximally_mixed": (_SYMMETRIC, 0.05, DensityMatrix.maximally_mixed(4)),
+    "zero_weight_eigenket": (_SYMMETRIC, 0.05, DensityMatrix(rho=np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))),
+    "annihilating": (_FLIP, math.pi / 2, DensityMatrix.maximally_mixed(2)),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7, 200])
+@pytest.mark.parametrize("start", list(_SORTING_ORACLE_STARTS))
+def test_waiting_time_counts_are_the_sorting_counts_bit_for_bit(start, n_steps):
+    h, tau, rho0 = _SORTING_ORACLE_STARTS[start]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StroboscopicRegimeWarning)  # tau = pi/2 is outside the regime
+        cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
+    for n_traj in (1, 2000, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK - 5):
+        for seed in (0, 7, 123):
+            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=seed, keep_states=True)
+            counts, states = sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
+            assert ens.survival_counts.dtype == counts.dtype
+            assert np.array_equal(ens.survival_counts, counts)
+            assert ens.survived_states.shape == states.shape
+            assert np.array_equal(ens.survived_states.view(np.int64), states.view(np.int64))
+
+
+def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkeypatch):
+    # Philox uniforms almost never equal a curve value, so feed u = 0.0 against
+    # the annihilating step, whose curve reaches exactly 0.0: u < 0.0 fails there
+    with pytest.warns(StroboscopicRegimeWarning):
+        cfg = ProtocolConfig(h=_FLIP, spec=AncillaSpec(), tau=math.pi / 2, n_steps=20)
+    rho0 = DensityMatrix.maximally_mixed(2)
+    rows = np.array([[0.2, 0.0], [0.7, 0.0], [0.9, 0.5]] * (MC_CHUNK // 2))
+
+    class Rows:
+        def __init__(self, bit_generator):
+            self.used = 0
+
+        def random(self, shape):
+            self.used += shape[0]
+            return rows[self.used - shape[0] : self.used]
+
+    monkeypatch.setattr(np.random, "Generator", Rows)
+    ens = simulate_trajectories(cfg, rho0, n_traj=len(rows), seed=0, keep_states=True)
+    counts, states = sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
+    assert np.array_equal(ens.survival_counts, counts)
+    assert 0 == counts[-1] < counts[0]
+    assert ens.survived_states.shape == states.shape == (0, 2)
 
 
 def _binomial_z(counts, p, n):
@@ -376,16 +457,21 @@ def test_simulate_trajectories_prefix_stable_in_n_traj():
 
 
 def test_simulate_trajectories_memory_independent_of_draw_count():
-    # 10^6 trajectories x 10^4 steps would need 80 GB of stepwise uniforms
+    # 10^6 trajectories x 10^4 steps would need 80 GB of stepwise uniforms;
+    # drawn MC_CHUNK rows at a time, 10^6 trajectories peak where 10^4 do
+    assert MC_CHUNK <= 10_000
     cfg = _cfg(n_steps=10_000, tau=0.005)
     rho0 = DensityMatrix.maximally_mixed(4)
-    tracemalloc.start()
-    try:
-        ens = simulate_trajectories(cfg, rho0, n_traj=1_000_000, seed=99)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100e6
+    simulate_trajectories(cfg, rho0, n_traj=1, seed=99)  # a first draw imports numpy's seeding modules
+    peaks = []
+    for n_traj in (10_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=99)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 256 * 1024
     p = conditional_survival_curve(cfg, rho0)[-1]
     assert _binomial_z(ens.survival_counts[-1:], p, 1_000_000)[0] < 4.0
 
