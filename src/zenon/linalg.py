@@ -97,9 +97,11 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _symmetrized(a) -> np.ndarray:
-    """hermitian_part of a matrix that passes is_hermitian, else
-    NotHermitianError; A^dag is formed once for the check and the sum."""
+def as_hermitian(a) -> np.ndarray:
+    """The package's one Hermiticity gate: as_cmatrix(a) symmetrized to
+    (A + A^dag) / 2 bit for bit, or NotHermitianError unless
+    ||A - A^dag||_F <= HERMITICITY_RTOL ||A||_F (a NaN fails); one copy of A
+    and one A^dag serve the check and the sum."""
     m = as_cmatrix(a)
     adj = _adjoint(m)
     if not frobenius_norm(m - adj) <= HERMITICITY_RTOL * frobenius_norm(m):
@@ -111,18 +113,21 @@ def _symmetrized(a) -> np.ndarray:
 
 def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, symmetrized before solving."""
-    return EigenDecomposition(*np.linalg.eigh(_symmetrized(a)))
+    return EigenDecomposition(*np.linalg.eigh(as_hermitian(a)))
 
 
 def hermitian_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, for a caller that reads no
-    eigenvector: hermitian_eig's check and symmetrization, then eigvalsh from
-    dimension EIGVALSH_MIN_DIM on.  Below it eigh's eigenvalues serve: the
-    vectors cost microseconds there, while a first eigvalsh maps 64 KB of
-    LAPACK code (its eigenvalue-only tridiagonal solver) that a small run
-    never needs otherwise."""
-    m = _symmetrized(a)
-    return np.linalg.eigvalsh(m) if m.shape[0] >= EIGVALSH_MIN_DIM else np.linalg.eigh(m)[0]
+    eigenvector: as_hermitian, then _eigvals."""
+    return _eigvals(as_hermitian(a))
+
+
+def _eigvals(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a gated Hermitian h: eigvalsh from dimension
+    EIGVALSH_MIN_DIM on.  Below it eigh's eigenvalues serve: the vectors cost
+    microseconds there, while a first eigvalsh maps 64 KB of LAPACK code (its
+    eigenvalue-only tridiagonal solver) that a small run never needs otherwise."""
+    return np.linalg.eigvalsh(h) if h.shape[0] >= EIGVALSH_MIN_DIM else np.linalg.eigh(h)[0]
 
 
 def expm(a) -> np.ndarray:
@@ -166,10 +171,12 @@ def psd_eig(a) -> EigenDecomposition:
     return eig
 
 
-def check_psd(a) -> None:
-    """psd_eig's verdict from the eigenvalues alone: raises what psd_eig
-    raises, for a caller that keeps no eigenvector."""
-    _psd_rule(a, hermitian_eigvals(a))
+def as_psd(a) -> np.ndarray:
+    """The package's one PSD gate: as_hermitian(a), returned once _psd_rule
+    has read its eigenvalues alone (_eigvals); raises what psd_eig raises."""
+    h = as_hermitian(a)
+    _psd_rule(a, _eigvals(h))
+    return h
 
 
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:

@@ -135,6 +135,32 @@ def test_parse_initial_state_forms():
             parse_initial_state(bad, 4)
 
 
+# Kets whose 2-norm under- or overflows a double, each with a ket of the same
+# state whose norm does not: the runs must write the same timeseries.csv.
+EXTREME_KETS = [
+    ([1e200, 0, 0, 1e200], [1, 0, 0, 1]),
+    ([1e-170, 0, 0, 1e-170], [1, 0, 0, 1]),
+    ([5e-324, 0, 0, 5e-324], [1, 0, 0, 1]),
+    ([[3e-310, 4e-310], 0, 0, 0], [[0.6, 0.8], 0, 0, 0]),
+    ([[1.7e308, 1.7e308], 0, 0, 0], [[1, 1], 0, 0, 0]),  # a modulus past the double range
+]
+
+
+@pytest.mark.parametrize(
+    "ket, same_state", EXTREME_KETS, ids=["1e200", "1e-170", "5e-324", "3e-310+4e-310j", "1.7e308+1.7e308j"]
+)
+def test_cli_simulate_runs_a_ket_whose_norm_under_or_overflows(ket, same_state, tmp_path, repo_cwd):
+    scenario = json.loads((CONFIGS / "simulate_symmetric.json").read_text())
+    written = []
+    for name, state in (("extreme", ket), ("plain", same_state)):
+        scenario["initial_state"] = state
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(scenario))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "timeseries.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cli_derive_writes_loadable_effective(tmp_path, repo_cwd):
     out = tmp_path / "derive"
     assert main(["derive", "--config", "configs/derive_symmetric.json", "--out", str(out)]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    expression_hermitian_part,
     random_hermitian,
     random_ket,
     random_psd,
@@ -19,6 +20,7 @@ from helpers import (
 from zenon.chain import chain_block_size, renormalized_blocks
 from zenon.dynamics import (
     STEP_NORM_LIMIT,
+    _integrate_factor,
     ConditionalState,
     DensityMatrix,
     basis_labels,
@@ -65,6 +67,77 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _words(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _nearly_hermitian(m: np.ndarray, rng) -> np.ndarray:
+    """m plus an anti-Hermitian part of relative size 1e-13, inside HERMITICITY_RTOL."""
+    k = random_hermitian(rng, m.shape[0])
+    return m + (1e-13 * frobenius_norm(m) / frobenius_norm(k)) * 1j * k
+
+
+@pytest.mark.parametrize("nearly", [False, True], ids=["exactly", "nearly"])
+def test_validated_types_store_the_hermitian_part_of_their_input(nearly):
+    rng = np.random.Generator(np.random.PCG64(41))
+
+    def given(m, scale=1.0):
+        m = expression_hermitian_part(m) * scale
+        return _nearly_hermitian(m, rng) if nearly else m
+
+    psd = random_psd(rng, 6)
+    rho, rho_c = given(psd, 1 / trace(psd).real), given(psd, 0.4 / trace(psd).real)
+    h0, gamma = given(random_hermitian(rng, 6)), given(random_psd(rng, 6))
+    eff = EffectiveHamiltonian(h0=h0, gamma=gamma, tau=0.1)
+    for stored, m in (
+        (DensityMatrix(rho).rho, rho),
+        (ConditionalState(rho_c, trace(rho_c).real, 1.0).rho_c, rho_c),
+        (eff.h0, h0),
+        (eff.gamma, gamma),
+    ):
+        assert np.array_equal(_words(stored), _words(expression_hermitian_part(m)))
+
+
+def test_density_matrix_peak_memory_is_three_copies_of_its_input():
+    # as_psd's one copy, one A^dag and one residual; nothing survives to the
+    # eigenvalue read but the symmetrized state
+    psd = random_psd(np.random.Generator(np.random.PCG64(42)), 512)
+    rho = psd / trace(psd).real
+    tracemalloc.start()
+    try:
+        DensityMatrix(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * rho.nbytes
+
+
+def test_from_pure_normalizes_a_ket_whose_norm_under_or_overflows():
+    ref = DensityMatrix.from_pure([1, 0, 0, 1]).rho
+    for scale in (1e200, 1e-170, 5e-324):
+        assert np.array_equal(_words(DensityMatrix.from_pure([scale, 0, 0, scale]).rho), _words(ref))
+    for ket, same_state in (([3e-310 + 4e-310j, 0], [0.6 + 0.8j, 0]), ([1.7e308 + 1.7e308j, 0], [1 + 1j, 0])):
+        assert np.array_equal(_words(DensityMatrix.from_pure(ket).rho), _words(DensityMatrix.from_pure(same_state).rho))
+    with pytest.raises(ValidationError, match="zero vector"):
+        DensityMatrix.from_pure(np.zeros(3))
+
+
+@pytest.mark.parametrize("ket", [[np.nan, 0], [np.inf, 0], [complex(0, np.nan), 1], [1e300, -np.inf]])
+def test_from_pure_rejects_non_finite_amplitudes(ket):
+    with pytest.raises(ValidationError, match="non-finite amplitudes"):
+        DensityMatrix.from_pure(ket)
+
+
+def test_a_nan_ket_fails_the_norm_checks():
+    eff = EffectiveHamiltonian(h0=np.diag([0.5, -0.5]), gamma=np.diag([1.0, 0.0]), tau=0.1)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="normalized"):
+            integrate_pure_nonlinear(eff, [np.nan, 0.0], t)
+    # the per-step drift check, on a factor that is NaN from the start
+    with pytest.raises(NumericalError, match="drift"):
+        _integrate_factor(eff, np.array([np.nan, 0.0], dtype=complex), 1.0, None)
 
 
 def test_density_matrix_rejects_what_state_factor_rejects():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,19 @@ def test_derive_effective_gamma_equals_coupling_product():
     _, b, c, _ = ancilla_blocks(h, AncillaSpec())
     assert np.allclose(eff.gamma, b @ c, atol=1e-12)
     assert np.allclose(b, dagger(c), atol=1e-14)
+
+
+def test_derive_effective_peak_memory_is_three_copies_of_its_input():
+    # as_hermitian's copy, A^dag and residual of H bound the peak; the blocks
+    # are released before the constructor gates h0 and Gamma
+    h = random_hermitian(np.random.Generator(np.random.PCG64(12)), 512)
+    tracemalloc.start()
+    try:
+        derive_effective(h, AncillaSpec(), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * h.nbytes
 
 
 def test_derive_effective_rejects_non_hermitian():

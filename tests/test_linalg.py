@@ -19,7 +19,8 @@ from zenon.errors import NotHermitianError, NotPSDError, ValidationError
 from zenon.linalg import (
     EIGVALSH_MIN_DIM,
     as_cmatrix,
-    check_psd,
+    as_hermitian,
+    as_psd,
     commutator,
     dagger,
     expm,
@@ -128,7 +129,12 @@ def test_one_pass_hermitian_helpers_match_the_expression_forms_bit_for_bit(kind,
         assert not is_hermitian(a)
     elif kind == "hermitian" or (kind == "signed_zeros" and seed % 2):
         assert hermitian_residual(a) == 0.0 and is_hermitian(a, 0.0)
-    if is_hermitian(a):
+    if not is_hermitian(a):
+        with pytest.raises(NotHermitianError):
+            as_hermitian(a)
+    else:
+        gated = as_hermitian(a)  # the gate returns the expression form, as a complex matrix
+        assert gated.dtype == complex and np.array_equal(_bits(gated), _bits(expression_hermitian_part(as_cmatrix(a))))
         eig, ref = hermitian_eig(a), np.linalg.eigh(expression_hermitian_part(as_cmatrix(a)))
         assert np.array_equal(_bits(eig.eigenvalues), _bits(ref[0]))
         assert np.array_equal(_bits(eig.eigenvectors), _bits(ref[1]))
@@ -142,11 +148,11 @@ def test_psd_eig_matches_its_expression_form_bit_for_bit(seed, dim):
     eig, ref = psd_eig(m), expression_psd_eig(m)
     assert np.array_equal(_bits(eig.eigenvalues), _bits(ref.eigenvalues))
     assert np.array_equal(_bits(eig.eigenvectors), _bits(ref.eigenvectors))
-    check_psd(m)
+    assert np.array_equal(_bits(as_psd(m)), _bits(expression_hermitian_part(m)))
 
 
 def test_eigenvalue_helpers_share_the_hermiticity_check():
-    for check in (hermitian_eigvals, check_psd, psd_eig):
+    for check in (hermitian_eigvals, as_psd, psd_eig):
         with pytest.raises(NotHermitianError):
             check(np.array([[0, 1], [0, 0]]))
         with pytest.raises(NotHermitianError):
@@ -167,12 +173,12 @@ def test_check_psd_gives_psd_eig_verdict_and_message_at_the_rule_boundary(seed, 
         w[0] = -factor * tol
         a = (v * w) @ dagger(v)  # exactly as V diag(w) V^dag
         if factor < 1:
-            check_psd(a)
+            as_psd(a)
             psd_eig(a)
             expression_psd_eig(a)
             continue
         messages = []
-        for check in (check_psd, psd_eig, expression_psd_eig):
+        for check in (as_psd, psd_eig, expression_psd_eig):
             with pytest.raises(NotPSDError) as info:
                 check(a)
             messages.append(PSD_MESSAGE.fullmatch(str(info.value)))
