@@ -133,9 +133,10 @@ def test_one_pass_hermitian_helpers_match_the_expression_forms_bit_for_bit(kind,
         with pytest.raises(NotHermitianError):
             as_hermitian(a)
     else:
-        gated = as_hermitian(a)  # the gate returns the expression form, as a complex matrix
-        assert gated.dtype == complex and np.array_equal(_bits(gated), _bits(expression_hermitian_part(as_cmatrix(a))))
-        eig, ref = hermitian_eig(a), np.linalg.eigh(expression_hermitian_part(as_cmatrix(a)))
+        expected = expression_hermitian_part(as_cmatrix(a))
+        gated = as_hermitian(a)  # the expression form, as a complex matrix
+        assert gated.dtype == complex and np.array_equal(_bits(gated), _bits(expected))
+        eig, ref = hermitian_eig(a), np.linalg.eigh(expected)
         assert np.array_equal(_bits(eig.eigenvalues), _bits(ref[0]))
         assert np.array_equal(_bits(eig.eigenvectors), _bits(ref[1]))
         assert np.allclose(hermitian_eigvals(a), ref[0], rtol=0, atol=1e-13 * max(1.0, frobenius_norm(a)))
