@@ -6,8 +6,10 @@ the same number of rows in both; a cell that reads as an integer must match
 exactly, and for every other column the largest absolute difference is
 printed.  A JSON file is compared value by value: the same keys, list
 lengths, strings, booleans and integers, with the largest absolute
-difference of its floats printed.  Any other file is compared byte for
-byte.  A file that is byte-identical is reported as such.
+difference of its floats printed.  A CSV or JSON file whose bytes differ
+also reports how many of its floats are a zero whose sign flipped (0.0
+against -0.0), a change that no difference shows.  Any other file is
+compared byte for byte.  A file that is byte-identical is reported as such.
 
 Exits 1 on a missing file, a header or shape mismatch, a mismatch in an
 exact value (an integer, a string, a key) or another file whose bytes
@@ -33,6 +35,14 @@ def _float_diff(a: float, b: float) -> float:
     return abs(a - b) if math.isfinite(a - b) else math.inf
 
 
+def _zero_flip(a: float, b: float) -> bool:
+    return a == 0 == b and math.copysign(1.0, a) != math.copysign(1.0, b)
+
+
+def _flip_report(flips: int) -> list[str]:
+    return [f"  zero sign flips: {flips}"] if flips else []
+
+
 def compare_csv(a: Path, b: Path) -> tuple[list[str], list[str]]:
     """(errors, report lines) for two CSV files."""
     with open(a, newline="") as fa, open(b, newline="") as fb:
@@ -43,6 +53,7 @@ def compare_csv(a: Path, b: Path) -> tuple[list[str], list[str]]:
         return [f"row count {len(rows_a) - 1} vs {len(rows_b) - 1}"], []
     header = rows_a[0]
     errors = []
+    flips = 0
     worst = dict.fromkeys(header)  # column -> largest float difference, None if integers only
     for line, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), 2):
         if len(ra) != len(header) or len(rb) != len(header):
@@ -53,39 +64,47 @@ def compare_csv(a: Path, b: Path) -> tuple[list[str], list[str]]:
                 if x != y:
                     errors.append(f"line {line}, column {col}: integer {x} vs {y}")
             else:
-                worst[col] = max(worst[col] or 0.0, _float_diff(float(x), float(y)))
+                fx, fy = float(x), float(y)
+                worst[col] = max(worst[col] or 0.0, _float_diff(fx, fy))
+                flips += _zero_flip(fx, fy)
     report = [
         f"  {col}: integers equal" if d is None else f"  {col}: max |diff| {d:.3e}"
         for col, d in worst.items()
     ]
-    return errors, report
+    return errors, report + _flip_report(flips)
 
 
-def _walk_json(x, y, where: str, errors: list[str]) -> float:
-    """Largest float difference between x and y; exact mismatches go to errors."""
+def _float_pairs(x, y, where: str, errors: list[str]):
+    """Yield the matching float pairs of x and y; exact mismatches go to errors."""
     if isinstance(x, dict) and isinstance(y, dict):
         if x.keys() != y.keys():
             errors.append(f"{where}: keys {sorted(x)} vs {sorted(y)}")
-            return 0.0
-        return max((_walk_json(x[k], y[k], f"{where}.{k}", errors) for k in x), default=0.0)
+            return
+        for k in x:
+            yield from _float_pairs(x[k], y[k], f"{where}.{k}", errors)
+        return
     if isinstance(x, list) and isinstance(y, list):
         if len(x) != len(y):
             errors.append(f"{where}: list length {len(x)} vs {len(y)}")
-            return 0.0
-        return max((_walk_json(u, v, f"{where}[{i}]", errors) for i, (u, v) in enumerate(zip(x, y))), default=0.0)
+            return
+        for i, (u, v) in enumerate(zip(x, y)):
+            yield from _float_pairs(u, v, f"{where}[{i}]", errors)
+        return
     exact = (str, bool, int, type(None), dict, list)
     if isinstance(x, float) and isinstance(y, float):
-        return _float_diff(x, y)
-    if isinstance(x, exact) or isinstance(y, exact):
+        yield x, y
+    elif isinstance(x, exact) or isinstance(y, exact):
         if type(x) is not type(y) or x != y:
             errors.append(f"{where}: {x!r} vs {y!r}")
-    return 0.0
 
 
 def compare_json(a: Path, b: Path) -> tuple[list[str], list[str]]:
     errors: list[str] = []
-    worst = _walk_json(json.loads(a.read_text()), json.loads(b.read_text()), "$", errors)
-    return errors, [f"  floats: max |diff| {worst:.3e}"]
+    worst, flips = 0.0, 0
+    for x, y in _float_pairs(json.loads(a.read_text()), json.loads(b.read_text()), "$", errors):
+        worst = max(worst, _float_diff(x, y))
+        flips += _zero_flip(x, y)
+    return errors, [f"  floats: max |diff| {worst:.3e}"] + _flip_report(flips)
 
 
 def main() -> int:

@@ -159,8 +159,9 @@ def run_roundtrip(s: Scenario) -> None:
 
 def run_figures(s: Scenario) -> None:
     out = _out_dir(s)
+    plus, minus = block_decompose(_derived(s).matrix())
     if s.model == "symmetric":
-        block = EffectiveBlockParams.from_symmetric(s.params, s.tau)
+        block = EffectiveBlockParams.from_block(minus)
         gt_max = block.gamma * s.t_max
         write_csv(
             os.path.join(out, "fig4a.csv"),
@@ -173,7 +174,6 @@ def run_figures(s: Scenario) -> None:
             fig4_coherence_rows(block, gt_max, s.n_samples),
         )
     else:
-        plus, _ = block_decompose(_derived(s).matrix())
         mxt_max = plus.mu_x * s.t_max
         write_csv(
             os.path.join(out, "fig5.csv"),

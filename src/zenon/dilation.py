@@ -151,7 +151,7 @@ def dilate(h_eff, tau: float) -> DilationResult:
     c = max(0.0, -m_min)
     coupling = eig_sqrt(EigenDecomposition(c + w / tau, eig.eigenvectors))
     h = kron(hermitian_part(m), _P0) + kron(coupling, _FLIP)
-    return DilationResult(h=hermitian_part(h), tau=tau, c=c, f=f, m=m_min)
+    return DilationResult(h=h, tau=tau, c=c, f=f, m=m_min)
 
 
 @dataclass(frozen=True)

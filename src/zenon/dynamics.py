@@ -229,8 +229,9 @@ def integrate_pure_nonlinear(
 
 
 def expectation(state, observable) -> float:
-    """tr(rho X) for Hermitian X; the imaginary part must sit below 1e-10."""
-    rho = state.rho if isinstance(state, DensityMatrix) else as_cmatrix(state)
+    """tr(rho X) for a state rho (a raw matrix must pass DensityMatrix) and
+    Hermitian X; the imaginary part must sit below 1e-10."""
+    rho = state.rho if isinstance(state, DensityMatrix) else DensityMatrix(state).rho
     x = as_hermitian(observable)
     val = trace(rho @ x)
     if abs(val.imag) > 1e-10 * max(1.0, frobenius_norm(x)):

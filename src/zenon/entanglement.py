@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import as_cmatrix, frobenius_norm, hermitian_eig
-from .spin_models import SIGMA, SymmetricParams
+from .spin_models import SIGMA
 
 PLUS_INDICES = (0, 3)
 MINUS_INDICES = (1, 2)
@@ -34,8 +34,8 @@ _SMALL_PHASE = 1e-8
 
 @dataclass(frozen=True)
 class EffectiveBlockParams:
-    """Odd-parity block of the symmetric model: coherent rate gamma and
-    measurement-induced damping rate g (both per unit time)."""
+    """Odd-parity block with Omega = 0, the closed forms' input: coherent rate
+    gamma and measurement-induced damping rate g (both per unit time)."""
 
     gamma: float
     g: float
@@ -45,21 +45,12 @@ class EffectiveBlockParams:
             raise ValidationError(f"damping rate g must be nonnegative, got {self.g}")
 
     @classmethod
-    def from_symmetric(cls, p: SymmetricParams, tau: float) -> "EffectiveBlockParams":
-        if not tau > 0:
-            raise ValidationError(f"tau must be positive, got {tau}")
-        try:
-            g = 2.0 * tau * p.g_xy**2
-        except OverflowError:  # float ** raises where float * gives inf
-            g = math.inf
-        if math.isinf(g):
-            raise NumericalError(f"damping rate 2 tau g_xy^2 overflows at g_xy = {p.g_xy:g}")
-        return cls(gamma=2.0 * p.gamma_xy, g=g)
-
-    def as_two_level(self) -> "TwoLevelBlockParams":
-        return TwoLevelBlockParams(
-            mu_z=0.0, nu_z=0.0, mu_x=self.gamma, nu_x=-self.g, sector="minus"
-        )
+    def from_block(cls, block: "TwoLevelBlockParams") -> "EffectiveBlockParams":
+        """The odd-parity block Omega = 0, omega = gamma - i g, as block_decompose
+        reads it off a derived generator."""
+        if block.sector != "minus" or block.omega_z != 0:
+            raise ValidationError(f"closed forms need the odd-parity block with Omega = 0, got {block}")
+        return cls(gamma=block.mu_x, g=-block.nu_x)
 
 
 @dataclass(frozen=True)
@@ -151,10 +142,10 @@ def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
         omega_small = (m[i, j] + m[j, i]) / 2.0
         out.append(
             TwoLevelBlockParams(
-                mu_z=omega_big.real,
-                nu_z=omega_big.imag,
-                mu_x=omega_small.real,
-                nu_x=omega_small.imag,
+                mu_z=float(omega_big.real),
+                nu_z=float(omega_big.imag),
+                mu_x=float(omega_small.real),
+                nu_x=float(omega_small.imag),
                 sector=sector,
             )
         )

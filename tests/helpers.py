@@ -99,6 +99,12 @@ def symmetric_effective_matrix(p: SymmetricParams, tau: float) -> np.ndarray:
     return m - 2j * tau * g2 * np.eye(4)
 
 
+def symmetric_odd_block(p: SymmetricParams, tau: float) -> tuple[float, float]:
+    """(gamma, g) of the symmetric model's odd-parity block by hand: the
+    coherent rate 2 gamma_xy and the damping rate 2 tau g_xy^2."""
+    return 2.0 * p.gamma_xy, 2.0 * tau * p.g_xy**2
+
+
 def anisotropic_effective_matrix(p: AnisotropicParams, tau: float) -> np.ndarray:
     """Closed-form effective generator of the anisotropic model as a Pauli
     expansion (the sigma1z sigma2z coefficient is exactly gamma_z)."""

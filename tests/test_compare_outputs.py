@@ -52,3 +52,15 @@ def test_a_file_missing_from_one_tree_fails(tmp_path):
     code, out = _compare(tmp_path, {"sweep.csv": SWEEP, "extra.json": EFFECTIVE}, {"sweep.csv": SWEEP})
     assert code == 1
     assert f"extra.json: only in {tmp_path / 'a'}" in out
+
+
+def test_sign_flips_of_zero_are_counted_per_file(tmp_path):
+    a = {"d.json": '{"H": [0.0, -0.0, 1.5, 0.0]}\n', "s.csv": "x,y\n0.0,1.0\n-0.0,0.0\n", "sweep.csv": SWEEP}
+    b = {"d.json": '{"H": [-0.0, 0.0, 1.5, 0.0]}\n', "s.csv": "x,y\n-0.0,1.0\n-0.0,-0.0\n"}
+    b["sweep.csv"] = SWEEP.replace("0.25", "0.250000000001")
+    code, out = _compare(tmp_path, a, b)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("d.json:") + 1 :][:2] == ["  floats: max |diff| 0.000e+00", "  zero sign flips: 2"]
+    assert lines[lines.index("s.csv:") + 1 :][:3] == ["  x: max |diff| 0.000e+00", "  y: max |diff| 0.000e+00", "  zero sign flips: 2"]
+    assert lines[lines.index("sweep.csv:") + 1 :] == ["  tau: max |diff| 0.000e+00", "  p: max |diff| 1.000e-12"]

@@ -16,6 +16,7 @@ from helpers import (
     rho_rk4,
     rowwise_timeseries_csv,
     stepwise_chain,
+    symmetric_odd_block,
 )
 from zenon.chain import chain_block_size, renormalized_blocks
 from zenon.dynamics import (
@@ -196,9 +197,7 @@ def test_evolve_conditional_matches_two_level_closed_form():
     # gamma_z = g_z = 0 puts |01>,|10> in a closed two-level sector with
     # exactly solvable transition and survival probabilities
     eff = _symmetric_eff(gamma_xy=0.7, gamma_z=0.0, g_xy=0.9, g_z=0.0, tau=0.04)
-    block = EffectiveBlockParams.from_symmetric(
-        SymmetricParams(0.7, 0.0, 0.9, 0.0), 0.04
-    )
+    block = EffectiveBlockParams(*symmetric_odd_block(SymmetricParams(0.7, 0.0, 0.9, 0.0), 0.04))
     rho0 = DensityMatrix.basis_state(4, 1)  # |01>
     for t in (0.3, 1.1, 2.9):
         cs = evolve_conditional(eff, rho0, t)
@@ -295,6 +294,18 @@ def test_expectation_rejects_large_imaginary_part():
     rho = DensityMatrix.basis_state(2, 0)
     with pytest.raises(ValidationError):
         expectation(rho, np.array([[1j, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.array([[0, 1j], [0, 0]]), np.diag([2.0, -1.0]), np.diag([0.5, 0.4])],
+    ids=["not-hermitian", "not-psd", "not-unit-trace"],
+)
+def test_expectation_reads_a_raw_matrix_state_as_a_density_matrix(state):
+    # a bad matrix state is bad input (exit 2), never a run-time failure
+    with pytest.raises(ValidationError):
+        expectation(state, np.eye(2))
+    assert expectation(np.diag([0.75, 0.25]), np.diag([1.0, -1.0])) == 0.5
 
 
 def test_conditional_trajectory_shapes_and_monotone_survival():

@@ -9,6 +9,8 @@ from helpers import (
     anisotropic_effective_matrix,
     random_anisotropic_params,
     random_ket,
+    random_symmetric_params,
+    symmetric_odd_block,
     taylor_expm,
 )
 from zenon.dynamics import DensityMatrix
@@ -37,25 +39,36 @@ from zenon.errors import (
     NotPSDError,
     ValidationError,
 )
-from zenon.spin_models import SymmetricParams, build_anisotropic
+from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
 
-def test_effective_block_params_from_symmetric():
-    p = SymmetricParams(gamma_xy=0.1, gamma_z=0.5, g_xy=1.0, g_z=0.3)
-    block = EffectiveBlockParams.from_symmetric(p, 0.05)
-    assert block.gamma == 0.2
-    assert block.g == pytest.approx(0.1)
-    with pytest.raises(ValidationError):
-        EffectiveBlockParams.from_symmetric(p, 0.0)
+def test_effective_block_params_from_block():
+    block = EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, -0.1, sector="minus"))
+    assert (block.gamma, block.g) == (0.4, 0.1)
+    with pytest.raises(ValidationError, match="odd-parity"):
+        EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, -0.1, sector="plus"))
+    for mu_z, nu_z in ((1e-300, 0.0), (0.0, -1e-300)):
+        with pytest.raises(ValidationError, match="Omega"):
+            EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, sector="minus"))
+    with pytest.raises(ValidationError, match="damping rate"):  # an amplifying block
+        EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, 0.1, sector="minus"))
     with pytest.raises(ValidationError):
         EffectiveBlockParams(gamma=1.0, g=-0.1)
 
 
-def test_as_two_level_mapping():
-    two = EffectiveBlockParams(gamma=0.4, g=0.1).as_two_level()
-    assert (two.mu_z, two.nu_z, two.mu_x, two.nu_x) == (0.0, 0.0, 0.4, -0.1)
-    assert two.sector == "minus"
-    assert two.omega_x == 0.4 - 0.1j
+def test_from_block_of_the_derived_odd_block_matches_the_hand_rates():
+    rng = np.random.Generator(np.random.PCG64(4716))
+    for _ in range(300):
+        p = random_symmetric_params(rng)
+        tau = float(rng.uniform(0.001, 1.0))
+        plus, minus = block_decompose(derive_effective(build_symmetric(p), AncillaSpec(), tau).matrix())
+        for field in ("mu_z", "nu_z", "mu_x", "nu_x"):
+            assert type(getattr(plus, field)) is float and type(getattr(minus, field)) is float
+        assert minus.omega_z == 0
+        block = EffectiveBlockParams.from_block(minus)
+        gamma, g = symmetric_odd_block(p, tau)
+        assert block.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
+        assert block.g == pytest.approx(g, rel=1e-15, abs=0.0)
 
 
 def test_two_level_block_params():
@@ -310,10 +323,9 @@ def test_embed_block_state():
 
 def test_damped_block_converges_to_singlet():
     p = SymmetricParams(gamma_xy=0.1, gamma_z=0.5, g_xy=1.0, g_z=0.3)
-    block = EffectiveBlockParams.from_symmetric(p, 0.05)
-    two = block.as_two_level()
-    t = 75.0 / block.gamma  # tanh(2 g t) = tanh(75), fully saturated
-    psi = embed_block_state(evolve_block_state(two, [1.0, 0.0], t), "minus")
+    _, minus = block_decompose(derive_effective(build_symmetric(p), AncillaSpec(), 0.05).matrix())
+    t = 75.0 / minus.mu_x  # tanh(2 g t) = tanh(75), fully saturated
+    psi = embed_block_state(evolve_block_state(minus, [1.0, 0.0], t), "minus")
     rho = DensityMatrix.from_pure(psi)
     assert bell_fidelity(rho, "psi_minus") > 1.0 - 1e-10
     assert concurrence(rho) > 1.0 - 1e-9
@@ -321,7 +333,7 @@ def test_damped_block_converges_to_singlet():
 
 def test_fig4_rows_structure_and_asymptotes():
     p = SymmetricParams(gamma_xy=0.1, gamma_z=0.5, g_xy=1.0, g_z=0.3)
-    block = EffectiveBlockParams.from_symmetric(p, 0.05)
+    block = EffectiveBlockParams(*symmetric_odd_block(p, 0.05))
     pops = fig4_population_rows(block, gt_max=15.0, n_samples=400)
     assert len(pops) == 400
     assert pops[0] == (0.0, 0.0, 1.0)
