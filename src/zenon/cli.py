@@ -37,7 +37,7 @@ from .entanglement import (
     fig5_rows,
 )
 from .errors import ValidationError, ZenonError
-from .linalg import matrix_from_json, write_csv
+from .linalg import frobenius_norm, matrix_from_json, write_csv
 from .protocol import (
     ProtocolConfig,
     conditional_survival_curve,
@@ -159,9 +159,10 @@ def run_roundtrip(s: Scenario) -> None:
 
 def run_figures(s: Scenario) -> None:
     out = _out_dir(s)
-    plus, minus = block_decompose(_derived(s).matrix())
+    m = _derived(s).matrix()
+    plus, minus = block_decompose(m)
     if s.model == "symmetric":
-        block = EffectiveBlockParams.from_block(minus)
+        block = EffectiveBlockParams.from_block(minus, scale=frobenius_norm(m))
         gt_max = block.gamma * s.t_max
         write_csv(
             os.path.join(out, "fig4a.csv"),

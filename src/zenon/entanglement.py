@@ -45,11 +45,13 @@ class EffectiveBlockParams:
             raise ValidationError(f"damping rate g must be nonnegative, got {self.g}")
 
     @classmethod
-    def from_block(cls, block: "TwoLevelBlockParams") -> "EffectiveBlockParams":
-        """The odd-parity block Omega = 0, omega = gamma - i g, as block_decompose
-        reads it off a derived generator."""
-        if block.sector != "minus" or block.omega_z != 0:
-            raise ValidationError(f"closed forms need the odd-parity block with Omega = 0, got {block}")
+    def from_block(cls, block: "TwoLevelBlockParams", scale: float = 1.0) -> "EffectiveBlockParams":
+        """omega = gamma - i g of the odd-parity block that block_decompose read off a generator of
+        Frobenius norm `scale`; an Omega within BLOCK_TOL max(1, |omega|, scale) is its rounding."""
+        if block.sector != "minus":
+            raise ValidationError(f"closed forms need the odd-parity block, got {block}")
+        if abs(block.omega_z) > BLOCK_TOL * max(1.0, abs(block.omega_x), scale):
+            raise NumericalError(f"odd-parity block has Omega = {block.omega_z:.3e}, not 0 to rounding")
         return cls(gamma=block.mu_x, g=-block.nu_x)
 
 
@@ -167,8 +169,7 @@ def _block_matrix(block: TwoLevelBlockParams, t: float, cos_sinc) -> np.ndarray:
     in nu, so the branch does not matter, and the nu -> 0 limit is taken by
     series when |nu t| is small.
     """
-    omega_z = block.omega_z
-    omega_x = block.omega_x
+    omega_z, omega_x = block.omega_z, block.omega_x
     nu = cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
     z = nu * t
     if abs(z) < _SMALL_PHASE:
@@ -258,8 +259,7 @@ def embed_block_state(psi, sector: str) -> np.ndarray:
         raise BadDimensionError(f"block state must have 2 components, got {v.size}")
     idx = PLUS_INDICES if sector == "plus" else MINUS_INDICES
     out = np.zeros(4, dtype=complex)
-    out[idx[0]] = v[0]
-    out[idx[1]] = v[1]
+    out[list(idx)] = v
     return out
 
 

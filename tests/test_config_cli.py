@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenon.cli
+from helpers import symmetric_odd_block
 from zenon.cli import load_matrix_file, main, parse_initial_state
 from zenon.config import (
     Scenario,
@@ -24,6 +25,7 @@ from zenon.config import (
 from zenon.dilation import DilationResult
 from zenon.dynamics import DensityMatrix, default_time_step
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
+from zenon.entanglement import EffectiveBlockParams, fig4_population_rows
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
 from zenon.spin_models import SymmetricParams, build_symmetric
 
@@ -502,6 +504,23 @@ def test_cli_exit_2_on_matrix_file_number_that_is_not_a_finite_real(name, tmp_pa
     cfg.write_text(json.dumps(scenario))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("zenon: validation error")
+
+
+@pytest.mark.parametrize("gamma_z, g_z", [(-0.1, 1.0), (0.3, 2.0**23)])
+def test_cli_fig4_reads_a_rounding_omega_as_zero(gamma_z, g_z, tmp_path, repo_cwd):
+    # These couplings round the two odd-sector diagonal entries differently, so
+    # the derived Omega is a few ulps of the generator's entries, not exactly 0.
+    scenario = json.loads((CONFIGS / "fig4.json").read_text())
+    scenario["params"].update(gamma_z=gamma_z, g_z=g_z)
+    cfg = tmp_path / "fig4_rounding.json"
+    cfg.write_text(json.dumps(scenario))
+    assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    s = load_scenario(cfg)
+    block = EffectiveBlockParams(*symmetric_odd_block(s.params, s.tau))
+    expected = fig4_population_rows(block, block.gamma * s.t_max, s.n_samples)
+    rows = (tmp_path / "o" / "fig4a.csv").read_text().strip().splitlines()[1:]
+    got = [[float(v) for v in row.split(",")] for row in rows]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 # One finite value per row, large enough that the numerics overflow: a

@@ -37,8 +37,10 @@ from zenon.errors import (
     BadDimensionError,
     NotBlockDiagonalError,
     NotPSDError,
+    NumericalError,
     ValidationError,
 )
+from zenon.linalg import frobenius_norm
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
 
@@ -47,25 +49,41 @@ def test_effective_block_params_from_block():
     assert (block.gamma, block.g) == (0.4, 0.1)
     with pytest.raises(ValidationError, match="odd-parity"):
         EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, -0.1, sector="plus"))
-    for mu_z, nu_z in ((1e-300, 0.0), (0.0, -1e-300)):
-        with pytest.raises(ValidationError, match="Omega"):
-            EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, sector="minus"))
+    # An Omega within BLOCK_TOL max(1, |omega|, scale) is the generator's rounding and is
+    # dropped; a larger one is a numerical failure, since no symmetric model has one.
+    for mu_z, nu_z, scale in ((5.551115123125783e-17, 0.0, 1.0), (0.0, -1e-10, 1.0), (5e-9, 0.0, 100.0)):
+        block = EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, "minus"), scale=scale)
+        assert (block.gamma, block.g) == (0.4, 0.1)
+    for mu_z, nu_z, scale in ((1e-9, 0.0, 1.0), (0.0, -2e-10, 1.0), (2e-8, 0.0, 100.0), (0.3, 0.0, 1.0)):
+        with pytest.raises(NumericalError, match="Omega"):
+            EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, "minus"), scale=scale)
     with pytest.raises(ValidationError, match="damping rate"):  # an amplifying block
         EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, 0.1, sector="minus"))
     with pytest.raises(ValidationError):
         EffectiveBlockParams(gamma=1.0, g=-0.1)
 
 
+# Couplings whose two odd-sector diagonal entries round differently, so the derived
+# Omega is a few ulps of the generator's entries instead of exactly 0:
+# (-gamma_z + g_z) - g_z and (-gamma_z - g_z) + g_z fall in different binades.
+ROUNDING_OMEGA_MODELS = [
+    SymmetricParams(gamma_xy=0.1, gamma_z=-0.1, g_xy=1.0, g_z=1.0),
+    SymmetricParams(gamma_xy=0.1, gamma_z=0.3, g_xy=1.0, g_z=2.0**23),
+]
+
+
 def test_from_block_of_the_derived_odd_block_matches_the_hand_rates():
     rng = np.random.Generator(np.random.PCG64(4716))
-    for _ in range(300):
-        p = random_symmetric_params(rng)
-        tau = float(rng.uniform(0.001, 1.0))
-        plus, minus = block_decompose(derive_effective(build_symmetric(p), AncillaSpec(), tau).matrix())
+    models = [(p, 0.05) for p in ROUNDING_OMEGA_MODELS]
+    models += [(random_symmetric_params(rng), float(rng.uniform(0.001, 1.0))) for _ in range(300)]
+    for p, tau in models:
+        m = derive_effective(build_symmetric(p), AncillaSpec(), tau).matrix()
+        plus, minus = block_decompose(m)
         for field in ("mu_z", "nu_z", "mu_x", "nu_x"):
             assert type(getattr(plus, field)) is float and type(getattr(minus, field)) is float
-        assert minus.omega_z == 0
-        block = EffectiveBlockParams.from_block(minus)
+        if p in ROUNDING_OMEGA_MODELS:
+            assert minus.omega_z != 0
+        block = EffectiveBlockParams.from_block(minus, scale=frobenius_norm(m))
         gamma, g = symmetric_odd_block(p, tau)
         assert block.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
         assert block.g == pytest.approx(g, rel=1e-15, abs=0.0)
