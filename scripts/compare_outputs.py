@@ -6,7 +6,10 @@ the same number of rows in both; a cell that reads as an integer must match
 exactly, and for every other column the largest absolute difference is
 printed.  A JSON file is compared value by value: the same keys, list
 lengths, strings, booleans and integers, with the largest absolute
-difference of its floats printed.  A CSV or JSON file whose bytes differ
+difference of its floats printed.  Beside each largest difference stand the
+largest difference in units in the last place (|a - b| / math.ulp of the
+larger magnitude) and how many of the values changed, so a drift of a few
+rounding steps reads as such.  A CSV or JSON file whose bytes differ
 also reports how many of its floats are a zero whose sign flipped (0.0
 against -0.0), a change that no difference shows.  Any other file is
 compared byte for byte.  A file that is byte-identical is reported as such.
@@ -35,6 +38,29 @@ def _float_diff(a: float, b: float) -> float:
     return abs(a - b) if math.isfinite(a - b) else math.inf
 
 
+class Drift:
+    """The float differences of one CSV column or one JSON file."""
+
+    def __init__(self):
+        self.worst = self.worst_ulps = 0.0
+        self.changed = self.total = 0
+
+    def add(self, a: float, b: float) -> None:
+        d = _float_diff(a, b)
+        self.total += 1
+        if d:
+            self.changed += 1
+            self.worst = max(self.worst, d)
+            ulps = d / math.ulp(max(abs(a), abs(b))) if d < math.inf else d
+            self.worst_ulps = max(self.worst_ulps, ulps)
+
+    def report(self, name: str) -> str:
+        return (
+            f"  {name}: max |diff| {self.worst:.3e} ({self.worst_ulps:g} ulp),"
+            f" {self.changed} of {self.total} changed"
+        )
+
+
 def _zero_flip(a: float, b: float) -> bool:
     return a == 0 == b and math.copysign(1.0, a) != math.copysign(1.0, b)
 
@@ -54,7 +80,7 @@ def compare_csv(a: Path, b: Path) -> tuple[list[str], list[str]]:
     header = rows_a[0]
     errors = []
     flips = 0
-    worst = dict.fromkeys(header)  # column -> largest float difference, None if integers only
+    drifts = dict.fromkeys(header)  # column -> its Drift, None if integers only
     for line, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), 2):
         if len(ra) != len(header) or len(rb) != len(header):
             errors.append(f"line {line}: cell count differs from the header")
@@ -65,12 +91,10 @@ def compare_csv(a: Path, b: Path) -> tuple[list[str], list[str]]:
                     errors.append(f"line {line}, column {col}: integer {x} vs {y}")
             else:
                 fx, fy = float(x), float(y)
-                worst[col] = max(worst[col] or 0.0, _float_diff(fx, fy))
+                drifts[col] = drifts[col] or Drift()
+                drifts[col].add(fx, fy)
                 flips += _zero_flip(fx, fy)
-    report = [
-        f"  {col}: integers equal" if d is None else f"  {col}: max |diff| {d:.3e}"
-        for col, d in worst.items()
-    ]
+    report = [f"  {col}: integers equal" if d is None else d.report(col) for col, d in drifts.items()]
     return errors, report + _flip_report(flips)
 
 
@@ -100,11 +124,11 @@ def _float_pairs(x, y, where: str, errors: list[str]):
 
 def compare_json(a: Path, b: Path) -> tuple[list[str], list[str]]:
     errors: list[str] = []
-    worst, flips = 0.0, 0
+    drift, flips = Drift(), 0
     for x, y in _float_pairs(json.loads(a.read_text()), json.loads(b.read_text()), "$", errors):
-        worst = max(worst, _float_diff(x, y))
+        drift.add(x, y)
         flips += _zero_flip(x, y)
-    return errors, [f"  floats: max |diff| {worst:.3e}"] + _flip_report(flips)
+    return errors, [drift.report("floats")] + _flip_report(flips)
 
 
 def main() -> int:

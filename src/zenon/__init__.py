@@ -43,18 +43,15 @@ from .effective import (
 )
 from .entanglement import (
     BELL_STATES,
-    EffectiveBlockParams,
     FIG5_REGIMES,
     TwoLevelBlockParams,
     bell_fidelity,
     block_decompose,
     block_propagator,
-    coherence,
+    block_rows,
     concurrence,
     embed_block_state,
     evolve_block_state,
-    survival_probability,
-    transition_probability,
 )
 from .errors import (
     BadDimensionError,

@@ -27,17 +27,9 @@ from .dynamics import (
     write_timeseries_csv,
 )
 from .effective import AncillaSpec, EffectiveHamiltonian, derive_effective
-from .entanglement import (
-    EffectiveBlockParams,
-    bell_fidelity,
-    block_decompose,
-    concurrence,
-    fig4_coherence_rows,
-    fig4_population_rows,
-    fig5_rows,
-)
+from .entanglement import bell_fidelity, block_decompose, block_rows, concurrence, fig5_rows
 from .errors import ValidationError, ZenonError
-from .linalg import frobenius_norm, matrix_from_json, write_csv
+from .linalg import matrix_from_json, write_csv
 from .protocol import (
     ProtocolConfig,
     conditional_survival_curve,
@@ -159,27 +151,24 @@ def run_roundtrip(s: Scenario) -> None:
 
 def run_figures(s: Scenario) -> None:
     out = _out_dir(s)
-    m = _derived(s).matrix()
-    plus, minus = block_decompose(m)
+    plus, minus = block_decompose(_derived(s).matrix())
     if s.model == "symmetric":
-        block = EffectiveBlockParams.from_block(minus, scale=frobenius_norm(m))
-        gt_max = block.gamma * s.t_max
+        rows = block_rows(minus, minus.mu_x * s.t_max, s.n_samples)
         write_csv(
             os.path.join(out, "fig4a.csv"),
             ["gt_axis", "pop10", "pop01"],
-            fig4_population_rows(block, gt_max, s.n_samples),
+            [(gt, pop10, pop01) for gt, pop01, pop10, _, _ in rows],
         )
         write_csv(
             os.path.join(out, "fig4b.csv"),
             ["gt_axis", "re_coh", "im_coh"],
-            fig4_coherence_rows(block, gt_max, s.n_samples),
+            [(gt, re_coh, im_coh) for gt, _, _, re_coh, im_coh in rows],
         )
     else:
-        mxt_max = plus.mu_x * s.t_max
         write_csv(
             os.path.join(out, "fig5.csv"),
             ["mxt_axis", "pop11", "re_coh", "im_coh"],
-            fig5_rows(plus, mxt_max, s.n_samples),
+            fig5_rows(plus, plus.mu_x * s.t_max, s.n_samples),
         )
 
 

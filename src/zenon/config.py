@@ -39,6 +39,7 @@ _COMMAND_MODELS = {
     "figures": _SPIN_MODELS,
     "sweep": _SPIN_MODELS,
 }
+_FIGURE_STARTS = {"symmetric": "01", "anisotropic": "00"}  # first basis state of each figure's block
 
 
 def is_amplitude(v) -> bool:
@@ -121,6 +122,8 @@ class Scenario:
             raise ValidationError(f"command {self.command!r} needs tau in the scenario")
         if self.initial_state is None and self.command in ("simulate", "protocol", "sweep"):
             raise ValidationError(f"command {self.command!r} needs an initial_state in the scenario")
+        if self.command == "figures" and self.initial_state not in (None, _FIGURE_STARTS[self.model]):
+            raise ValidationError(f"figures on the {self.model} model start in {_FIGURE_STARTS[self.model]!r}")
         if self.command == "protocol" and self.n_steps is None:
             steps_for(self.t_max, self.tau)  # the step count is capped
         if self.command == "sweep":

@@ -201,22 +201,25 @@ def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
     Gamma is the product B B^dag, B = <m|H|o>.  Its second-moment form
     <m|H^2|m> - H_0^2, read from the m rows and columns of H alone, is only
     its check: the two must agree to GAMMA_FORM_ATOL (relative to the larger
-    of 1 and the moment form's norm) or a NumericalError is raised.
+    of 1 and the moment form's norm) or a NumericalError is raised, as it is,
+    without numpy's overflow warnings, for a Gamma beyond the double range.
     """
-    hm = as_hermitian(h)
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    rm, ro = ancilla_rows(hm.shape[0], spec)
-    rows = hm[rm]
-    h0 = rows[:, rm]
-    b = rows[:, ro]
-    gamma = b @ dagger(b)
-    gamma_moment = rows @ hm[:, rm] - h0 @ h0
-    gap = frobenius_norm(gamma_moment - gamma)
-    if not gap <= GAMMA_FORM_ATOL * max(1.0, frobenius_norm(gamma_moment)):
-        raise NumericalError(
-            f"the two decay-operator forms disagree by {gap:.3e} (Frobenius)"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        hm = as_hermitian(h)
+        if not tau > 0:
+            raise ValidationError(f"tau must be positive, got {tau}")
+        rm, ro = ancilla_rows(hm.shape[0], spec)
+        rows = hm[rm]
+        h0 = rows[:, rm]
+        b = rows[:, ro]
+        gamma = b @ dagger(b)
+        # a finite norm proves every entry finite; only an overflowing one needs the entry test
+        if not math.isfinite(frobenius_norm(gamma)) and not np.isfinite(gamma).all():
+            raise NumericalError("the decay operator Gamma = B B^dag overflows the double range")
+        gamma_moment = rows @ hm[:, rm] - h0 @ h0
+        gap = frobenius_norm(gamma_moment - gamma)
+        if not gap <= GAMMA_FORM_ATOL * max(1.0, frobenius_norm(gamma_moment)):
+            raise NumericalError(f"the two decay-operator forms disagree by {gap:.3e} (Frobenius)")
     del hm, rows, b, gamma_moment  # dead before the constructor gates h0 and gamma
     return EffectiveHamiltonian(h0=h0, gamma=gamma, tau=tau)
 

@@ -1,12 +1,13 @@
-"""Two-qubit block dynamics, closed forms, and entanglement measures.
+"""Two-qubit block dynamics and entanglement measures.
 
 Any 4x4 effective generator that commutes with sigma1z sigma2z splits into
 two fictitious two-level problems: the even-parity block on {|00>, |11>} and
 the odd-parity block on {|01>, |10>}.  Each block is Omega sz + omega sx up
 to a block identity, with Omega and omega complex; the identity part only
 rescales the survival probability and drops out of every normalized
-quantity, so it is ignored here.
-"""
+quantity, so it is ignored here.  Both figures are one such block started
+in its first basis state: Fig. 4 the odd block of the symmetric model,
+Fig. 5 the even block of the anisotropic one."""
 
 from __future__ import annotations
 
@@ -26,33 +27,14 @@ from .errors import (
 from .linalg import as_cmatrix, frobenius_norm, hermitian_eig
 from .spin_models import SIGMA
 
-PLUS_INDICES = (0, 3)
-MINUS_INDICES = (1, 2)
+SECTOR_INDICES = {"plus": (0, 3), "minus": (1, 2)}  # block basis in the |00>..|11> basis
 BLOCK_TOL = 1e-10
 _SMALL_PHASE = 1e-8
 
 
-@dataclass(frozen=True)
-class EffectiveBlockParams:
-    """Odd-parity block with Omega = 0, the closed forms' input: coherent rate
-    gamma and measurement-induced damping rate g (both per unit time)."""
-
-    gamma: float
-    g: float
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValidationError(f"damping rate g must be nonnegative, got {self.g}")
-
-    @classmethod
-    def from_block(cls, block: "TwoLevelBlockParams", scale: float = 1.0) -> "EffectiveBlockParams":
-        """omega = gamma - i g of the odd-parity block that block_decompose read off a generator of
-        Frobenius norm `scale`; an Omega within BLOCK_TOL max(1, |omega|, scale) is its rounding."""
-        if block.sector != "minus":
-            raise ValidationError(f"closed forms need the odd-parity block, got {block}")
-        if abs(block.omega_z) > BLOCK_TOL * max(1.0, abs(block.omega_x), scale):
-            raise NumericalError(f"odd-parity block has Omega = {block.omega_z:.3e}, not 0 to rounding")
-        return cls(gamma=block.mu_x, g=-block.nu_x)
+def _check_sector(sector) -> None:
+    if sector not in SECTOR_INDICES:
+        raise ValidationError(f"sector must be 'plus' or 'minus', got {sector!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +49,7 @@ class TwoLevelBlockParams:
     sector: str
 
     def __post_init__(self):
-        if self.sector not in ("plus", "minus"):
-            raise ValidationError(f"sector must be 'plus' or 'minus', got {self.sector!r}")
+        _check_sector(self.sector)
 
     @property
     def omega_z(self) -> complex:
@@ -80,40 +61,6 @@ class TwoLevelBlockParams:
 
     def matrix(self) -> np.ndarray:
         return self.omega_z * SIGMA["z"] + self.omega_x * SIGMA["x"]
-
-
-def _sech(x: float) -> float:
-    """2 e^{-|x|} / (1 + e^{-2|x|}); exact and overflow-free for any x."""
-    e = math.exp(-abs(x))
-    return 2.0 * e / (1.0 + e * e)
-
-
-def transition_probability(block: EffectiveBlockParams, t: float) -> float:
-    """Normalized population transferred across the odd-parity block,
-    1/2 - cos(2 gamma t) sech(2 g t) / 2."""
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
-    val = 0.5 - 0.5 * math.cos(2.0 * block.gamma * t) * _sech(2.0 * block.g * t)
-    return min(max(val, 0.0), 1.0)
-
-
-def survival_probability(block: EffectiveBlockParams, t: float) -> float:
-    """Complement of transition_probability, written in its own stable form."""
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
-    val = 0.5 + 0.5 * math.cos(2.0 * block.gamma * t) * _sech(2.0 * block.g * t)
-    return min(max(val, 0.0), 1.0)
-
-
-def coherence(block: EffectiveBlockParams, t: float) -> complex:
-    """Normalized off-diagonal element between the two block states,
-    -(tanh(2 g t) - i sin(2 gamma t) sech(2 g t)) / 2; tends to -1/2."""
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
-    return complex(
-        -0.5 * math.tanh(2.0 * block.g * t),
-        0.5 * math.sin(2.0 * block.gamma * t) * _sech(2.0 * block.g * t),
-    )
 
 
 def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
@@ -135,7 +82,7 @@ def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
                     f"entry ({i},{j}) = {m[i, j]:.3e} couples the parity sectors"
                 )
     out = []
-    for sector, (i, j) in (("plus", PLUS_INDICES), ("minus", MINUS_INDICES)):
+    for sector, (i, j) in SECTOR_INDICES.items():
         if abs(m[i, j] - m[j, i]) / 2 > tol:
             raise NotBlockDiagonalError(
                 f"{sector} block has an antisymmetric coupling component"
@@ -154,18 +101,11 @@ def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
     return out[0], out[1]
 
 
-def _damped_cos_sinc(z: complex, nu: complex) -> tuple[complex, complex]:
-    """cos(z) and sin(z) / nu, both times e^{-|Im z|} so neither overflows."""
-    damp = abs(z.imag)
-    plus = cmath.exp(1j * z - damp)
-    minus = cmath.exp(-1j * z - damp)
-    return (plus + minus) / 2.0, (plus - minus) / (2j * nu)
+def _cos_sinc(block: TwoLevelBlockParams, t: float, damped: bool) -> tuple[complex, complex]:
+    """cos(nu t) and sin(nu t) / nu of the block; damped, both times
+    e^{-|Im nu t|}, so neither overflows.
 
-
-def _block_matrix(block: TwoLevelBlockParams, t: float, cos_sinc) -> np.ndarray:
-    """cos I - i sinc (Omega sz + omega sx), with (cos, sinc) = cos_sinc(nu t, nu).
-
-    nu = sqrt(Omega^2 + omega^2) on the principal branch; the result is even
+    nu = sqrt(Omega^2 + omega^2) on the principal branch; both terms are even
     in nu, so the branch does not matter, and the nu -> 0 limit is taken by
     series when |nu t| is small.
     """
@@ -173,9 +113,18 @@ def _block_matrix(block: TwoLevelBlockParams, t: float, cos_sinc) -> np.ndarray:
     nu = cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
     z = nu * t
     if abs(z) < _SMALL_PHASE:
-        cos_term, sinc_term = 1.0 - z * z / 2.0, t * (1.0 - z * z / 6.0)
-    else:
-        cos_term, sinc_term = cos_sinc(z, nu)
+        return 1.0 - z * z / 2.0, t * (1.0 - z * z / 6.0)
+    if not damped:
+        return cmath.cos(z), cmath.sin(z) / nu
+    plus = cmath.exp(1j * z - abs(z.imag))
+    minus = cmath.exp(-1j * z - abs(z.imag))
+    return (plus + minus) / 2.0, (plus - minus) / (2j * nu)
+
+
+def _block_matrix(block: TwoLevelBlockParams, t: float, damped: bool) -> np.ndarray:
+    """cos I - i sinc (Omega sz + omega sx), with (cos, sinc) = _cos_sinc(block, t, damped)."""
+    cos_term, sinc_term = _cos_sinc(block, t, damped)
+    omega_z, omega_x = block.omega_z, block.omega_x
     return np.array(
         [
             [cos_term - 1j * sinc_term * omega_z, -1j * sinc_term * omega_x],
@@ -186,7 +135,7 @@ def _block_matrix(block: TwoLevelBlockParams, t: float, cos_sinc) -> np.ndarray:
 
 def block_propagator(block: TwoLevelBlockParams, t: float) -> np.ndarray:
     """exp(-i (Omega sz + omega sx) t) in closed form."""
-    return _block_matrix(block, t, lambda z, nu: (cmath.cos(z), cmath.sin(z) / nu))
+    return _block_matrix(block, t, damped=False)
 
 
 def evolve_block_state(block: TwoLevelBlockParams, psi0, t: float) -> np.ndarray:
@@ -201,7 +150,7 @@ def evolve_block_state(block: TwoLevelBlockParams, psi0, t: float) -> np.ndarray
         raise BadDimensionError(f"block state must have 2 components, got {psi.size}")
     if np.linalg.norm(psi) == 0:
         raise ValidationError("block state must be nonzero")
-    out = _block_matrix(block, t, _damped_cos_sinc) @ psi
+    out = _block_matrix(block, t, damped=True) @ psi
     nrm = np.linalg.norm(out)
     if not nrm > 0 or not math.isfinite(nrm):
         raise NumericalError(f"block state norm collapsed to {nrm}")
@@ -257,52 +206,46 @@ def embed_block_state(psi, sector: str) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).ravel()
     if v.size != 2:
         raise BadDimensionError(f"block state must have 2 components, got {v.size}")
-    idx = PLUS_INDICES if sector == "plus" else MINUS_INDICES
+    _check_sector(sector)
     out = np.zeros(4, dtype=complex)
-    out[list(idx)] = v
+    out[list(SECTOR_INDICES[sector])] = v
     return out
 
 
-def _time_axis(rate: float, x_max: float, n_samples: int, name: str) -> list[tuple[float, float]]:
-    """(x, t) on n_samples uniform points x = x_max k / (n_samples - 1) of the
-    dimensionless time x = rate * t; a zero rate (called name) sets no axis."""
-    if rate == 0:
-        raise ValidationError(f"curves need {name} != 0 to set the time axis")
-    xs = [x_max * k / (n_samples - 1) for k in range(n_samples)]
-    return [(x, x / rate) for x in xs]
+def block_rows(block: TwoLevelBlockParams, x_max: float, n_samples: int = 400):
+    """Rows (x, pop_first, pop_second, re_coh, im_coh) of the block started in
+    its first basis state (|00> or |01>), on n_samples uniform points
+    x = x_max k / (n_samples - 1) of the dimensionless time mu_x * t.
 
-
-def fig4_population_rows(block: EffectiveBlockParams, gt_max: float = 15.0, n_samples: int = 400):
-    """Rows (gt_axis, pop10, pop01) on a uniform grid of the dimensionless
-    time gamma * t."""
-    return [
-        (gt, transition_probability(block, t), survival_probability(block, t))
-        for gt, t in _time_axis(block.gamma, gt_max, n_samples, "gamma")
-    ]
-
-
-def fig4_coherence_rows(block: EffectiveBlockParams, gt_max: float = 15.0, n_samples: int = 400):
-    """Rows (gt_axis, re_coh, im_coh) on the same grid as the populations."""
+    The state (cos - i sinc Omega, -i sinc omega) is the propagator's first
+    column with cos and sinc scaled by e^{-|Im nu t|}, normalized; coh is
+    psi_first psi_second^*.
+    """
+    if block.mu_x == 0 or x_max / block.mu_x < 0:
+        raise ValidationError(f"the time axis x = mu_x t needs mu_x != 0 and t >= 0, got mu_x {block.mu_x}")
     rows = []
-    for gt, t in _time_axis(block.gamma, gt_max, n_samples, "gamma"):
-        c = coherence(block, t)
-        rows.append((gt, c.real, c.imag))
+    for k in range(n_samples):
+        x = x_max * k / (n_samples - 1)
+        cos_term, sinc_term = _cos_sinc(block, x / block.mu_x, damped=True)
+        first = cos_term - 1j * sinc_term * block.omega_z
+        second = -1j * sinc_term * block.omega_x
+        w_first = first.real * first.real + first.imag * first.imag
+        w_second = second.real * second.real + second.imag * second.imag
+        weight = w_first + w_second
+        if not 0 < weight < math.inf:
+            raise NumericalError(f"block state weight |psi|^2 = {weight} is not positive and finite")
+        coh = first * second.conjugate() / weight
+        rows.append((x, w_first / weight, w_second / weight, coh.real, coh.imag))
     return rows
 
 
 def fig5_rows(block: TwoLevelBlockParams, mxt_max: float = 40.0, n_samples: int = 400):
     """Rows (mxt_axis, pop11, re_coh, im_coh) for the even-parity block
     started in |00>, on a uniform grid of mu_x * t."""
-    axis = _time_axis(block.mu_x, mxt_max, n_samples, "mu_x")
     if block.sector != "plus":
         raise ValidationError("fig5 curves live in the even-parity sector")
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    rows = []
-    for mxt, t in axis:
-        psi = evolve_block_state(block, psi0, t)
-        coh = psi[0] * np.conj(psi[1])
-        rows.append((mxt, float(abs(psi[1]) ** 2), coh.real, coh.imag))
-    return rows
+    rows = block_rows(block, mxt_max, n_samples)
+    return [(mxt, pop11, re_coh, im_coh) for mxt, _, pop11, re_coh, im_coh in rows]
 
 
 FIG5_REGIMES = {

@@ -140,7 +140,8 @@ def expm(a) -> np.ndarray:
     """
     m = as_cmatrix(a)
     n = m.shape[0]
-    nrm = frobenius_norm(m)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        nrm = frobenius_norm(m)
     if not np.isfinite(nrm):
         raise NumericalError(f"matrix exponential of a matrix with Frobenius norm {nrm}")
     squarings = 0

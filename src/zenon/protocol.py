@@ -89,7 +89,8 @@ class ProtocolConfig:
             raise ValidationError(f"n_steps must be in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps}")
         ancilla_order(hm.shape[0], self.spec)  # validates dimension and site
         object.__setattr__(self, "h", hm)
-        eig = hermitian_eig(hm)
+        with np.errstate(over="ignore"):  # a spectrum too wide to resolve fails in kraus_from_eig
+            eig = hermitian_eig(hm)
         tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
         if tau_spread >= 1.0:
             warnings.warn(

@@ -1,4 +1,5 @@
-"""Shared test utilities: random draws, independent closed-form oracles, the
+"""Shared test utilities: random draws, independent closed-form oracles (among
+them the odd-parity block's populations and coherence), the
 two hand-written nine-term spin Hamiltonians that the bond builder must
 match, the stepwise Monte Carlo sampler that the waiting-time one is checked
 against, the sorting survivor counter that its search must match bit for
@@ -103,6 +104,41 @@ def symmetric_odd_block(p: SymmetricParams, tau: float) -> tuple[float, float]:
     """(gamma, g) of the symmetric model's odd-parity block by hand: the
     coherent rate 2 gamma_xy and the damping rate 2 tau g_xy^2."""
     return 2.0 * p.gamma_xy, 2.0 * tau * p.g_xy**2
+
+
+# Closed forms of the odd-parity block omega sx with omega = gamma - i g
+# (Omega = 0) started in |01>: the independent route the block evolution
+# of the figures is checked against.
+
+
+def _sech(x: float) -> float:
+    """2 e^{-|x|} / (1 + e^{-2|x|}); exact and overflow-free for any x."""
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def _nonnegative(t: float) -> None:
+    if t < 0:
+        raise ValidationError(f"t must be nonnegative, got {t}")
+
+
+def transition_probability(gamma: float, g: float, t: float) -> float:
+    """Normalized population moved to |10>, 1/2 - cos(2 gamma t) sech(2 g t) / 2."""
+    _nonnegative(t)
+    return min(max(0.5 - 0.5 * math.cos(2.0 * gamma * t) * _sech(2.0 * g * t), 0.0), 1.0)
+
+
+def survival_probability(gamma: float, g: float, t: float) -> float:
+    """Normalized population left in |01>, the complement in its own stable form."""
+    _nonnegative(t)
+    return min(max(0.5 + 0.5 * math.cos(2.0 * gamma * t) * _sech(2.0 * g * t), 0.0), 1.0)
+
+
+def coherence(gamma: float, g: float, t: float) -> complex:
+    """<01| rho |10> normalized, -(tanh(2 g t) - i sin(2 gamma t) sech(2 g t)) / 2;
+    it tends to -1/2, the singlet's."""
+    _nonnegative(t)
+    return complex(-0.5 * math.tanh(2.0 * g * t), 0.5 * math.sin(2.0 * gamma * t) * _sech(2.0 * g * t))
 
 
 def anisotropic_effective_matrix(p: AnisotropicParams, tau: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """scripts/compare_outputs.py, the drift table between two output trees."""
 
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -38,8 +40,8 @@ def test_identical_trees_are_reported_byte_identical(tmp_path):
 def test_a_float_drift_is_printed_and_passes(tmp_path):
     code, out = _compare(tmp_path, {"sweep.csv": SWEEP}, {"sweep.csv": SWEEP.replace("0.25", "0.250000000001")})
     assert code == 0
-    assert "  p: max |diff| 1.000e-12" in out.splitlines()
-    assert "  tau: max |diff| 0.000e+00" in out.splitlines()
+    assert "  p: max |diff| 1.000e-12 (18014 ulp), 1 of 2 changed" in out.splitlines()
+    assert "  tau: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed" in out.splitlines()
 
 
 def test_a_changed_integer_cell_fails(tmp_path):
@@ -61,6 +63,35 @@ def test_sign_flips_of_zero_are_counted_per_file(tmp_path):
     code, out = _compare(tmp_path, a, b)
     assert code == 0
     lines = out.splitlines()
-    assert lines[lines.index("d.json:") + 1 :][:2] == ["  floats: max |diff| 0.000e+00", "  zero sign flips: 2"]
-    assert lines[lines.index("s.csv:") + 1 :][:3] == ["  x: max |diff| 0.000e+00", "  y: max |diff| 0.000e+00", "  zero sign flips: 2"]
-    assert lines[lines.index("sweep.csv:") + 1 :] == ["  tau: max |diff| 0.000e+00", "  p: max |diff| 1.000e-12"]
+    assert lines[lines.index("d.json:") + 1 :][:2] == ["  floats: max |diff| 0.000e+00 (0 ulp), 0 of 4 changed", "  zero sign flips: 2"]
+    assert lines[lines.index("s.csv:") + 1 :][:3] == [
+        "  x: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed",
+        "  y: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed",
+        "  zero sign flips: 2",
+    ]
+    assert lines[lines.index("sweep.csv:") + 1 :] == [
+        "  tau: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed",
+        "  p: max |diff| 1.000e-12 (18014 ulp), 1 of 2 changed",
+    ]
+
+
+def test_ulp_distances_and_changed_counts_are_printed(tmp_path):
+    # a CSV column moved by one step of the last place at 0.5 and by two at
+    # 1e-300 (the larger difference is not the larger ulp count), and a JSON
+    # float moved by three steps; values that are equal count as unchanged
+    up = math.nextafter
+    y_half, y_tiny = up(0.5, 1.0), up(up(1e-300, 1.0), 1.0)
+    three = up(up(up(3.0, 4.0), 4.0), 4.0)
+    a = {"s.csv": "x,y\n1.0,0.5\n2.0,1e-300\n3.0,8.0\n", "e.json": '{"H": [1.0, 0.25, 3.0]}\n'}
+    b = {
+        "s.csv": f"x,y\n1.0,{y_half!r}\n2.0,{y_tiny!r}\n3.0,8.0\n",
+        "e.json": json.dumps({"H": [1.0, 0.25, three]}) + "\n",
+    }
+    code, out = _compare(tmp_path, a, b)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("s.csv:") + 1 :][:2] == [
+        "  x: max |diff| 0.000e+00 (0 ulp), 0 of 3 changed",
+        "  y: max |diff| 1.110e-16 (2 ulp), 2 of 3 changed",
+    ]
+    assert lines[lines.index("e.json:") + 1] == "  floats: max |diff| 1.332e-15 (3 ulp), 1 of 3 changed"

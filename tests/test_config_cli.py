@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenon.cli
-from helpers import symmetric_odd_block
+from helpers import coherence, survival_probability, symmetric_odd_block, transition_probability
 from zenon.cli import load_matrix_file, main, parse_initial_state
 from zenon.config import (
     Scenario,
@@ -25,8 +25,9 @@ from zenon.config import (
 from zenon.dilation import DilationResult
 from zenon.dynamics import DensityMatrix, default_time_step
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
-from zenon.entanglement import EffectiveBlockParams, fig4_population_rows
+from zenon.entanglement import block_decompose
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
+from zenon.linalg import expm
 from zenon.spin_models import SymmetricParams, build_symmetric
 
 REPO = Path(__file__).resolve().parent.parent
@@ -459,6 +460,11 @@ MALFORMED_SCENARIOS = [
     ("sweep_tau", {"grid": [{"tau": 0.01, "t_max": 1.0}, {"tau": 1e-300, "t_max": 1e300}], "with_protocol": True}),
     ("protocol_symmetric", {"n_traj": 10**12}),  # above protocol.MAX_TRAJECTORIES
     ("protocol_symmetric", {"n_traj": 10**30}),
+    # figures start in their block's first basis state, |01> or |00>
+    ("fig4", {"initial_state": "10"}),
+    ("fig4", {"initial_state": [1, 0, 0, 0]}),
+    ("fig4", {"initial_state": "00"}),
+    ("fig5", {"initial_state": "01"}),
 ]
 
 
@@ -506,45 +512,95 @@ def test_cli_exit_2_on_matrix_file_number_that_is_not_a_finite_real(name, tmp_pa
     assert capsys.readouterr().err.startswith("zenon: validation error")
 
 
+def _fig4_curves(out_dir: Path) -> list[tuple[float, float, float, complex]]:
+    """(gt, pop10, pop01, coh) per sample of fig4a.csv and fig4b.csv."""
+    pops = [row.split(",") for row in (out_dir / "fig4a.csv").read_text().splitlines()[1:]]
+    cohs = [row.split(",") for row in (out_dir / "fig4b.csv").read_text().splitlines()[1:]]
+    assert [p[0] for p in pops] == [c[0] for c in cohs]
+    return [(float(gt), float(p10), float(p01), complex(float(re), float(im))) for (gt, p10, p01), (_, re, im) in zip(pops, cohs)]
+
+
+def _closed_form_gap(curves, gamma: float, g: float) -> float:
+    """Largest distance of the fig4 curves from the odd block's closed forms."""
+    gaps = [0.0]
+    for gt, pop10, pop01, coh in curves:
+        t = gt / gamma
+        gaps.append(abs(pop10 - transition_probability(gamma, g, t)))
+        gaps.append(abs(pop01 - survival_probability(gamma, g, t)))
+        gaps.append(abs(coh - coherence(gamma, g, t)))
+    return max(gaps)
+
+
+def test_cli_fig4_matches_the_closed_forms(tmp_path, repo_cwd):
+    assert main(["figures", "--config", "configs/fig4.json", "--out", str(tmp_path)]) == 0
+    s = load_scenario(CONFIGS / "fig4.json")
+    curves = _fig4_curves(tmp_path)
+    assert len(curves) == s.n_samples
+    assert _closed_form_gap(curves, *symmetric_odd_block(s.params, s.tau)) < 1e-14
+
+
+def test_cli_figures_runs_without_an_initial_state(tmp_path, repo_cwd):
+    for stem, names in (("fig4", ("fig4a.csv", "fig4b.csv")), ("fig5", ("fig5.csv",))):
+        scenario = json.loads((CONFIGS / f"{stem}.json").read_text())
+        del scenario["initial_state"]
+        cfg = tmp_path / f"{stem}.json"
+        cfg.write_text(json.dumps(scenario))
+        assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / stem)]) == 0
+        for name in names:
+            assert (tmp_path / stem / name).read_bytes() == (REPO / "tests" / "golden" / stem / name).read_bytes()
+
+
 @pytest.mark.parametrize("gamma_z, g_z", [(-0.1, 1.0), (0.3, 2.0**23)])
 def test_cli_fig4_reads_a_rounding_omega_as_zero(gamma_z, g_z, tmp_path, repo_cwd):
-    # These couplings round the two odd-sector diagonal entries differently, so
-    # the derived Omega is a few ulps of the generator's entries, not exactly 0.
+    # These couplings round the two odd-sector diagonal entries differently, so the
+    # derived Omega is half an ulp of the generator's entries (5.6e-17 and 4.7e-10),
+    # not exactly 0.  fig4 evolves the derived block with that Omega, valid input
+    # that must exit 0; its curves are the block's exact evolution (the package's
+    # expm, an independent route), and at g_z = 1 also the Omega = 0 closed forms.
     scenario = json.loads((CONFIGS / "fig4.json").read_text())
     scenario["params"].update(gamma_z=gamma_z, g_z=g_z)
     cfg = tmp_path / "fig4_rounding.json"
     cfg.write_text(json.dumps(scenario))
     assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     s = load_scenario(cfg)
-    block = EffectiveBlockParams(*symmetric_odd_block(s.params, s.tau))
-    expected = fig4_population_rows(block, block.gamma * s.t_max, s.n_samples)
-    rows = (tmp_path / "o" / "fig4a.csv").read_text().strip().splitlines()[1:]
-    got = [[float(v) for v in row.split(",")] for row in rows]
-    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    _, minus = block_decompose(derive_effective(build_symmetric(s.params), AncillaSpec(), s.tau).matrix())
+    assert minus.omega_z != 0
+    curves = _fig4_curves(tmp_path / "o")
+    for gt, pop10, pop01, coh in curves:
+        psi = expm(-1j * (gt / minus.mu_x) * minus.matrix())[:, 0]
+        psi = psi / np.linalg.norm(psi)
+        assert abs(pop01 - abs(psi[0]) ** 2) < 1e-14 and abs(pop10 - abs(psi[1]) ** 2) < 1e-14
+        assert abs(coh - psi[0] * psi[1].conj()) < 1e-14
+    if g_z == 1.0:
+        assert _closed_form_gap(curves, *symmetric_odd_block(s.params, s.tau)) < 1e-14
 
 
 # One finite value per row, large enough that the numerics overflow: a
 # run-time failure (exit 3), never bad input and never an uncaught error.
+# Each row names what its message must say.
 OVERFLOWING_SCENARIOS = [
-    ("derive_symmetric", {"g_xy": 1e200}),
-    ("simulate_symmetric", {"t_max": 1e300}),
-    ("fig4", {"g_xy": 1e300}),
-    ("protocol_symmetric", {"g_xy": 1e300}),  # a step phase no double resolves
+    ("derive_symmetric", {"g_xy": 1e200}, "Gamma = B B^dag overflows"),
+    ("simulate_symmetric", {"t_max": 1e300}, "Frobenius norm inf"),
+    ("fig4", {"g_xy": 1e300}, "Gamma = B B^dag overflows"),
+    ("protocol_symmetric", {"g_xy": 1e300}, "not resolved in double precision"),  # a step phase no double resolves
 ]
 
 
 @pytest.mark.parametrize(
-    "stem, change", OVERFLOWING_SCENARIOS, ids=[stem for stem, _ in OVERFLOWING_SCENARIOS]
+    "stem, change, says", OVERFLOWING_SCENARIOS, ids=[stem for stem, _, _ in OVERFLOWING_SCENARIOS]
 )
-def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, tmp_path, repo_cwd, capsys):
+def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, says, tmp_path, repo_cwd, capsys):
     scenario = json.loads((CONFIGS / f"{stem}.json").read_text())
     for key, v in change.items():
         (scenario["params"] if key in scenario["params"] else scenario)[key] = v
     cfg = tmp_path / "overflowing.json"
     cfg.write_text(json.dumps(scenario))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:  # what the command line prints on stderr
+        warnings.simplefilter("always")
         assert main([scenario["command"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("zenon: numerical error:")
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("zenon: numerical error:") and says in err
 
 
 def test_cli_protocol_at_a_huge_coupling_warns_briefly_and_exits_3(tmp_path, repo_cwd, capsys):

@@ -16,7 +16,9 @@ from helpers import (
     rho_rk4,
     rowwise_timeseries_csv,
     stepwise_chain,
+    survival_probability,
     symmetric_odd_block,
+    transition_probability,
 )
 from zenon.chain import chain_block_size, renormalized_blocks
 from zenon.dynamics import (
@@ -39,11 +41,6 @@ from zenon.dynamics import (
     write_timeseries_csv,
 )
 from zenon.effective import EffectiveHamiltonian, derive_effective
-from zenon.entanglement import (
-    EffectiveBlockParams,
-    survival_probability,
-    transition_probability,
-)
 from zenon.errors import (
     BadDimensionError,
     NumericalError,
@@ -197,15 +194,15 @@ def test_evolve_conditional_matches_two_level_closed_form():
     # gamma_z = g_z = 0 puts |01>,|10> in a closed two-level sector with
     # exactly solvable transition and survival probabilities
     eff = _symmetric_eff(gamma_xy=0.7, gamma_z=0.0, g_xy=0.9, g_z=0.0, tau=0.04)
-    block = EffectiveBlockParams(*symmetric_odd_block(SymmetricParams(0.7, 0.0, 0.9, 0.0), 0.04))
+    gamma, g = symmetric_odd_block(SymmetricParams(0.7, 0.0, 0.9, 0.0), 0.04)
     rho0 = DensityMatrix.basis_state(4, 1)  # |01>
     for t in (0.3, 1.1, 2.9):
         cs = evolve_conditional(eff, rho0, t)
         rho_n = normalize(cs).rho
         pop01 = rho_n[1, 1].real / (rho_n[1, 1].real + rho_n[2, 2].real)
-        assert abs(pop01 - survival_probability(block, t)) < 1e-10
+        assert abs(pop01 - survival_probability(gamma, g, t)) < 1e-10
         pop10 = rho_n[2, 2].real / (rho_n[1, 1].real + rho_n[2, 2].real)
-        assert abs(pop10 - transition_probability(block, t)) < 1e-10
+        assert abs(pop10 - transition_probability(gamma, g, t)) < 1e-10
 
 
 def test_normalize_and_underflow():

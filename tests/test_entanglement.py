@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,60 +9,57 @@ from helpers import (
     FIG5_REALIZATIONS,
     anisotropic_block_coefficients,
     anisotropic_effective_matrix,
+    coherence,
     random_anisotropic_params,
     random_ket,
     random_symmetric_params,
+    survival_probability,
     symmetric_odd_block,
     taylor_expm,
+    transition_probability,
 )
 from zenon.dynamics import DensityMatrix
 from zenon.effective import AncillaSpec, derive_effective
 from zenon.entanglement import (
     BELL_STATES,
     FIG5_REGIMES,
-    EffectiveBlockParams,
     TwoLevelBlockParams,
     bell_fidelity,
     block_decompose,
     block_propagator,
-    coherence,
+    block_rows,
     concurrence,
     embed_block_state,
     evolve_block_state,
-    fig4_coherence_rows,
-    fig4_population_rows,
     fig5_rows,
-    survival_probability,
-    transition_probability,
 )
 from zenon.errors import (
     BadDimensionError,
     NotBlockDiagonalError,
     NotPSDError,
-    NumericalError,
     ValidationError,
 )
-from zenon.linalg import frobenius_norm
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
 
-def test_effective_block_params_from_block():
-    block = EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, -0.1, sector="minus"))
-    assert (block.gamma, block.g) == (0.4, 0.1)
-    with pytest.raises(ValidationError, match="odd-parity"):
-        EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, -0.1, sector="plus"))
-    # An Omega within BLOCK_TOL max(1, |omega|, scale) is the generator's rounding and is
-    # dropped; a larger one is a numerical failure, since no symmetric model has one.
-    for mu_z, nu_z, scale in ((5.551115123125783e-17, 0.0, 1.0), (0.0, -1e-10, 1.0), (5e-9, 0.0, 100.0)):
-        block = EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, "minus"), scale=scale)
-        assert (block.gamma, block.g) == (0.4, 0.1)
-    for mu_z, nu_z, scale in ((1e-9, 0.0, 1.0), (0.0, -2e-10, 1.0), (2e-8, 0.0, 100.0), (0.3, 0.0, 1.0)):
-        with pytest.raises(NumericalError, match="Omega"):
-            EffectiveBlockParams.from_block(TwoLevelBlockParams(mu_z, nu_z, 0.4, -0.1, "minus"), scale=scale)
-    with pytest.raises(ValidationError, match="damping rate"):  # an amplifying block
-        EffectiveBlockParams.from_block(TwoLevelBlockParams(0.0, 0.0, 0.4, 0.1, sector="minus"))
-    with pytest.raises(ValidationError):
-        EffectiveBlockParams(gamma=1.0, g=-0.1)
+def odd_block(gamma: float, g: float) -> TwoLevelBlockParams:
+    """The odd-parity block omega sx with omega = gamma - i g, the closed forms' block."""
+    return TwoLevelBlockParams(0.0, 0.0, gamma, -g, sector="minus")
+
+
+def row_at(block: TwoLevelBlockParams, t: float):
+    """(t_row, pop01, pop10, coh) of block_rows' last row, on the axis through
+    mu_x * t; t_row is the time block_rows used, t to rounding."""
+    x, pop01, pop10, re_coh, im_coh = block_rows(block, block.mu_x * t, 2)[-1]
+    return x / block.mu_x, pop01, pop10, complex(re_coh, im_coh)
+
+
+def assert_rows_match_the_closed_forms(gamma: float, g: float, rows, atol: float) -> None:
+    for x, pop01, pop10, re_coh, im_coh in rows:
+        t = x / gamma
+        assert abs(pop10 - transition_probability(gamma, g, t)) <= atol, t
+        assert abs(pop01 - survival_probability(gamma, g, t)) <= atol, t
+        assert abs(complex(re_coh, im_coh) - coherence(gamma, g, t)) <= atol, t
 
 
 # Couplings whose two odd-sector diagonal entries round differently, so the derived
@@ -72,7 +71,7 @@ ROUNDING_OMEGA_MODELS = [
 ]
 
 
-def test_from_block_of_the_derived_odd_block_matches_the_hand_rates():
+def test_derived_odd_block_matches_the_hand_rates():
     rng = np.random.Generator(np.random.PCG64(4716))
     models = [(p, 0.05) for p in ROUNDING_OMEGA_MODELS]
     models += [(random_symmetric_params(rng), float(rng.uniform(0.001, 1.0))) for _ in range(300)]
@@ -81,12 +80,14 @@ def test_from_block_of_the_derived_odd_block_matches_the_hand_rates():
         plus, minus = block_decompose(m)
         for field in ("mu_z", "nu_z", "mu_x", "nu_x"):
             assert type(getattr(plus, field)) is float and type(getattr(minus, field)) is float
+        gamma, g = symmetric_odd_block(p, tau)
+        assert minus.mu_x == pytest.approx(gamma, rel=1e-15, abs=0.0)
+        assert -minus.nu_x == pytest.approx(g, rel=1e-15, abs=0.0)
         if p in ROUNDING_OMEGA_MODELS:
             assert minus.omega_z != 0
-        block = EffectiveBlockParams.from_block(minus, scale=frobenius_norm(m))
-        gamma, g = symmetric_odd_block(p, tau)
-        assert block.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
-        assert block.g == pytest.approx(g, rel=1e-15, abs=0.0)
+        else:  # the derived block's curves are the closed forms of the hand rates
+            rows = block_rows(minus, math.copysign(15.0, gamma), 50)
+            assert_rows_match_the_closed_forms(gamma, g, rows, 1e-14)
 
 
 def test_two_level_block_params():
@@ -100,56 +101,67 @@ def test_two_level_block_params():
 
 
 def test_closed_forms_at_time_zero():
-    block = EffectiveBlockParams(gamma=0.7, g=0.2)
-    assert transition_probability(block, 0.0) == 0.0
-    assert survival_probability(block, 0.0) == 1.0
-    assert coherence(block, 0.0) == 0.0
+    block = odd_block(0.7, 0.2)
+    assert block_rows(block, 1.0)[0] == (0.0, 1.0, 0.0, 0.0, 0.0)
+    assert transition_probability(0.7, 0.2, 0.0) == 0.0
+    assert survival_probability(0.7, 0.2, 0.0) == 1.0
+    assert coherence(0.7, 0.2, 0.0) == 0.0
+    for gamma, x_max in ((0.7, -1.0), (-0.7, 1.0)):  # t = x_max / gamma < 0
+        with pytest.raises(ValidationError, match="t >= 0"):
+            block_rows(odd_block(gamma, 0.2), x_max)
     with pytest.raises(ValidationError):
-        transition_probability(block, -1.0)
+        transition_probability(0.7, 0.2, -1.0)
 
 
 def test_closed_forms_long_time_asymptotes_and_stability():
-    block = EffectiveBlockParams(gamma=1.0, g=0.5)
+    block = odd_block(1.0, 0.5)
     for t in (50.0, 1e3, 1e6):
-        assert abs(transition_probability(block, t) - 0.5) < 1e-12
-        assert abs(survival_probability(block, t) - 0.5) < 1e-12
-        c = coherence(block, t)
-        assert abs(c.real + 0.5) < 1e-12 and abs(c.imag) < 1e-12
+        t, pop01, pop10, coh = row_at(block, t)
+        assert abs(pop10 - 0.5) < 1e-12 and abs(pop01 - 0.5) < 1e-12
+        assert abs(coh.real + 0.5) < 1e-12 and abs(coh.imag) < 1e-12
+        assert abs(pop10 - transition_probability(1.0, 0.5, t)) < 1e-14
+        assert abs(coh - coherence(1.0, 0.5, t)) < 1e-14
 
 
 def test_closed_forms_undamped_limit_is_rabi():
-    block = EffectiveBlockParams(gamma=0.9, g=0.0)
+    block = odd_block(0.9, 0.0)
     for t in (0.3, 1.1, 2.0):
-        assert transition_probability(block, t) == pytest.approx(
-            np.sin(0.9 * t) ** 2, abs=1e-14
-        )
+        t, _, pop10, _ = row_at(block, t)
+        assert pop10 == pytest.approx(np.sin(0.9 * t) ** 2, abs=1e-14)
+        assert transition_probability(0.9, 0.0, t) == pytest.approx(np.sin(0.9 * t) ** 2, abs=1e-14)
 
 
 @given(
-    st.floats(0.0, 5.0),
+    st.floats(0.01, 5.0),
     st.floats(0.0, 3.0),
     st.floats(0.0, 50.0),
 )
 @settings(max_examples=100, deadline=None)
 def test_probabilities_sum_to_one_and_coherence_bounded(gamma, g, t):
-    block = EffectiveBlockParams(gamma=gamma, g=g)
-    pt = transition_probability(block, t)
-    ps = survival_probability(block, t)
-    assert abs(pt + ps - 1.0) < 1e-14
-    assert 0.0 <= pt <= 1.0
-    assert abs(coherence(block, t)) <= 0.5 + 1e-12
+    t, pop01, pop10, coh = row_at(odd_block(gamma, g), t)
+    assert abs(pop10 + pop01 - 1.0) < 1e-14
+    assert 0.0 <= pop10 <= 1.0 and 0.0 <= pop01 <= 1.0
+    assert abs(coh) <= 0.5 + 1e-12
+    # both routes take the phase gamma t to rounding, so they part by ulps of it
+    tol = 1e-14 * max(1.0, gamma * t)
+    assert abs(pop10 - transition_probability(gamma, g, t)) < tol
+    assert abs(pop01 - survival_probability(gamma, g, t)) < tol
+    assert abs(coh - coherence(gamma, g, t)) < tol
 
 
 def test_closed_forms_match_block_evolution_oracle():
-    block = EffectiveBlockParams(gamma=0.8, g=0.3)
-    h_block = np.array([[0.0, 0.8 - 0.3j], [0.8 - 0.3j, 0.0]])
+    block = odd_block(0.8, 0.3)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.5, 1.5, 3.0):
-        psi = taylor_expm(-1j * t * h_block, terms=40) @ psi0
+        t, pop01, pop10, coh = row_at(block, t)
+        psi = taylor_expm(-1j * t * block.matrix(), terms=40) @ psi0
         psi = psi / np.linalg.norm(psi)
-        assert abs(abs(psi[0]) ** 2 - survival_probability(block, t)) < 1e-12
-        assert abs(abs(psi[1]) ** 2 - transition_probability(block, t)) < 1e-12
-        assert abs(psi[0] * psi[1].conj() - coherence(block, t)) < 1e-12
+        assert abs(abs(psi[0]) ** 2 - pop01) < 1e-12
+        assert abs(abs(psi[1]) ** 2 - pop10) < 1e-12
+        assert abs(psi[0] * psi[1].conj() - coh) < 1e-12
+        assert abs(abs(psi[0]) ** 2 - survival_probability(0.8, 0.3, t)) < 1e-12
+        assert abs(abs(psi[1]) ** 2 - transition_probability(0.8, 0.3, t)) < 1e-12
+        assert abs(psi[0] * psi[1].conj() - coherence(0.8, 0.3, t)) < 1e-12
 
 
 def test_block_decompose_reads_off_coefficients():
@@ -337,6 +349,9 @@ def test_embed_block_state():
     )
     with pytest.raises(BadDimensionError):
         embed_block_state([1.0, 0.0, 0.0], "plus")
+    for sector in ("Plus", "bogus", None):
+        with pytest.raises(ValidationError, match="sector"):
+            embed_block_state([0.6, 0.8], sector)
 
 
 def test_damped_block_converges_to_singlet():
@@ -350,18 +365,17 @@ def test_damped_block_converges_to_singlet():
 
 
 def test_fig4_rows_structure_and_asymptotes():
-    p = SymmetricParams(gamma_xy=0.1, gamma_z=0.5, g_xy=1.0, g_z=0.3)
-    block = EffectiveBlockParams(*symmetric_odd_block(p, 0.05))
-    pops = fig4_population_rows(block, gt_max=15.0, n_samples=400)
-    assert len(pops) == 400
-    assert pops[0] == (0.0, 0.0, 1.0)
-    assert pops[-1][0] == 15.0
-    assert abs(pops[-1][1] - 0.5) < 1e-5 and abs(pops[-1][2] - 0.5) < 1e-5
-    cohs = fig4_coherence_rows(block, gt_max=15.0, n_samples=400)
-    assert len(cohs) == 400 and cohs[0] == (0.0, 0.0, 0.0)
-    assert abs(cohs[-1][1] + 0.5) < 1e-5
-    with pytest.raises(ValidationError):
-        fig4_population_rows(EffectiveBlockParams(gamma=0.0, g=0.1))
+    # block gamma = 0.2, g = 0.1: the gamma = 2 g regime of the bundled fig4
+    gamma, g = symmetric_odd_block(SymmetricParams(gamma_xy=0.1, gamma_z=0.5, g_xy=1.0, g_z=0.3), 0.05)
+    rows = block_rows(odd_block(gamma, g), 15.0, 400)
+    assert len(rows) == 400
+    assert rows[0] == (0.0, 1.0, 0.0, 0.0, 0.0)
+    assert rows[-1][0] == 15.0
+    _, pop01, pop10, re_coh, _ = rows[-1]
+    assert abs(pop10 - 0.5) < 1e-5 and abs(pop01 - 0.5) < 1e-5 and abs(re_coh + 0.5) < 1e-5
+    assert_rows_match_the_closed_forms(gamma, g, rows, 1e-14)
+    with pytest.raises(ValidationError, match="mu_x"):
+        block_rows(odd_block(0.0, 0.1), 15.0)
 
 
 def test_fig5_rows_structure_and_consistency():
