@@ -7,7 +7,7 @@ exactly, and for every other column the largest absolute difference is
 printed.  A JSON file is compared value by value: the same keys, list
 lengths, strings, booleans and integers, with the largest absolute
 difference of its floats printed.  Beside each largest difference stand the
-largest difference in units in the last place (|a - b| / math.ulp of the
+largest distance in units in the last place (|a - b| / math.ulp of the
 larger magnitude) and how many of the values changed, so a drift of a few
 rounding steps reads as such.  A CSV or JSON file whose bytes differ
 also reports how many of its floats are a zero whose sign flipped (0.0

@@ -63,7 +63,10 @@ def test_sign_flips_of_zero_are_counted_per_file(tmp_path):
     code, out = _compare(tmp_path, a, b)
     assert code == 0
     lines = out.splitlines()
-    assert lines[lines.index("d.json:") + 1 :][:2] == ["  floats: max |diff| 0.000e+00 (0 ulp), 0 of 4 changed", "  zero sign flips: 2"]
+    assert lines[lines.index("d.json:") + 1 :][:2] == [
+        "  floats: max |diff| 0.000e+00 (0 ulp), 0 of 4 changed",
+        "  zero sign flips: 2",
+    ]
     assert lines[lines.index("s.csv:") + 1 :][:3] == [
         "  x: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed",
         "  y: max |diff| 0.000e+00 (0 ulp), 0 of 2 changed",

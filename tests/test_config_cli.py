@@ -517,7 +517,10 @@ def _fig4_curves(out_dir: Path) -> list[tuple[float, float, float, complex]]:
     pops = [row.split(",") for row in (out_dir / "fig4a.csv").read_text().splitlines()[1:]]
     cohs = [row.split(",") for row in (out_dir / "fig4b.csv").read_text().splitlines()[1:]]
     assert [p[0] for p in pops] == [c[0] for c in cohs]
-    return [(float(gt), float(p10), float(p01), complex(float(re), float(im))) for (gt, p10, p01), (_, re, im) in zip(pops, cohs)]
+    return [
+        (float(gt), float(p10), float(p01), complex(float(re), float(im)))
+        for (gt, p10, p01), (_, re, im) in zip(pops, cohs)
+    ]
 
 
 def _closed_form_gap(curves, gamma: float, g: float) -> float:
@@ -547,13 +550,14 @@ def test_cli_figures_runs_without_an_initial_state(tmp_path, repo_cwd):
         cfg.write_text(json.dumps(scenario))
         assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / stem)]) == 0
         for name in names:
-            assert (tmp_path / stem / name).read_bytes() == (REPO / "tests" / "golden" / stem / name).read_bytes()
+            golden = REPO / "tests" / "golden" / stem / name
+            assert (tmp_path / stem / name).read_bytes() == golden.read_bytes(), name
 
 
 @pytest.mark.parametrize("gamma_z, g_z", [(-0.1, 1.0), (0.3, 2.0**23)])
 def test_cli_fig4_reads_a_rounding_omega_as_zero(gamma_z, g_z, tmp_path, repo_cwd):
     # These couplings round the two odd-sector diagonal entries differently, so the
-    # derived Omega is half an ulp of the generator's entries (5.6e-17 and 4.7e-10),
+    # derived Omega is the rounding of the generator's entries (5.6e-17 and 4.7e-10),
     # not exactly 0.  fig4 evolves the derived block with that Omega, valid input
     # that must exit 0; its curves are the block's exact evolution (the package's
     # expm, an independent route), and at g_z = 1 also the Omega = 0 closed forms.
@@ -582,7 +586,7 @@ OVERFLOWING_SCENARIOS = [
     ("derive_symmetric", {"g_xy": 1e200}, "Gamma = B B^dag overflows"),
     ("simulate_symmetric", {"t_max": 1e300}, "Frobenius norm inf"),
     ("fig4", {"g_xy": 1e300}, "Gamma = B B^dag overflows"),
-    ("protocol_symmetric", {"g_xy": 1e300}, "not resolved in double precision"),  # a step phase no double resolves
+    ("protocol_symmetric", {"g_xy": 1e300}, "not resolved in double precision"),
 ]
 
 
