@@ -117,8 +117,8 @@ def _protocol_config(s: Scenario) -> ProtocolConfig:
 def run_protocol(s: Scenario) -> None:
     cfg = _protocol_config(s)
     rho0 = parse_initial_state(s.initial_state, cfg.system_dim)
-    exact = conditional_survival_curve(cfg, rho0)
     ensemble = simulate_trajectories(cfg, rho0, s.n_traj, s.seed)
+    exact = conditional_survival_curve(cfg, rho0)  # the curve the Monte Carlo's chain recorded
     write_ensemble_csv(os.path.join(_out_dir(s), "ensemble.csv"), ensemble, exact)
 
 

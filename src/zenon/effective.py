@@ -158,8 +158,9 @@ class EffectiveHamiltonian:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        h0 = as_hermitian(self.h0)
-        gamma = as_psd(self.gamma)
+        with np.errstate(over="ignore"):  # a norm past 1e154 is rescaled, not warned about
+            h0 = as_hermitian(self.h0)
+            gamma = as_psd(self.gamma)
         if h0.shape != gamma.shape:
             raise BadDimensionError(
                 f"h0 and gamma shapes differ: {h0.shape} vs {gamma.shape}"

@@ -38,7 +38,18 @@ def trace(a: np.ndarray) -> complex:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """np.linalg.norm(a), unless its sum of squares overflows (entries past
+    about 1e154) where the norm itself need not: then the norm of a divided by
+    its largest modulus, times that modulus.  inf only for an infinite entry
+    or a norm past the double range; a NaN stays NaN.  The caller owns numpy's
+    overflow warning of the first try, as of any other kernel."""
+    nrm = float(np.linalg.norm(a))
+    if nrm == math.inf:
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = float(np.max(np.abs(a)))
+            if big < math.inf:
+                nrm = big * float(np.linalg.norm(np.divide(a, big)))
+    return nrm
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,7 +152,7 @@ def expm(a) -> np.ndarray:
     m = as_cmatrix(a)
     n = m.shape[0]
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        nrm = frobenius_norm(m)
+        nrm = float(np.linalg.norm(m))  # unscaled: past 1e154 no squaring stays finite
     if not np.isfinite(nrm):
         raise NumericalError(f"matrix exponential of a matrix with Frobenius norm {nrm}")
     squarings = 0
@@ -202,8 +213,11 @@ def matrix_to_json(a) -> dict:
     }
 
 
+_PLAIN_CELLS = frozenset((float, int))
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header line and one line per row.
+    """Write a header line and one line per row, a sequence of cells.
 
     Integers are written as integers and every other value as
     repr(float(v)), the shortest string that reads back to the same double,
@@ -212,13 +226,17 @@ def write_csv(path, header: list[str], rows) -> None:
     def cell(v) -> str:
         return str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
 
+    def line(row) -> str:
+        # a row of exact Python floats and ints, nearly every row, is its
+        # cells' reprs; bools and numpy scalars take the per-cell rule
+        if _PLAIN_CELLS.issuperset(map(type, row)):
+            return ",".join(map(repr, row)) + "\n"
+        return ",".join(map(cell, row)) + "\n"
+
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        # lines are streamed, not joined, so a long table is never held as
-        # text; exact Python floats, nearly every cell, skip the dispatch
-        fh.writelines(
-            ",".join(repr(v) if type(v) is float else cell(v) for v in row) + "\n" for row in rows
-        )
+        # lines are streamed, not joined, so a long table is never held as text
+        fh.writelines(map(line, rows))
 
 
 def finite_reals(values) -> np.ndarray | None:

@@ -7,7 +7,11 @@ which ProtocolConfig builds once from its eigendecomposition of H.  The
 filtered state, the exact survival curve and the waiting-time Monte Carlo
 (one uniform per trajectory against the survival curve of its initial
 eigenket, a column of F) all read chain.renormalized_blocks with K on the
-factor F of rho0 = F F^dag, up to 64 steps per stacked product.
+factor F of rho0 = F F^dag, up to 64 steps per stacked product.  A protocol
+run calls the Monte Carlo first: it records the exact survival curve its
+chain yields on the ProtocolConfig, and conditional_survival_curve then
+returns a copy of that record for the same start state, so the run makes
+one chain, not two.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
 """Largest protocol step count.  At the cap a 4-dimensional system's exact
-curve takes 0.4-0.8 s from a pure start and 0.9-1.4 s from the maximally mixed
-one, and a 1000-trajectory Monte Carlo 0.6-1.1 s and 1.4-2.0 s (2-core Xeon,
+curve takes 0.5-0.8 s from a pure start and 0.9-1.0 s from the maximally mixed
+one, and a 1000-trajectory Monte Carlo 1.0 s and 1.6-1.8 s (2-core Xeon,
 numpy 2.4).  The Monte Carlo's curves hold n_steps * rank * 8 B = 8 MB per
-start eigenket; its tracemalloc peak is 25 MB and 64 MB."""
+start eigenket, and its recorded survival curve 8 MB more; its tracemalloc
+peak is 33 MB and 72 MB."""
 MAX_TRAJECTORIES = 10**9
 """Largest Monte Carlo trajectory count.  At the cap, 200 steps of a
-4-dimensional system take 81-87 s from a pure start and 122-128 s from the
+4-dimensional system take 59-70 s from a pure start and 108 s from the
 maximally mixed one (2-core Xeon, numpy 2.4), in O(MC_CHUNK + rank * n_steps)
 memory."""
 MC_CHUNK = 2**12
@@ -80,6 +85,9 @@ class ProtocolConfig:
     tau: float
     n_steps: int
     kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    # (rho0.rho.tobytes(), curve): the exact survival curve of the last Monte
+    # Carlo run, which conditional_survival_curve hands out for that start
+    _survival: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hm = as_cmatrix(self.h)
@@ -152,7 +160,14 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
 
 def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
     """Exact survival probability after each of the n_steps measurements;
-    exactly 0.0 from the step on which the conditional trace reaches 0."""
+    exactly 0.0 from the step on which the conditional trace reaches 0.
+
+    A copy of the curve simulate_trajectories recorded on cfg when rho0 is
+    its start state to the byte (the same chain, so the same bits); else the
+    chain runs here, and no per-eigenket curve is built."""
+    record = cfg._survival  # its key holds a validated state, so a match fits cfg
+    if record is not None and record[0] == rho0.rho.tobytes():
+        return record[1].copy()
     out = np.zeros(cfg.n_steps)
     step = 0
     for p, _ in renormalized_blocks(*_chain_start(cfg, rho0), cfg.n_steps):
@@ -204,7 +219,10 @@ def simulate_trajectories(
     are the trajectories that wait longer than n; no uniform is sorted.
     Row i of one Philox stream's (pick, u) rows belongs to trajectory i, drawn
     MC_CHUNK rows at a time, so a run's first N trajectories are those of an
-    n_traj=N run.  Memory is O(MC_CHUNK + rank * n_steps), plus the kept kets.
+    n_traj=N run; a pure start draws the pick column too, but searches none.
+    Memory is O(MC_CHUNK + rank * n_steps), plus the kept kets.  The exact
+    survival curve the chain yields on the way is recorded on cfg for
+    conditional_survival_curve, so a protocol run needs one chain.
     """
     k, f = _chain_start(cfg, rho0)
     if not _is_count(n_traj) or not 1 <= n_traj <= MAX_TRAJECTORIES:
@@ -212,12 +230,15 @@ def simulate_trajectories(
     if not _is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
     weights = np.linalg.norm(f, axis=0) ** 2  # one per eigenket kept
+    survival = np.zeros(cfg.n_steps)
     curves = np.zeros((cfg.n_steps, weights.size))
     step = 0
     for p, fs in renormalized_blocks(k, f, cfg.n_steps):
+        survival[step : step + len(p)] = p
         curves[step : step + len(p)] = p[:, None] * np.linalg.norm(fs, axis=1) ** 2 / weights
         step += len(p)
         f = fs[-1]
+    object.__setattr__(cfg, "_survival", (rho0.rho.tobytes(), survival))
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
     # counts rise too.
     np.minimum.accumulate(curves, axis=0, out=curves)
@@ -231,12 +252,14 @@ def simulate_trajectories(
     kept = []
     for start in range(0, n_traj, MC_CHUNK):
         pick_u, u = rng.random((min(MC_CHUNK, n_traj - start), 2)).T
+        if weights.size == 1:
+            # every pick is 0, and u is taken whole: a masked copy costs a pass
+            # and, measured, about 0.1 MB of peak RSS in a protocol run
+            np.add.at(hist, np.searchsorted(rising[0], u, side="right"), 1)
+            continue
         picks = np.minimum(np.searchsorted(cum_weights, pick_u, side="right"), weights.size - 1)
         for j in range(weights.size):
-            # a pure start takes u whole: the masked copy costs a pass and,
-            # measured, about 0.1 MB of peak RSS in a protocol run
-            u_j = u if weights.size == 1 else u[picks == j]
-            hist += np.bincount(np.searchsorted(rising[j], u_j, side="right"), minlength=cfg.n_steps + 1)
+            np.add.at(hist, np.searchsorted(rising[j], u[picks == j], side="right"), 1)
         if keep_states:
             kept.append(picks[u < rising[picks, 0]] if cfg.n_steps else picks)
     del rising  # released before the counts, so the two never share the peak
@@ -244,7 +267,9 @@ def simulate_trajectories(
 
     states = None
     if keep_states:
-        kets = f.T[np.concatenate(kept)]  # a survivor's column has a nonzero norm
+        # a pure start's survivors are the hist[0] trajectories that wait every step
+        picks = np.concatenate(kept) if weights.size > 1 else np.zeros(hist[0], dtype=np.intp)
+        kets = f.T[picks]  # a survivor's column has a nonzero norm
         states = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     return TrajectoryEnsemble(
         n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states

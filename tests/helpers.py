@@ -1,7 +1,9 @@
 """Shared test utilities: random draws, independent closed-form oracles (among
 them the odd-parity block's populations and coherence), the
 two hand-written nine-term spin Hamiltonians that the bond builder must
-match, the stepwise Monte Carlo sampler that the waiting-time one is checked
+match, the Kronecker-chain bond builder that the index-assembled one must
+match bit for bit, the per-cell CSV writer that the row fast path must
+match byte for byte, the stepwise Monte Carlo sampler that the waiting-time one is checked
 against, the sorting survivor counter that its search must match bit for
 bit, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
@@ -17,6 +19,7 @@ so they can confront derive_effective and friends as independent routes.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -85,6 +88,17 @@ def nine_term_anisotropic(p: AnisotropicParams) -> np.ndarray:
     h = h + p.beta_x * _two_body("x", 2, 3)
     h = h + p.beta_y * _two_body("y", 2, 3)
     h = h + p.beta_z * _two_body("z", 2, 3)
+    return h
+
+
+def kron_xyz_hamiltonian(n_qubits: int, bonds) -> np.ndarray:
+    """Reference bond builder: J sigma_a^i sigma_a^j as a full Kronecker chain
+    (site 1 the most significant factor), added to the whole matrix bond by
+    bond in the order given."""
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for (i, j), axis, coupling in bonds:
+        factors = [SIGMA[axis] if k in (i, j) else EYE2 for k in range(1, n_qubits + 1)]
+        h = h + coupling * reduce(np.kron, factors)
     return h
 
 
@@ -434,6 +448,17 @@ def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> Non
         lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def percell_csv(path, header: list[str], rows) -> None:
+    """Reference CSV writer: every cell on its own, an integer (Python or
+    numpy, bools too) as str(v) and anything else as repr(float(v))."""
+    def cell(v) -> str:
+        return str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(cell(v) for v in row) + "\n" for row in rows)
 
 
 def bitloop_ancilla_order(dim: int, site: int) -> np.ndarray:

@@ -607,6 +607,27 @@ def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, says, tmp_path,
     assert err.startswith("zenon: numerical error:") and says in err
 
 
+@pytest.mark.parametrize("g_xy", [1e80, 1e100, 1e150, 1e160])
+def test_cli_derive_past_the_squared_double_range_is_finite_or_names_the_overflow(g_xy, tmp_path, repo_cwd, capsys):
+    # Gamma's entries pass 1e154 from g_xy = 1e77 on, so its sum of squares
+    # overflows while its norm need not; the gates once read inf <= inf there
+    scenario = json.loads((CONFIGS / "derive_symmetric.json").read_text())
+    scenario["params"]["g_xy"] = g_xy
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(scenario))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["derive", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        eff = json.loads((tmp_path / "o" / "effective.json").read_text())
+        values = [x for name in ("h0", "gamma") for part in ("re", "im") for x in eff[name][part]]
+        assert all(map(math.isfinite, values)) and max(values) > 1e150
+    else:
+        assert code == 3 and "overflows" in capsys.readouterr().err
+    assert code == (0 if g_xy <= 1e150 else 3)
+
+
 def test_cli_protocol_at_a_huge_coupling_warns_briefly_and_exits_3(tmp_path, repo_cwd, capsys):
     scenario = json.loads((CONFIGS / "protocol_symmetric.json").read_text())
     scenario["params"]["g_xy"] = 1e300

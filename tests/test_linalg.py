@@ -1,5 +1,9 @@
+import math
 import re
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from helpers import (
     expression_hermitian_part,
     expression_is_hermitian,
     expression_psd_eig,
+    percell_csv,
     random_complex,
     random_hermitian,
     random_psd,
@@ -350,3 +355,57 @@ def test_write_csv_integers_and_float_edge_cases(tmp_path):
     again = tmp_path / "u.csv"
     write_csv(again, ["step", "count", "x", "y"], rows)
     assert again.read_bytes() == path.read_bytes()
+
+
+_CELLS = [
+    0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 5e-324, 1e300, 2.5,
+    0, 7, -3, 10**20, True, False,
+    np.float64(0.1), np.float64(1e16), np.float32(0.1), np.float32(1e-5), np.int64(-4), np.int32(9),
+    np.float64(-0.0), np.bool_(True),
+]
+
+
+@given(st.lists(st.lists(st.sampled_from(_CELLS), max_size=6), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_write_csv_rows_match_the_per_cell_writer_byte_for_byte(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
+        write_csv(fast, ["a", "b"], rows)
+        percell_csv(slow, ["a", "b"], rows)
+        assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_write_csv_plain_rows_and_mixed_rows(tmp_path):
+    rows = [(1, 0.5, -0.0, 1e16), [True, np.float32(0.1), np.int64(2), 1e-5], (), (math.nan, math.inf)]
+    write_csv(tmp_path / "t.csv", ["x"], rows)
+    assert (tmp_path / "t.csv").read_text() == (
+        "x\n1,0.5,-0.0,1e+16\nTrue,0.10000000149011612,2,1e-05\n\nnan,inf\n"
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_frobenius_norm_is_numpys_norm_bit_for_bit_when_it_does_not_overflow(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = random_complex(rng, 1 + seed % 7) * 10.0 ** rng.uniform(-300, 150)
+    assert frobenius_norm(a) == float(np.linalg.norm(a))
+    assert frobenius_norm(a.real) == float(np.linalg.norm(a.real))
+
+
+def test_frobenius_norm_rescales_an_overflowing_sum_of_squares():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's first try overflows
+        assert frobenius_norm(np.full((2, 2), 1e160)) == pytest.approx(2e160, rel=1e-15)
+        assert frobenius_norm(np.array([[3e200, 0], [4e200j, 0]])) == pytest.approx(5e200, rel=1e-15)
+        assert frobenius_norm(np.full((3, 3), 1e308)) == math.inf  # the norm itself is past the range
+        assert frobenius_norm(np.array([[math.inf, 1.0]])) == math.inf
+        assert math.isnan(frobenius_norm(np.array([[math.nan, 1e200]])))
+
+
+def test_as_hermitian_refuses_a_matrix_whose_norm_overflowed_before():
+    # ||A - A^dag|| and ||A|| once both read inf, and inf <= 1e-10 inf passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NotHermitianError):
+            as_hermitian([[0, 1e160], [0, 0]])
+        h = as_hermitian([[1e160, 2e160j], [-2e160j, 0]])
+    assert np.array_equal(h, np.array([[1e160, 2e160j], [-2e160j, 0]]))

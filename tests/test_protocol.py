@@ -1,13 +1,16 @@
 import math
 import re
 import sys
+from pathlib import Path
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import zenon.cli
 import zenon.linalg
+import zenon.protocol
 from helpers import random_hermitian, random_ket, sorting_trajectories, stepwise_trajectories, taylor_expm
 from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
 from zenon.effective import AncillaSpec, derive_effective, kraus_step
@@ -491,3 +494,90 @@ def test_write_ensemble_csv(tmp_path):
     assert int(first[1]) == ens.survival_counts[0]
     with pytest.raises(BadDimensionError):
         write_ensemble_csv(path, ens, exact[:-1])
+
+
+def _count_chains(monkeypatch) -> list:
+    """Patch protocol's chain to record each run; returns the record."""
+    runs = []
+    chain = zenon.protocol.renormalized_blocks
+
+    def counted(*args):
+        runs.append(args[2])
+        return chain(*args)
+
+    monkeypatch.setattr(zenon.protocol, "renormalized_blocks", counted)
+    return runs
+
+
+def _nilpotent_cfg(n_steps=6):
+    # K = |0><1| kills every state in two steps: from the maximally mixed
+    # start the chain's trace reaches 0 at step 2 and the chain ends early
+    cfg = _cfg(n_steps=n_steps)
+    k = np.zeros((4, 4), dtype=complex)
+    k[0, 1] = 1.0
+    object.__setattr__(cfg, "kraus", k)
+    return cfg
+
+
+_SHARED_CHAIN_STARTS = {
+    "pure": (_cfg, DensityMatrix.basis_state(4, 1)),
+    "mixed": (_cfg, _MIXED),
+    "early_end": (_nilpotent_cfg, DensityMatrix.maximally_mixed(4)),
+}
+
+
+@pytest.mark.parametrize("start", list(_SHARED_CHAIN_STARTS))
+def test_survival_curve_is_the_same_bits_before_and_after_the_monte_carlo(start, monkeypatch):
+    make_cfg, rho0 = _SHARED_CHAIN_STARTS[start]
+    before = conditional_survival_curve(make_cfg(), rho0)
+    cfg = make_cfg()
+    ens = simulate_trajectories(cfg, rho0, n_traj=500, seed=3)
+    runs = _count_chains(monkeypatch)
+    after = conditional_survival_curve(cfg, rho0)
+    assert runs == []  # the Monte Carlo's chain is read, not run again
+    assert np.array_equal(after.view(np.int64), before.view(np.int64))
+    if start == "early_end":
+        assert before[0] > 0 and np.array_equal(before[1:], np.zeros(5))
+        assert np.array_equal(ens.survival_counts[1:], np.zeros(5))
+
+
+def test_another_start_state_runs_its_own_chain(monkeypatch):
+    cfg = _cfg(n_steps=30)
+    pure = DensityMatrix.basis_state(4, 1)
+    simulate_trajectories(cfg, pure, n_traj=100, seed=5)
+    runs = _count_chains(monkeypatch)
+    curve = conditional_survival_curve(cfg, _MIXED)
+    assert runs == [30]
+    monkeypatch.undo()
+    assert np.array_equal(curve.view(np.int64), conditional_survival_curve(_cfg(n_steps=30), _MIXED).view(np.int64))
+    # the record is the last Monte Carlo run's: a run from _MIXED replaces it
+    simulate_trajectories(cfg, _MIXED, n_traj=100, seed=5)
+    runs = _count_chains(monkeypatch)
+    assert np.array_equal(conditional_survival_curve(cfg, _MIXED), curve)
+    conditional_survival_curve(cfg, pure)
+    assert runs == [30]
+
+
+def test_a_mutated_survival_curve_leaves_the_record_intact():
+    cfg = _cfg(n_steps=12)
+    rho0 = DensityMatrix.basis_state(4, 1)
+    simulate_trajectories(cfg, rho0, n_traj=100, seed=6)
+    first = conditional_survival_curve(cfg, rho0)
+    kept = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(conditional_survival_curve(cfg, rho0), kept)
+
+
+def test_a_wrong_dimension_is_still_refused_after_a_monte_carlo():
+    cfg = _cfg(n_steps=5)
+    simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=10, seed=1)
+    with pytest.raises(BadDimensionError):
+        conditional_survival_curve(cfg, DensityMatrix.basis_state(2, 0))
+
+
+def test_cli_protocol_runs_one_chain(tmp_path, monkeypatch):
+    runs = _count_chains(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "configs" / "protocol_symmetric.json"
+    monkeypatch.chdir(config.parent.parent)
+    assert zenon.cli.main(["protocol", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(runs) == 1

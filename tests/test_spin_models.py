@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    kron_xyz_hamiltonian,
     nine_term_anisotropic,
     nine_term_symmetric,
     random_anisotropic_params,
@@ -142,12 +144,64 @@ def test_heisenberg_ring_conserves_total_sz():
 
 
 def test_xyz_hamiltonian_rejects_bad_sites():
-    with pytest.raises(SiteOutOfRangeError):
+    with pytest.raises(SiteOutOfRangeError, match=r"^site 4 outside 1\.\.3$"):
         xyz_hamiltonian(3, [((1, 4), "x", 1.0)])
-    with pytest.raises(SiteOutOfRangeError):
+    with pytest.raises(SiteOutOfRangeError, match=r"^site 0 outside 1\.\.3$"):
         xyz_hamiltonian(3, [((0, 2), "z", 1.0)])
-    with pytest.raises(SiteOutOfRangeError):
+    with pytest.raises(SiteOutOfRangeError, match=r"^bond \(2, 2\) joins site 2 to itself$"):
         xyz_hamiltonian(3, [((2, 2), "y", 1.0)])
+    # the checks run bond by bond, in the order given: self-bond, axis, sites
+    with pytest.raises(SiteOutOfRangeError, match="joins site 5 to itself"):
+        xyz_hamiltonian(3, [((1, 2), "x", 1.0), ((5, 5), "w", 1.0)])
+    with pytest.raises(ValidationError, match=r"^axis must be one of 'x', 'y', 'z', got 'w'$"):
+        xyz_hamiltonian(3, [((1, 2), "x", 1.0), ((1, 9), "w", 1.0)])
+    with pytest.raises(ValidationError, match=r"^n_qubits must be positive, got 0$"):
+        xyz_hamiltonian(0, [((1, 2), "x", 1.0)])
+
+
+_COUPLINGS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, 1.0, -0.7, 3])
+
+
+@st.composite
+def _bond_lists(draw):
+    """(n_qubits, bonds): 1-6 qubits and up to 12 bonds, repeats allowed."""
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return n, []
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(tuple)
+    bond = st.tuples(pair, st.sampled_from("xyz"), _COUPLINGS | st.floats(-1e3, 1e3))
+    return n, draw(st.lists(bond, max_size=12))
+
+
+@given(_bond_lists())
+@settings(max_examples=300, deadline=None)
+def test_xyz_hamiltonian_is_the_kronecker_sum_bit_for_bit(case):
+    n, bonds = case
+    h = xyz_hamiltonian(n, bonds)
+    ref = kron_xyz_hamiltonian(n, bonds)
+    assert h.dtype == ref.dtype and h.shape == ref.shape
+    assert np.array_equal(h.view(np.int64), ref.view(np.int64))
+
+
+def test_xyz_hamiltonian_is_ten_times_faster_than_the_kronecker_sum_at_nine_qubits():
+    rng = np.random.default_rng(37)
+    bonds = []
+    for _ in range(37):
+        i, j = rng.choice(np.arange(1, 10), 2, replace=False)
+        bonds.append(((int(i), int(j)), "xyz"[rng.integers(3)], float(rng.normal())))
+
+    def best(build, repeats):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            h = build(9, bonds)
+            times.append(time.perf_counter() - start)
+        return min(times), h
+
+    fast, h = best(xyz_hamiltonian, 5)
+    slow, ref = best(kron_xyz_hamiltonian, 3)
+    assert np.array_equal(h.view(np.int64), ref.view(np.int64))
+    assert slow >= 10 * fast, (slow, fast)
 
 
 def test_build_symmetric_swap_invariance():
