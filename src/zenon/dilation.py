@@ -27,6 +27,7 @@ from .dynamics import DensityMatrix
 from .effective import AncillaSpec, decay_generator, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
+    NumericalError,
     RoundTripFailureError,
     StroboscopicRegimeWarning,
     ValidationError,
@@ -76,7 +77,8 @@ def choose_tau(f: float) -> float:
 def dilation_step(h_eff, fallback: float | None = None) -> float:
     """Step tau for dilating h_eff: choose_tau of the largest Bohr frequency
     of its decay generator, or fallback when that frequency is 0."""
-    w = hermitian_eig(decay_generator(h_eff)).eigenvalues
+    with np.errstate(over="ignore"):  # frobenius_norm retries an overflowing sum of squares
+        w = hermitian_eig(decay_generator(h_eff)).eigenvalues
     f = float(w[-1] - w[0])
     if f > 0 or fallback is None:
         return choose_tau(f)
@@ -100,7 +102,9 @@ class DilationResult:
 
     def __post_init__(self):
         hm = as_cmatrix(self.h)
-        if hermitian_residual(hm) > 1e-12 * max(1.0, frobenius_norm(hm)):
+        with np.errstate(over="ignore"):  # frobenius_norm retries an overflowing sum of squares
+            residual, scale = hermitian_residual(hm), frobenius_norm(hm)
+        if not residual <= 1e-12 * max(1.0, scale):  # a NaN fails
             raise NotHermitianError("dilated Hamiltonian must be Hermitian to 1e-12")
         if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
@@ -109,7 +113,7 @@ class DilationResult:
         object.__setattr__(self, "h", hm)
         if self.f * self.tau > 0.011:
             warnings.warn(
-                f"f * tau = {self.f * self.tau:.4f} > 0.011; dilation leaves the "
+                f"f * tau = {self.f * self.tau:.4g} > 0.011; dilation leaves the "
                 "intended stroboscopic regime",
                 StroboscopicRegimeWarning,
                 stacklevel=3,
@@ -140,16 +144,24 @@ class DilationResult:
 
 def dilate(h_eff, tau: float) -> DilationResult:
     """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
-    with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G."""
+    with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.
+
+    Raises NumericalError when c + w / tau overflows the double range; R is
+    finite whenever those weights are (its entries are at most
+    sqrt(max(c + w / tau)) in modulus)."""
     m = as_cmatrix(h_eff)
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    eig = hermitian_eig(decay_generator(m))
-    w = eig.eigenvalues
-    f = float(w[-1] - w[0])
-    m_min = float(w[0]) / tau
-    c = max(0.0, -m_min)
-    coupling = eig_sqrt(EigenDecomposition(c + w / tau, eig.eigenvectors))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        eig = hermitian_eig(decay_generator(m))
+        w = eig.eigenvalues
+        f = float(w[-1] - w[0])
+        m_min = float(w[0]) / tau
+        c = max(0.0, -m_min)
+        lifted = c + w / tau
+    if not np.all(np.isfinite(lifted)):
+        raise NumericalError(f"c + w / tau overflows at tau = {tau:.4g}: decay spread {f:.4g}")
+    coupling = eig_sqrt(EigenDecomposition(lifted, eig.eigenvectors))
     h = kron(hermitian_part(m), _P0) + kron(coupling, _FLIP)
     return DilationResult(h=h, tau=tau, c=c, f=f, m=m_min)
 

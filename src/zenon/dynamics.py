@@ -12,8 +12,10 @@ whose last term feeds the lost norm back in.  Both routes are implemented
 independently so they can be checked against each other: repeated
 conditional steps (exp(-i H_eff dt) here or the protocol's Kraus step) run
 through chain.renormalized_blocks, F <- A F advanced up to 64 steps per
-stacked product of precomputed powers of A, and one RK4 integrates the
-equation for a density matrix and, with F a single column, for a pure state.
+stacked product of precomputed powers of A (the protocol's filtered state
+reads only the chain's end, chain.renormalized_end), and one RK4 integrates
+the equation for a density matrix and, with F a single column, for a pure
+state.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ from .linalg import (
 
 P_MIN = 1e-12
 STEP_NORM_LIMIT = 0.1
+MAX_RK4_STEPS = 10**6
+"""Largest RK4 step count t / dt, checked before the first step, as
+protocol.MAX_PROTOCOL_STEPS caps the chain.  At the cap a 4-dimensional mixed
+start takes about 28 s (2-core Xeon, numpy 2.4); the cases of acceptance
+criterion 7 plan at most about 400 steps."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,9 @@ def default_time_step(eff: EffectiveHamiltonian) -> float:
 
 def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: float | None) -> np.ndarray:
     """Classical RK4 for dF/dt = A F - Re<F, A F> F, A = -i H_eff, from a
-    unit-norm F over [0, t], with a shorter last step for the remainder.
+    unit-norm F over [0, t], with a shorter last step for the remainder;
+    more than MAX_RK4_STEPS planned steps raise StepTooLargeError before
+    the first.
 
     The right-hand side is orthogonal to F, so ||F||_F stays 1 up to the
     truncation error; F is divided by its norm after each step, and a drift
@@ -174,6 +183,8 @@ def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: fl
     a = -1j * eff.matrix()
     if dt * frobenius_norm(a) > STEP_NORM_LIMIT:
         raise StepTooLargeError(f"dt * ||H_eff|| = {dt * frobenius_norm(a):.3e} > {STEP_NORM_LIMIT}")
+    if not t / dt <= MAX_RK4_STEPS:  # t / dt inf or NaN too
+        raise StepTooLargeError(f"t / dt = {t / dt:.3g} RK4 steps planned, more than {MAX_RK4_STEPS}")
 
     def rhs(f):
         af = a @ f

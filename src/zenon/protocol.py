@@ -3,15 +3,17 @@
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
 measured outcome equals the monitored state, i.e. apply K = <m|U(tau)|m>,
-which ProtocolConfig builds once from its eigendecomposition of H.  The
-filtered state, the exact survival curve and the waiting-time Monte Carlo
-(one uniform per trajectory against the survival curve of its initial
-eigenket, a column of F) all read chain.renormalized_blocks with K on the
-factor F of rho0 = F F^dag, up to 64 steps per stacked product.  A protocol
-run calls the Monte Carlo first: it records the exact survival curve its
-chain yields on the ProtocolConfig, and conditional_survival_curve then
-returns a copy of that record for the same start state, so the run makes
-one chain, not two.
+which ProtocolConfig builds once from its eigendecomposition of H.  Every
+chain here runs K on the factor F of rho0 = F F^dag.  The filtered state
+reads only the chain's end, chain.renormalized_end: a block of B steps is
+one product K^B F, at dimension 256 from a mixed start 19 products for 100
+steps.  The exact survival curve and the waiting-time Monte Carlo (one
+uniform per trajectory against the survival curve of its initial eigenket,
+a column of F) read every step, chain.renormalized_blocks, up to 64 steps
+per stacked product.  A protocol run calls the Monte Carlo first: it
+records the exact survival curve its chain yields on the ProtocolConfig,
+and conditional_survival_curve then returns a copy of that record for the
+same start state, so the run makes one chain, not two.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import renormalized_blocks
+from .chain import renormalized_blocks, renormalized_end
 from .dynamics import (
     ConditionalState,
     DensityMatrix,
@@ -125,8 +127,10 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     """Deterministic filtered state after n_steps successful measurements.
 
     The survival probability is accumulated two independent ways, as the
-    trace of K^n rho0 K^n dagger and as the telescoping product of per-step
-    conditional probabilities of renormalized_blocks; both must agree to
+    trace of K^n rho0 K^n dagger and as the telescoping product of block
+    conditional probabilities of chain.renormalized_end (one product K^B F
+    per block, B = end_block_size, the same B and bits as the last block of
+    renormalized_blocks up to dimension 8); both must agree to
     CHAIN_CONSISTENCY_RTOL.  A chain that ends early or a probability at or
     below P_MIN leaves no state to normalize: ProbabilityUnderflowError.
     """
@@ -137,13 +141,9 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     k_pow = np.linalg.matrix_power(k, cfg.n_steps)
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
     del k_pow
-    steps = 0
-    # f takes each block's stack in turn, so the start factor is not kept alive
-    for p, f in renormalized_blocks(k, f, cfg.n_steps):
-        steps += len(p)
+    p_chain, f, steps = renormalized_end(k, f, cfg.n_steps)
     if steps < cfg.n_steps:
         raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {steps + 1}")
-    p_chain, f = float(p[-1]), f[-1]
     if p_direct > 1e-250:
         gap = abs(p_direct - p_chain)
         if gap > CHAIN_CONSISTENCY_RTOL * max(p_direct, p_chain):

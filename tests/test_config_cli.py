@@ -226,6 +226,22 @@ def test_cli_dilate_without_tau_picks_step_from_spectrum(tmp_path, repo_cwd):
     assert res.tau == pytest.approx(0.01 / res.f)
 
 
+@pytest.mark.parametrize("command", ["dilate", "roundtrip"])
+def test_cli_dilation_overflow_is_a_numerical_error(command, tmp_path, capsys):
+    # c + w / tau overflows: a decay spread of 2e160 gives tau = 5e-163
+    matrix = tmp_path / "huge.json"
+    matrix.write_text(json.dumps({"dim": 2, "re": [1e160, 1e160, 1e160, 0.0], "im": [-1e160, 0.0, 0.0, 0.0]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "model": "matrix-file", "params": str(matrix)}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_roundtrip_covers_all_fixtures(tmp_path, repo_cwd):
     out = tmp_path / "rt"
     assert main(["roundtrip", "--config", "configs/roundtrip_fixtures.json", "--out", str(out)]) == 0

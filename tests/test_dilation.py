@@ -111,6 +111,8 @@ def test_dilation_result_validation_and_warning():
         DilationResult(h=np.eye(2), tau=0.1, c=5.0, f=1.0, m=2.0)  # c != max(0,-m)
     with pytest.raises(NotHermitianError):
         DilationResult(h=np.array([[0, 1], [0, 0]]), tau=0.1, c=0.0, f=0.0, m=0.0)
+    with pytest.raises(NotHermitianError):  # a NaN residual fails the gate too
+        DilationResult(h=np.full((2, 2), np.nan), tau=0.1, c=0.0, f=0.0, m=0.0)
     with pytest.warns(StroboscopicRegimeWarning):
         DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
 
@@ -119,6 +121,9 @@ def test_dilation_result_regime_warning_names_the_caller():
     with pytest.warns(StroboscopicRegimeWarning) as record:
         DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
     assert [w.filename for w in record] == [__file__]
+    # f * tau in four significant digits, however large
+    with pytest.warns(StroboscopicRegimeWarning, match=r"f \* tau = 1e\+300 > 0\.011"):
+        DilationResult(h=np.eye(2), tau=1e150, c=0.0, f=1e150, m=0.0)
 
 
 def test_coupling_null_direction_is_exact_on_every_fixture():

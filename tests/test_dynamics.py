@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from helpers import (
     symmetric_odd_block,
     transition_probability,
 )
-from zenon.chain import chain_block_size, renormalized_blocks
+from zenon.chain import chain_block_size, end_block_size, renormalized_blocks, renormalized_end
 from zenon.dynamics import (
     STEP_NORM_LIMIT,
     _integrate_factor,
@@ -49,6 +50,7 @@ from zenon.errors import (
     ValidationError,
 )
 from zenon.linalg import expm, frobenius_norm, trace
+from zenon.protocol import ProtocolConfig, simulate_conditional
 from zenon.spin_models import SymmetricParams, build_symmetric
 from zenon.effective import AncillaSpec
 
@@ -266,6 +268,12 @@ def test_integrate_nonlinear_step_guard():
         integrate_nonlinear(eff, rho0, 1.0, dt=-0.1)
     with pytest.raises(StepTooLargeError):
         integrate_nonlinear(eff, rho0, 1.0, dt=0.15 / frobenius_norm(eff.matrix()))
+    # a stiff generator: its default step plans 2.8e11 steps, refused before the first
+    stiff = EffectiveHamiltonian(h0=np.diag([1e9, -1e9]).astype(complex), gamma=np.zeros((2, 2)), tau=0.1)
+    start = time.perf_counter()
+    with pytest.raises(StepTooLargeError, match=r"2\.83e\+11 RK4 steps"):
+        integrate_nonlinear(stiff, DensityMatrix.basis_state(2, 0), 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_integrate_pure_nonlinear_matches_density_route():
@@ -414,8 +422,12 @@ def test_renormalized_chain_ends_when_trace_reaches_zero():
     assert len(steps) == 1
     p, f = steps[0]
     assert p == 1.0 and np.array_equal(f @ f.conj().T, DensityMatrix.basis_state(2, 0).rho)
-    with pytest.raises(ProbabilityUnderflowError), np.errstate(over="ignore", invalid="ignore"):
-        list(renormalized_chain(1e200 * np.eye(2, dtype=complex), f0, 1))
+    # the end-only chain ends at the same step, on the same state
+    p_end, f_end, steps_end = renormalized_end(a, f0, 5)
+    assert (p_end, steps_end) == (p, 1) and np.array_equal(f_end, f)
+    for chain in (lambda *args: list(renormalized_chain(*args)), renormalized_end):
+        with pytest.raises(ProbabilityUnderflowError), np.errstate(over="ignore", invalid="ignore"):
+            chain(1e200 * np.eye(2, dtype=complex), f0, 1)
 
 
 def _max_abs_log_singular_value(a):
@@ -449,6 +461,27 @@ def test_chain_block_size_rule():
             assert b == 64 or (b + 1) * spread > 1 - 1e-12
 
 
+def test_end_block_size_rule():
+    rng = np.random.Generator(np.random.PCG64(32))
+    # the end-only chain holds no stack: 9 powers and 10 block products, not 100 steps
+    assert end_block_size(np.eye(256, dtype=complex), 256, 100) == 10
+    # a pure start at large d: a power costs more than the steps it saves
+    assert end_block_size(np.eye(256, dtype=complex), 1, 100) == 1
+    # the spread rule and its singular and non-finite exits hold under the new cap
+    singular = expm(-1j * 0.05 * _symmetric_eff().matrix()) @ np.diag([1.0, 1.0, 1.0, 0.0])
+    assert end_block_size(singular, 4, 400) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert end_block_size(1e200 * np.eye(2, dtype=complex), 2, 5) == 1
+    assert end_block_size(np.eye(4, dtype=complex), 4, 0) == 1
+    # up to d = 8 the caps agree, so the end-only chain takes the stacked chain's B
+    for d in (1, 2, 4, 8):
+        for scale in (1e-3, 0.1, 2.0):
+            a = expm(-1j * scale * (random_hermitian(rng, d) - 0.5j * random_psd(rng, d)))
+            for rank in sorted({1, 2, d}):
+                for n_steps in (1, 2, 7, 63, 64, 65, 400):
+                    assert end_block_size(a, rank, n_steps) == chain_block_size(a, n_steps)
+
+
 def _chain_matrix():
     a = expm(-1j * 0.05 * _symmetric_eff().matrix())
     assert 1 < chain_block_size(a, 400) and 400 % chain_block_size(a, 400)  # a partial last block
@@ -469,6 +502,53 @@ def test_renormalized_blocks_match_stepwise_oracle(start):
         assert abs(p_k - p_ref) <= 1e-13 * p_ref
         assert frobenius_norm(f_k @ f_k.conj().T - f_ref @ f_ref.conj().T) <= 1e-12
     assert oracle[-1][0] < 0.6  # the chain has decayed, not idled
+    # the end-only chain takes the same B, so it ends on the last block's
+    # words, after a partial last block and after a single last step
+    b = chain_block_size(a, 400)
+    for n_steps in (400, 2 * b + 1):
+        assert end_block_size(a, f0.shape[1], n_steps) == chain_block_size(a, n_steps) == b
+        p_last, f_last = list(renormalized_blocks(a, f0, n_steps))[-1]
+        p_end, f_end, steps = renormalized_end(a, f0, n_steps)
+        assert steps == n_steps and np.float64(p_end).view(np.int64) == p_last[-1:].view(np.int64)[0]
+        assert np.array_equal(f_end.view(np.int64), f_last[-1].view(np.int64))
+    # and so does the filtered protocol state built from it
+    cfg = ProtocolConfig(build_symmetric(SymmetricParams(1.0, 0.5, 1.0, 0.3)), AncillaSpec(), 0.05, 400)
+    object.__setattr__(cfg, "kraus", a)  # the protocol's step replaced by the chain's
+    cs = simulate_conditional(cfg, _CHAIN_STARTS[start])
+    last = ConditionalState(rho_c=(fs[-1] * p[-1]) @ fs[-1].conj().T, p=p[-1], t=cs.t)
+    assert np.float64(cs.p).view(np.int64) == p[-1:].view(np.int64)[0]
+    assert np.array_equal(cs.rho_c.view(np.int64), last.rho_c.view(np.int64))
+
+
+def _mild_contraction(rng, dim):
+    """A contraction whose singular values spread little (a long end block)."""
+    a = expm(-1j * 0.05 * (random_hermitian(rng, dim) - 0.5j * random_psd(rng, dim) / dim))
+    return a / np.linalg.norm(a, 2)
+
+
+_LARGE_STARTS = {
+    "pure": lambda d: random_ket(np.random.Generator(np.random.PCG64(40)), d)[:, None],
+    "rank2": lambda d: state_factor(_rotated([0.7, 0.3] + [0.0] * (d - 2), 41)),
+    "maximally_mixed": lambda d: state_factor(np.eye(d, dtype=complex) / d),
+}
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("start", list(_LARGE_STARTS))
+def test_renormalized_end_matches_stepwise_oracle_at_large_dimension(dim, start):
+    a = _mild_contraction(np.random.Generator(np.random.PCG64(dim)), dim)
+    f0 = _LARGE_STARTS[start](dim)
+    b = end_block_size(a, f0.shape[1], 100)
+    if start == "maximally_mixed":
+        assert b == 10  # one product per 10 steps at n = 100; shorter chains pick their own B
+    oracle = list(stepwise_chain(a, f0, 100))
+    for n_steps in sorted({1, b - 1, b, 2 * b + 3, 100} - {0}):
+        p, f, steps = renormalized_end(a, f0, n_steps)
+        p_ref, f_ref = oracle[n_steps - 1]
+        assert steps == n_steps
+        assert abs(p - p_ref) <= 1e-13 * p_ref
+        assert frobenius_norm(f @ f.conj().T - f_ref @ f_ref.conj().T) <= 1e-12
+    assert oracle[-1][0] < 0.9  # the chain has decayed, not idled
 
 
 def _random_contraction(rng, dim):
@@ -493,6 +573,11 @@ def test_renormalized_chain_is_the_stepwise_chain_bit_for_bit_at_block_size_one(
     # 1 / sqrt(trace) leaves the words of the stepwise chain's division
     for (p, f), (p_ref, f_ref) in zip(chain, oracle):
         assert np.float64(p).view(np.int64) == np.float64(p_ref).view(np.int64)
+        assert np.array_equal(f.view(np.int64), f_ref.view(np.int64))
+    if case == "singular":  # the end-only chain's B is 1 too: the same single steps
+        assert end_block_size(a, f0.shape[1], 50) == 1
+        p, f, steps = renormalized_end(a, f0, 50)
+        assert steps == 50 and np.float64(p).view(np.int64) == np.float64(p_ref).view(np.int64)
         assert np.array_equal(f.view(np.int64), f_ref.view(np.int64))
 
 

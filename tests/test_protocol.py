@@ -204,6 +204,49 @@ def test_simulate_conditional_underflow_raises():
         simulate_conditional(cfg, DensityMatrix.maximally_mixed(2))
 
 
+@pytest.mark.parametrize("start", ["pure", "mixed"])
+def test_consistency_check_catches_a_perturbed_chain(start, monkeypatch):
+    # K perturbed by 1e-10 on the chain's route alone: the two survival
+    # probabilities part by far more than CHAIN_CONSISTENCY_RTOL
+    rho0 = DensityMatrix.basis_state(4, 1) if start == "pure" else _MIXED
+    chain = zenon.protocol.renormalized_end
+    noise = random_hermitian(np.random.Generator(np.random.PCG64(22)), 4)
+    monkeypatch.setattr(zenon.protocol, "renormalized_end", lambda a, f, n: chain(a + 1e-10 * noise, f, n))
+    with pytest.raises(NumericalError, match="routes disagree"):
+        simulate_conditional(_cfg(n_steps=30), rho0)
+
+
+def test_filtered_state_chain_peak_stays_at_or_below_the_direct_route(monkeypatch):
+    # dimension 256 from the maximally mixed start, as in the dense_composite
+    # benchmark (tau = 1 / ||H||_F is about 0.2 over the Bohr spread): K^100
+    # and its trace product against the end-only chain's buffers
+    h = random_hermitian(np.random.Generator(np.random.PCG64(23)), 512)
+    cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=1 / frobenius_norm(h), n_steps=100)
+    peaks = {}
+    matrix_power, chain = np.linalg.matrix_power, zenon.protocol.renormalized_end
+
+    def direct(*args):
+        tracemalloc.reset_peak()
+        return matrix_power(*args)
+
+    def measured(*args):
+        peaks["direct"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = chain(*args)
+        peaks["chain"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(np.linalg, "matrix_power", direct)
+    monkeypatch.setattr(zenon.protocol, "renormalized_end", measured)
+    tracemalloc.start()
+    try:
+        cs = simulate_conditional(cfg, DensityMatrix.maximally_mixed(256))
+    finally:
+        tracemalloc.stop()
+    assert cs.p < 0.99  # the state has decayed, so the chain ran its blocks
+    assert peaks["chain"] <= peaks["direct"]
+
+
 def test_stroboscopic_error_second_order_in_tau():
     p = SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=2.0, g_z=0.3)
     rho0 = DensityMatrix.basis_state(4, 1)
@@ -436,6 +479,11 @@ def test_annihilating_step_exact_curve_is_zero_and_filtered_state_raises():
     assert np.all((curve >= 0) & (curve <= 1e-30 ** np.arange(1, 7)))
     with pytest.raises(ProbabilityUnderflowError):
         simulate_conditional(cfg, rho0)
+
+
+def test_nilpotent_step_ends_the_filtered_state_at_its_step():
+    with pytest.raises(ProbabilityUnderflowError, match="hit 0.0 at step 2"):
+        simulate_conditional(_nilpotent_cfg(), DensityMatrix.maximally_mixed(4))
 
 
 def test_simulate_trajectories_mixed_survivor_states_follow_their_eigenket():
