@@ -12,8 +12,9 @@ whose last term feeds the lost norm back in.  Both routes are implemented
 independently so they can be checked against each other: repeated
 conditional steps (exp(-i H_eff dt) here or the protocol's Kraus step) run
 through chain.renormalized_blocks, F <- A F advanced up to 64 steps per
-stacked product of precomputed powers of A (the protocol's filtered state
-reads only the chain's end, chain.renormalized_end), and one RK4 integrates
+stacked product of precomputed powers of A (the sweep's final state and
+the protocol's filtered state read only the chain's end,
+chain.renormalized_end), and one RK4 integrates
 the equation for a density matrix and, with F a single column, for a pure
 state.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import renormalized_blocks
+from .chain import renormalized_blocks, renormalized_end
 from .effective import EffectiveHamiltonian
 from .errors import (
     BadDimensionError,
@@ -262,11 +263,9 @@ def state_factor(rho) -> np.ndarray:
 
 
 def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
-    """Validated renormalized_blocks with exp(-i h_eff dt) on the factor of
-    rho0, dt = t_max / (n_samples - 1).  Returns dt and a generator of
-    (k, p, F) blocks, p[j] and F[j] at t = (k + j) dt, that covers
-    k = 1 .. n_samples - 1; a trace that reaches 0 leaves no state to return
-    and raises ProbabilityUnderflowError."""
+    """(dt, exp(-i h_eff dt), F): the validated start of the chain on the
+    factor F of rho0 over a uniform grid of n_samples times from 0 to t_max,
+    dt = t_max / (n_samples - 1)."""
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {m.shape[0]}")
@@ -275,16 +274,11 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)
+    return dt, expm(-1j * dt * m), state_factor(rho0.rho)
 
-    def blocks():
-        k = 1
-        for p, fs in renormalized_blocks(expm(-1j * dt * m), state_factor(rho0.rho), n_samples - 1):
-            yield k, p, fs
-            k += len(p)
-        if k < n_samples:
-            raise ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {k * dt:g}")
 
-    return dt, blocks()
+def _collapsed(t: float) -> ProbabilityUnderflowError:
+    return ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {t:g}")
 
 
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
@@ -292,27 +286,34 @@ def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: 
     from 0 to t_max under a (possibly non-Hermitian) generator h_eff, with
     survival tracking: (times, survival, states), states an (n_samples, dim,
     dim) stack of F F^dag, filled one stacked product per chain block.
-    survival may reach exactly 0.0 once exp underflows; a collapse raises
-    ProbabilityUnderflowError (_grid_chain)."""
-    dt, blocks = _grid_chain(h_eff, rho0, t_max, n_samples)
+    survival may reach exactly 0.0 once exp underflows; a trace that reaches
+    0 leaves no state to return and raises ProbabilityUnderflowError."""
+    dt, a, f = _grid_chain(h_eff, rho0, t_max, n_samples)
     times = np.arange(n_samples) * dt
     survival = np.empty(n_samples)
     states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
     survival[0] = 1.0
     states[0] = rho0.rho
-    for k, p, fs in blocks:
+    k = 1
+    for p, fs in renormalized_blocks(a, f, n_samples - 1):
         survival[k : k + len(p)] = p
         np.matmul(fs, dagger(fs), out=states[k : k + len(p)])
+        k += len(p)
+    if k < n_samples:
+        raise _collapsed(k * dt)
     return times, survival, states
 
 
 def conditional_final_state(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
-    """(survival, state) at t_max: the last sample of conditional_trajectory
-    with the same arguments, bit for bit, without the stack of states."""
-    _, blocks = _grid_chain(h_eff, rho0, t_max, n_samples)
-    for _, p, fs in blocks:
-        pass
-    return float(p[-1]), fs[-1] @ dagger(fs[-1])
+    """(survival, state) at t_max from the chain's end alone
+    (chain.renormalized_end): up to dimension 8 the last sample of
+    conditional_trajectory with the same arguments, bit for bit, and it
+    raises where that does."""
+    dt, a, f = _grid_chain(h_eff, rho0, t_max, n_samples)
+    p, f, steps = renormalized_end(a, f, n_samples - 1)
+    if steps < n_samples - 1:
+        raise _collapsed((steps + 1) * dt)
+    return p, f @ dagger(f)
 
 
 def basis_labels(dim: int) -> list[str]:

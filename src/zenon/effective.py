@@ -238,9 +238,17 @@ def effective_from_matrix(h_eff, tau: float) -> EffectiveHamiltonian:
 
 
 def decay_generator(h_eff) -> np.ndarray:
-    """The Hermitian operator i (H_eff - H_eff^dag), tau Gamma of H_eff."""
+    """The Hermitian operator i (H_eff - H_eff^dag), tau Gamma of H_eff.
+
+    Raises NumericalError, without numpy's warnings, when it overflows the
+    double range (an anti-Hermitian part near the limit)."""
     m = as_cmatrix(h_eff)
-    return hermitian_part(1j * (m - dagger(m)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = hermitian_part(1j * (m - dagger(m)))
+        # a finite norm proves every entry finite; only an overflowing one needs the entry test
+        if not math.isfinite(frobenius_norm(g)) and not np.isfinite(g).all():
+            raise NumericalError("the decay generator i (H_eff - H_eff^dag) overflows the double range")
+    return g
 
 
 def remove_identity_shift(a) -> np.ndarray:

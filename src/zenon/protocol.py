@@ -8,12 +8,13 @@ chain here runs K on the factor F of rho0 = F F^dag.  The filtered state
 reads only the chain's end, chain.renormalized_end: a block of B steps is
 one product K^B F, at dimension 256 from a mixed start 19 products for 100
 steps.  The exact survival curve and the waiting-time Monte Carlo (one
-uniform per trajectory against the survival curve of its initial eigenket,
-a column of F) read every step, chain.renormalized_blocks, up to 64 steps
-per stacked product.  A protocol run calls the Monte Carlo first: it
-records the exact survival curve its chain yields on the ProtocolConfig,
-and conditional_survival_curve then returns a copy of that record for the
-same start state, so the run makes one chain, not two.
+uniform per trajectory against that curve) read every step,
+chain.renormalized_blocks, up to 64 steps per stacked product; the Monte
+Carlo's survivors take their kets from the chain's final factor.  A
+protocol run calls the Monte Carlo first: it records the exact survival
+curve its chain yields on the ProtocolConfig, and
+conditional_survival_curve then returns a copy of that record for the same
+start state, so the run makes one chain, not two.
 """
 
 from __future__ import annotations
@@ -45,16 +46,13 @@ from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
 """Largest protocol step count.  At the cap a 4-dimensional system's exact
-curve takes 0.5-0.8 s from a pure start and 0.9-1.0 s from the maximally mixed
-one, and a 1000-trajectory Monte Carlo 1.0 s and 1.6-1.8 s (2-core Xeon,
-numpy 2.4).  The Monte Carlo's curves hold n_steps * rank * 8 B = 8 MB per
-start eigenket, and its recorded survival curve 8 MB more; its tracemalloc
-peak is 33 MB and 72 MB."""
+curve takes 0.4-0.5 s from a pure start and 0.8-0.9 s from the maximally
+mixed one, and a 1000-trajectory Monte Carlo 0.4-0.5 s and 0.8 s (2-core
+Xeon, numpy 2.4), at a tracemalloc peak of 33 MB from either start."""
 MAX_TRAJECTORIES = 10**9
 """Largest Monte Carlo trajectory count.  At the cap, 200 steps of a
-4-dimensional system take 59-70 s from a pure start and 108 s from the
-maximally mixed one (2-core Xeon, numpy 2.4), in O(MC_CHUNK + rank * n_steps)
-memory."""
+4-dimensional system take 55 s from a pure or the maximally mixed start
+(2-core Xeon, numpy 2.4), in O(MC_CHUNK + n_steps) memory."""
 MC_CHUNK = 2**12
 """Monte Carlo (pick, u) rows drawn from the Philox stream at a time."""
 
@@ -123,6 +121,18 @@ def _chain_start(cfg: ProtocolConfig, rho0: DensityMatrix):
     return cfg.kraus, state_factor(rho0.rho)
 
 
+def _survival_chain(cfg: ProtocolConfig, rho0: DensityMatrix):
+    """(exact survival curve, final factor F_N): the chain read every step."""
+    k, f = _chain_start(cfg, rho0)
+    curve = np.zeros(cfg.n_steps)
+    step = 0
+    for p, fs in renormalized_blocks(k, f, cfg.n_steps):
+        curve[step : step + len(p)] = p
+        step += len(p)
+        f = fs[-1]
+    return curve, f
+
+
 def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> ConditionalState:
     """Deterministic filtered state after n_steps successful measurements.
 
@@ -164,16 +174,11 @@ def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.n
 
     A copy of the curve simulate_trajectories recorded on cfg when rho0 is
     its start state to the byte (the same chain, so the same bits); else the
-    chain runs here, and no per-eigenket curve is built."""
+    chain runs here."""
     record = cfg._survival  # its key holds a validated state, so a match fits cfg
     if record is not None and record[0] == rho0.rho.tobytes():
         return record[1].copy()
-    out = np.zeros(cfg.n_steps)
-    step = 0
-    for p, _ in renormalized_blocks(*_chain_start(cfg, rho0), cfg.n_steps):
-        out[step : step + len(p)] = p
-        step += len(p)
-    return out
+    return _survival_chain(cfg, rho0)[0]
 
 
 @dataclass(frozen=True)
@@ -210,66 +215,51 @@ def simulate_trajectories(
     """Monte Carlo survivor counts for n_traj independent trajectories.
 
     Waiting-time sampler (Dalibard, Castin and Molmer, PRL 68, 580 (1992)):
-    a trajectory starts in eigenket F e_j of rho0 (F = state_factor(rho0)),
-    picked with weight w_j = ||F e_j||^2, and survives step n exactly when one
-    uniform u < curve_j[n] = p_n ||F_n e_j||^2 / w_j, read from the chain.
-    The curve does not increase, so that holds on a prefix of the steps: the
-    trajectory's waiting time, n_steps minus the number of curve values <= u,
-    found by one binary search in the reversed curve.  Survivors after step n
-    are the trajectories that wait longer than n; no uniform is sorted.
-    Row i of one Philox stream's (pick, u) rows belongs to trajectory i, drawn
-    MC_CHUNK rows at a time, so a run's first N trajectories are those of an
-    n_traj=N run; a pure start draws the pick column too, but searches none.
-    Memory is O(MC_CHUNK + rank * n_steps), plus the kept kets.  The exact
-    survival curve the chain yields on the way is recorded on cfg for
-    conditional_survival_curve, so a protocol run needs one chain.
+    whatever eigenket of rho0 a trajectory starts in, its waiting time T has
+    P(T > n) = p_n, the exact survival curve, so it survives step n exactly
+    when one uniform u < p_n; the curve does not increase, so that holds on
+    a prefix of the steps.  T is n_steps minus the number of curve values
+    <= u, one binary search in the reversed curve; no uniform is sorted.  A
+    survivor's ket is column j of the chain's final factor F_N, normalized,
+    j picked by the row's other uniform with weight ||F_N e_j||^2 =
+    P(started in eigenket j | survived), never a column of weight 0.  Row i
+    of one Philox stream's (pick, u) rows is trajectory i, drawn MC_CHUNK
+    rows at a time, so a run's first N trajectories are those of an
+    n_traj=N run.  Memory is O(MC_CHUNK + n_steps), plus the kept kets.  The
+    curve is recorded on cfg for conditional_survival_curve, so a protocol
+    run needs one chain.
     """
-    k, f = _chain_start(cfg, rho0)
     if not _is_count(n_traj) or not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValidationError(f"n_traj must be an int in 1..{MAX_TRAJECTORIES}, got {n_traj!r}")
     if not _is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
-    weights = np.linalg.norm(f, axis=0) ** 2  # one per eigenket kept
-    survival = np.zeros(cfg.n_steps)
-    curves = np.zeros((cfg.n_steps, weights.size))
-    step = 0
-    for p, fs in renormalized_blocks(k, f, cfg.n_steps):
-        survival[step : step + len(p)] = p
-        curves[step : step + len(p)] = p[:, None] * np.linalg.norm(fs, axis=1) ** 2 / weights
-        step += len(p)
-        f = fs[-1]
+    survival, f = _survival_chain(cfg, rho0)
     object.__setattr__(cfg, "_survival", (rho0.rho.tobytes(), survival))
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
-    # counts rise too.
-    np.minimum.accumulate(curves, axis=0, out=curves)
-    rising = curves[::-1].T.copy()  # row j: eigenket j's curve, ascending
-    del curves
+    # counts rise too.  Written into a reversed view: the curve, ascending.
+    rising = np.empty_like(survival)
+    np.minimum.accumulate(survival, out=rising[::-1])
 
-    cum_weights = np.cumsum(weights)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # hist[s]: trajectories with s curve values <= u, i.e. waiting n_steps - s steps
     hist = np.zeros(cfg.n_steps + 1, dtype=np.int64)
-    kept = []
+    kept = []  # the survivors' pick uniforms, in trajectory order
     for start in range(0, n_traj, MC_CHUNK):
         pick_u, u = rng.random((min(MC_CHUNK, n_traj - start), 2)).T
-        if weights.size == 1:
-            # every pick is 0, and u is taken whole: a masked copy costs a pass
-            # and, measured, about 0.1 MB of peak RSS in a protocol run
-            np.add.at(hist, np.searchsorted(rising[0], u, side="right"), 1)
-            continue
-        picks = np.minimum(np.searchsorted(cum_weights, pick_u, side="right"), weights.size - 1)
-        for j in range(weights.size):
-            np.add.at(hist, np.searchsorted(rising[j], u[picks == j], side="right"), 1)
+        s = np.searchsorted(rising, u, side="right")
+        np.add.at(hist, s, 1)
         if keep_states:
-            kept.append(picks[u < rising[picks, 0]] if cfg.n_steps else picks)
+            kept.append(pick_u[s == 0])
     del rising  # released before the counts, so the two never share the peak
     counts = n_traj - np.cumsum(hist[:0:-1])  # hist[:0:-1][w]: trajectories waiting w steps
 
     states = None
     if keep_states:
-        # a pure start's survivors are the hist[0] trajectories that wait every step
-        picks = np.concatenate(kept) if weights.size > 1 else np.zeros(hist[0], dtype=np.intp)
-        kets = f.T[picks]  # a survivor's column has a nonzero norm
+        weights = np.linalg.norm(f, axis=0) ** 2
+        # past the rounded end of the cumulative weights, the last column
+        # that kept a weight: a column can decay to exactly 0
+        picks = np.searchsorted(np.cumsum(weights), np.concatenate(kept), side="right")
+        kets = f.T[np.minimum(picks, np.flatnonzero(weights)[-1])]
         states = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     return TrajectoryEnsemble(
         n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states

@@ -4,8 +4,9 @@ two hand-written nine-term spin Hamiltonians that the bond builder must
 match, the Kronecker-chain bond builder that the index-assembled one must
 match bit for bit, the per-cell CSV writer that the row fast path must
 match byte for byte, the stepwise Monte Carlo sampler that the waiting-time one is checked
-against, the sorting survivor counter that its search must match bit for
-bit, the density-matrix chain that the factor chain must match, the
+against, the sorting survivor counter on the exact survival curve that its
+search must match bit for bit, the per-eigenket sorting counter whose law
+it must share, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, the bit-by-bit
@@ -279,11 +280,14 @@ def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
 
 
 def sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
-    """Reference waiting-time Monte Carlo that counts survivors by sorting:
-    all n_traj (pick, u) rows in one draw of the Philox stream, the uniforms
-    sorted within each start eigenket, and the survivors of step n read as
-    searchsorted(sort(u_j), curve_j[n], "left").  Returns (survivor counts,
-    normalized survivor kets in trajectory order)."""
+    """Reference waiting-time Monte Carlo by start eigenket, counting
+    survivors by sorting: all n_traj (pick, u) rows in one draw of the
+    Philox stream, each trajectory started in eigenket j picked with weight
+    w_j = ||F e_j||^2, the uniforms sorted within each start eigenket, and
+    the survivors of step n read as searchsorted(sort(u_j), curve_j[n],
+    "left") on that eigenket's own curve p_n ||F_n e_j||^2 / w_j.  The same
+    law as curve_sorting_trajectories, other draws.  Returns (survivor
+    counts, normalized survivor kets in trajectory order)."""
     f = state_factor(rho0.rho)
     weights = np.linalg.norm(f, axis=0) ** 2
     pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
@@ -303,6 +307,33 @@ def sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
 
     alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
     kets = f.T[picks[alive]]
+    return counts, kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def curve_sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
+    """Reference waiting-time Monte Carlo on the exact survival curve alone,
+    counting survivors by sorting: all n_traj (pick, u) rows in one draw of
+    the Philox stream, the uniforms sorted once, and the survivors of step n
+    read as searchsorted(sort(u), curve[n], "left").  A survivor's ket is
+    column j of the chain's final factor F_N, normalized, j picked with its
+    row's pick uniform against the cumulative weights ||F_N e_j||^2 (past
+    their rounded end, the last column of nonzero weight).  Returns
+    (survivor counts, normalized survivor kets in trajectory order)."""
+    f = state_factor(rho0.rho)
+    pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
+    curve = np.zeros(cfg.n_steps)
+    step = 0
+    for p, fs in renormalized_blocks(cfg.kraus, f, cfg.n_steps):
+        curve[step : step + len(p)] = p
+        step += len(p)
+        f = fs[-1]
+    curve = np.minimum.accumulate(curve)
+    counts = np.searchsorted(np.sort(u), curve, side="left")
+
+    alive = u < curve[-1] if cfg.n_steps else np.ones(n_traj, dtype=bool)
+    weights = np.linalg.norm(f, axis=0) ** 2
+    picks = np.searchsorted(np.cumsum(weights), pick_u[alive], side="right")
+    kets = f.T[np.minimum(picks, np.flatnonzero(weights)[-1])]
     return counts, kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 

@@ -242,6 +242,23 @@ def test_cli_dilation_overflow_is_a_numerical_error(command, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, tau", [("dilate", None), ("dilate", 0.1), ("roundtrip", None)])
+def test_cli_decay_generator_overflow_is_a_numerical_error(command, tau, tmp_path, capsys):
+    # i (M - M^dag) overflows: its (0, 0) entry is i (-2e308 i), past the double range
+    matrix = tmp_path / "huge.json"
+    matrix.write_text(json.dumps({"dim": 2, "re": [1e308, 1e308, 1e308, 0.0], "im": [-1e308, 0.0, 0.0, 0.0]}))
+    cfg = tmp_path / "cfg.json"
+    scenario = {"command": command, "model": "matrix-file", "params": str(matrix)}
+    cfg.write_text(json.dumps(scenario if tau is None else {**scenario, "tau": tau}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "decay generator i (H_eff - H_eff^dag) overflows" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_roundtrip_covers_all_fixtures(tmp_path, repo_cwd):
     out = tmp_path / "rt"
     assert main(["roundtrip", "--config", "configs/roundtrip_fixtures.json", "--out", str(out)]) == 0

@@ -20,6 +20,7 @@ from zenon.dynamics import DensityMatrix
 from zenon.effective import AncillaSpec, ancilla_blocks, derive_effective
 from zenon.errors import (
     NotHermitianError,
+    NumericalError,
     RoundTripFailureError,
     StroboscopicRegimeWarning,
     ValidationError,
@@ -44,6 +45,15 @@ def test_decay_generator_examples():
     assert np.allclose(g, np.diag([0.0, 0.8]))
     assert np.allclose(decay_generator(PT_2X2), np.diag([-1.0, 1.0]))
     assert np.allclose(decay_generator(np.array([[0.3, 1.0], [1.0, -0.3]])), 0.0)
+
+
+def test_decay_generator_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows the double range"):
+            decay_generator(np.array([[1e308 - 1e308j, 1e308], [1e308, 0.0]]))
+        # entries past 1e154 with a finite norm still give the operator
+        assert np.array_equal(decay_generator(np.array([[-1e160j, 0.0], [0.0, 0.0]])), np.diag([2e160, 0.0]))
 
 
 def test_choose_tau():

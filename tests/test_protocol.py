@@ -11,8 +11,15 @@ import pytest
 import zenon.cli
 import zenon.linalg
 import zenon.protocol
-from helpers import random_hermitian, random_ket, sorting_trajectories, stepwise_trajectories, taylor_expm
-from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
+from helpers import (
+    curve_sorting_trajectories,
+    random_hermitian,
+    random_ket,
+    sorting_trajectories,
+    stepwise_trajectories,
+    taylor_expm,
+)
+from zenon.dynamics import DensityMatrix, evolve_conditional, normalize, state_factor
 from zenon.effective import AncillaSpec, derive_effective, kraus_step
 from zenon.errors import (
     BadDimensionError,
@@ -358,7 +365,8 @@ def test_philox_stream_continues_across_chunked_draws():
 
 _SYMMETRIC = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1.0, g_z=0.3))
 _FLIP = kron(np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
-_KETS = [random_ket(np.random.Generator(np.random.PCG64(14)), 4) for _ in range(2)]
+_KET_RNG = np.random.Generator(np.random.PCG64(14))
+_KETS = [random_ket(_KET_RNG, 4) for _ in range(2)]  # two draws of one stream: a rank-2 start
 # start -> (composite H, tau, rho0); "annihilating" is the ancilla flip of
 # test_simulate_trajectories_annihilating_step_has_no_survivors
 _SORTING_ORACLE_STARTS = {
@@ -380,20 +388,15 @@ def test_waiting_time_counts_are_the_sorting_counts_bit_for_bit(start, n_steps):
     for n_traj in (1, 2000, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK - 5):
         for seed in (0, 7, 123):
             ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=seed, keep_states=True)
-            counts, states = sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
+            counts, states = curve_sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
             assert ens.survival_counts.dtype == counts.dtype
             assert np.array_equal(ens.survival_counts, counts)
             assert ens.survived_states.shape == states.shape
             assert np.array_equal(ens.survived_states.view(np.int64), states.view(np.int64))
 
 
-def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkeypatch):
-    # Philox uniforms almost never equal a curve value, so feed u = 0.0 against
-    # the annihilating step, whose curve reaches exactly 0.0: u < 0.0 fails there
-    with pytest.warns(StroboscopicRegimeWarning):
-        cfg = ProtocolConfig(h=_FLIP, spec=AncillaSpec(), tau=math.pi / 2, n_steps=20)
-    rho0 = DensityMatrix.maximally_mixed(2)
-    rows = np.array([[0.2, 0.0], [0.7, 0.0], [0.9, 0.5]] * (MC_CHUNK // 2))
+def _feed_rows(monkeypatch, rows):
+    """Make every np.random.Generator hand out the given (pick, u) rows in order."""
 
     class Rows:
         def __init__(self, bit_generator):
@@ -404,8 +407,18 @@ def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkey
             return rows[self.used - shape[0] : self.used]
 
     monkeypatch.setattr(np.random, "Generator", Rows)
+
+
+def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkeypatch):
+    # Philox uniforms almost never equal a curve value, so feed u = 0.0 against
+    # the annihilating step, whose curve reaches exactly 0.0: u < 0.0 fails there
+    with pytest.warns(StroboscopicRegimeWarning):
+        cfg = ProtocolConfig(h=_FLIP, spec=AncillaSpec(), tau=math.pi / 2, n_steps=20)
+    rho0 = DensityMatrix.maximally_mixed(2)
+    rows = np.array([[0.2, 0.0], [0.7, 0.0], [0.9, 0.5]] * (MC_CHUNK // 2))
+    _feed_rows(monkeypatch, rows)
     ens = simulate_trajectories(cfg, rho0, n_traj=len(rows), seed=0, keep_states=True)
-    counts, states = sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
+    counts, states = curve_sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
     assert np.array_equal(ens.survival_counts, counts)
     assert 0 == counts[-1] < counts[0]
     assert ens.survived_states.shape == states.shape == (0, 2)
@@ -525,6 +538,74 @@ def test_simulate_trajectories_memory_independent_of_draw_count():
     assert abs(peaks[1] - peaks[0]) <= 256 * 1024
     p = conditional_survival_curve(cfg, rho0)[-1]
     assert _binomial_z(ens.survival_counts[-1:], p, 1_000_000)[0] < 4.0
+
+
+def test_monte_carlo_peak_from_a_mixed_start_stays_at_the_pure_start():
+    # the survivor counts read the exact survival curve alone: no table of
+    # one curve per start eigenket grows with the start's rank
+    starts = {"pure": DensityMatrix.basis_state(4, 1), "mixed": DensityMatrix.maximally_mixed(4)}
+    simulate_trajectories(_cfg(n_steps=1), starts["mixed"], n_traj=1, seed=3)  # imports numpy's seeding modules
+    peaks = {}
+    for name, rho0 in starts.items():
+        cfg = _cfg(n_steps=100_000, tau=0.005)
+        tracemalloc.start()
+        try:
+            simulate_trajectories(cfg, rho0, n_traj=1000, seed=3, keep_states=True)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["mixed"] <= 1.1 * peaks["pure"]
+
+
+@pytest.mark.parametrize("start", ["rank2", "maximally_mixed"])
+def test_curve_and_per_eigenket_samplers_agree_in_law(start):
+    h, tau, rho0 = _SORTING_ORACLE_STARTS[start]
+    cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=40)
+    n = 20_000
+    ens = simulate_trajectories(cfg, rho0, n_traj=n, seed=41, keep_states=True)
+    old_counts, old_states = sorting_trajectories(cfg, rho0, n_traj=n, seed=42)
+    p_new, p_old = ens.survival_counts / n, old_counts / n
+    pooled = (p_new + p_old) / 2
+    assert np.all(np.abs(p_new - p_old) <= 4.0 * np.sqrt(pooled * (1 - pooled) * 2 / n))
+    # a survivor's ket is K^n e_j normalized, for eigenket e_j of rho0 with
+    # weight w_j, and survivors start in e_j with frequency w_j ||K^n e_j||^2 / p_n
+    finals = np.linalg.matrix_power(kraus_step(cfg.h, cfg.spec, cfg.tau), cfg.n_steps) @ state_factor(rho0.rho)
+    expected = np.linalg.norm(finals, axis=0) ** 2
+    expected /= expected.sum()
+    finals /= np.linalg.norm(finals, axis=0)
+    for states in (ens.survived_states, old_states):
+        overlaps = np.abs(states @ finals.conj())
+        assert np.allclose(overlaps.max(axis=1), 1.0, atol=1e-10)
+        freq = np.bincount(overlaps.argmax(axis=1), minlength=expected.size) / len(states)
+        assert np.all(np.abs(freq - expected) < 4.0 * np.sqrt(expected * (1 - expected) / len(states)))
+
+
+def test_survivor_kets_never_come_from_a_column_that_decayed_to_zero(monkeypatch):
+    # the ancilla flipped within one tau on system state 1 only: K = diag(1,
+    # cos(fl(pi/2))), and 25 steps leave the final factor's column of |1>
+    # exactly 0 from the maximally mixed start
+    flip_on_1 = kron(np.diag([0.0, 1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.warns(StroboscopicRegimeWarning):
+        cfg = ProtocolConfig(h=flip_on_1, spec=AncillaSpec(), tau=math.pi / 2, n_steps=25)
+    ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=5000, seed=6, keep_states=True)
+    assert ens.survived_states.shape == (ens.survival_counts[-1], 2)
+    assert 0 < len(ens.survived_states) < 5000
+    assert np.array_equal(ens.survived_states[:, 1], np.zeros(len(ens.survived_states)))
+    assert np.allclose(np.abs(ens.survived_states[:, 0]), 1.0, atol=1e-12)
+
+    # from diag(0.25, 0.35, 0.4) with the flip on state 2, the final weights
+    # 5/12 and 7/12 sum to 1 - 2^-53 by rounding: the largest uniform, 1 - 2^-53,
+    # lands past their end, whose next column is the one that decayed to 0
+    flip_on_2 = kron(np.diag([0.0, 0.0, 1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.warns(StroboscopicRegimeWarning):
+        cfg = ProtocolConfig(h=flip_on_2, spec=AncillaSpec(), tau=math.pi / 2, n_steps=25)
+    _feed_rows(monkeypatch, np.array([[1.0 - 2.0**-53, 0.0], [0.0, 0.0], [0.5, 0.0]]))
+    rho0 = DensityMatrix(rho=np.diag([0.25, 0.35, 0.4]).astype(complex))
+    states = simulate_trajectories(cfg, rho0, n_traj=3, seed=0, keep_states=True).survived_states
+    assert states.shape == (3, 3)
+    assert np.all(np.isfinite(states))
+    assert np.array_equal(states[:, 2], np.zeros(3))
+    assert np.allclose(np.abs(states[:, :2]), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_write_ensemble_csv(tmp_path):
