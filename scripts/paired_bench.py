@@ -16,15 +16,23 @@ run's last output line as `result`); the table printed at the end gives,
 per workload and metric, each side's median, the parent's quartiles and in
 how many pairs the change read lower.
 
+`--claim <workload>/<metric>` names the one gain the change claims.  After
+the pairs, that workload runs once more per side with `--trace 1` (parent
+first, seed seed0), for its per-layer numbers, and the last line printed
+says whether the claim is met: the change reads lower in at least nine
+tenths of the pairs (ties count for neither), and the parent's median
+exceeds the change's by more than the parent's interquartile range.
+
 Usage: python3 scripts/paired_bench.py --parent REV [--change REV|worktree]
            [--workloads a,b] [--pairs N] [--seed0 S] [--seconds T]
-           --scratch DIR --out BENCH_<n>.json
+           [--claim WORKLOAD/METRIC] --scratch DIR --out BENCH_<n>.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shlex
@@ -60,7 +68,9 @@ def archive(commit: str, path: Path) -> Path:
     return path
 
 
-def run_once(tar: Path, checkout: Path, runner: list[str], workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    tar: Path, checkout: Path, runner: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One benchmark run in a fresh extraction of tar at checkout, removed
     afterwards; returns the run's last output line, parsed."""
     shutil.rmtree(checkout, ignore_errors=True)
@@ -68,7 +78,7 @@ def run_once(tar: Path, checkout: Path, runner: list[str], workload: str, seed: 
     with tarfile.open(tar) as tf:
         tf.extractall(checkout, filter="data")
     try:
-        argv = runner + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+        argv = runner + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
         proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or not lines:
@@ -78,26 +88,57 @@ def run_once(tar: Path, checkout: Path, runner: list[str], workload: str, seed: 
         shutil.rmtree(checkout, ignore_errors=True)
 
 
+def pairs_of(runs: list[dict], workload: str) -> list[dict[str, dict]]:
+    """The untraced runs of workload as {"parent": metrics, "change": metrics},
+    one per seed that both sides ran."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        if r["workload"] == workload and r["trace"] == 0:
+            pairs.setdefault(r["seed"], {})[r["code"]] = r["result"]["metrics"]
+    return [p for p in pairs.values() if len(p) == 2]
+
+
+def _sides(both: list[dict[str, dict]], metric: str):
+    """(parent values, change values, parent quartiles) of metric over the pairs."""
+    parent = [p["parent"][metric]["value"] for p in both]
+    change = [p["change"][metric]["value"] for p in both]
+    quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+    return parent, change, quartiles
+
+
 def summary(runs: list[dict]) -> list[str]:
     """Per workload and metric: parent median [quartiles] -> change median,
     and the pairs in which the change read lower."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        pairs: dict[int, dict[str, dict]] = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["code"]] = r["result"]["metrics"]
-        both = [p for p in pairs.values() if len(p) == 2]
+        both = pairs_of(runs, workload)
         for metric in both[0]["parent"] if both else ():
-            parent = [p["parent"][metric]["value"] for p in both]
-            change = [p["change"][metric]["value"] for p in both]
-            q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+            parent, change, (q1, _, q3) = _sides(both, metric)
             lower = sum(c < p for p, c in zip(parent, change))
             out.append(
                 f"{workload} {metric}: {statistics.median(parent):.6g} [{q1:.6g}, {q3:.6g}] -> "
                 f"{statistics.median(change):.6g}, change lower in {lower}/{len(both)}"
             )
     return out
+
+
+def claim_verdict(runs: list[dict], claim: str) -> tuple[bool, str]:
+    """Whether the change's gain on claim = "<workload>/<metric>" (lower is
+    better) meets the rule: lower in at least ceil(0.9 n) of the n pairs,
+    ties counting for neither, and a gap between the medians larger than the
+    parent's interquartile range.  Returns (met, the line that says so)."""
+    workload, metric = claim.split("/")
+    both = pairs_of(runs, workload)
+    if not both:
+        return False, f"claim {claim}: no pairs ran, not met"
+    parent, change, (q1, _, q3) = _sides(both, metric)
+    lower, needed = sum(c < p for p, c in zip(parent, change)), math.ceil(0.9 * len(both))
+    gap = statistics.median(parent) - statistics.median(change)
+    met = lower >= needed and gap > q3 - q1
+    return met, (
+        f"claim {claim}: change lower in {lower}/{len(both)} pairs (needs {needed}), median gap "
+        f"{gap:.6g} against the parent's interquartile range {q3 - q1:.6g}: {'met' if met else 'not met'}"
+    )
 
 
 def main(argv=None) -> int:
@@ -111,14 +152,17 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch", required=True, help="directory for the archives and checkouts")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--runner", default=RUNNER, help="benchmark command, run in each checkout")
+    parser.add_argument("--claim", help="the gain claimed, as <workload>/<metric>, lower is better")
     args = parser.parse_args(argv)
+    workloads = args.workloads.split(",")
+    if args.claim is not None and (args.claim.count("/") != 1 or args.claim.split("/")[0] not in workloads):
+        parser.error(f"--claim {args.claim!r} is not <workload>/<metric> with a workload of --workloads")
 
     scratch = Path(args.scratch).resolve()
     scratch.mkdir(parents=True, exist_ok=True)
     sides = {"parent": resolve(args.parent), "change": resolve(args.change)}
     tars = {code: archive(commit, scratch / f"{code}.tar") for code, commit in sides.items()}
     runner = shlex.split(args.runner)
-    workloads = args.workloads.split(",")
 
     runs = []
     for k in range(args.pairs):
@@ -129,6 +173,12 @@ def main(argv=None) -> int:
                 result = run_once(tars[code], scratch / code, runner, workload, seed, args.seconds)
                 runs.append({"code": code, "workload": workload, "seed": seed, "trace": 0, "result": result})
                 print(f"{workload} seed {seed} {code}: {json.dumps(result['metrics'])}", flush=True)
+    if args.claim is not None:
+        workload = args.claim.split("/")[0]
+        for code in ("parent", "change"):
+            result = run_once(tars[code], scratch / code, runner, workload, args.seed0, args.seconds, trace=1)
+            runs.append({"code": code, "workload": workload, "seed": args.seed0, "trace": 1, "result": result})
+            print(f"{workload} seed {args.seed0} {code} traced: {json.dumps(result['metrics'])}", flush=True)
 
     about = (
         f"Paired perfbench runs, parent {sides['parent'][:7]} ({args.parent}) against change "
@@ -138,12 +188,19 @@ def main(argv=None) -> int:
         f"{args.seed0}-{args.seed0 + args.pairs - 1}, the workloads interleaved pair by pair. "
         "'result' is the run's last output line."
     )
+    if args.claim is not None:
+        about += (
+            f" Claim {args.claim}: after the pairs, one --trace 1 run per side of {args.claim.split('/')[0]}, "
+            f"parent first, seed {args.seed0}."
+        )
     host = (
         f"{os.cpu_count()}-core {platform.machine()}, {platform.system()}, "
         f"Python {platform.python_version()}, numpy {np.__version__}"
     )
     Path(args.out).write_text(json.dumps({"about": about, "host": host, "runs": runs}, indent=1) + "\n")
     print("\n".join(summary(runs)))
+    if args.claim is not None:
+        print(claim_verdict(runs, args.claim)[1])
     return 0
 
 

@@ -4,10 +4,10 @@ probability accumulated in log space.
 
 Two entry points share one block renormalization and one single step.
 renormalized_blocks yields every step, up to 64 per stacked product of the
-powers A^1 .. A^B (chain_block_size picks B): the time series, the sweep's
-final states, the stroboscopic check, the exact survival curve and the
-Monte Carlo read it.  renormalized_end returns only the end, for the
-filtered protocol state: one product A^B F per block (end_block_size picks
+powers A^1 .. A^B (chain_block_size picks B): the time series, the exact
+survival curve and the Monte Carlo read it.  renormalized_end returns only
+the end, for the filtered protocol state (and so the stroboscopic check) and
+the sweep's final states: one product A^B F per block (end_block_size picks
 B), bit for bit the stacked chain's last slice where both pick the same B.
 """
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .config import COMMANDS, SWEEP_KEYS, Scenario, is_amplitude, load_scenario, read_json, write_json
-from .dilation import dilate, dilation_step, roundtrip_check
+from .dilation import dilate, roundtrip_check
 from .dynamics import (
     DensityMatrix,
     conditional_final_state,
@@ -124,7 +124,7 @@ def run_protocol(s: Scenario) -> None:
 
 def run_dilate(s: Scenario) -> None:
     h_eff = load_matrix_file(s.params)
-    res = dilate(h_eff, s.tau if s.tau is not None else dilation_step(h_eff))
+    res = dilate(h_eff, s.tau)
     write_json(os.path.join(_out_dir(s), "dilation.json"), res.to_json())
 
 
@@ -140,12 +140,8 @@ def run_roundtrip(s: Scenario) -> None:
         raise ValidationError(f"no matrix files found under {path}")
     results = []
     for fname in files:
-        h_eff = load_matrix_file(fname)
-        tau = dilation_step(h_eff, fallback=s.tau)
-        report = roundtrip_check(h_eff, tau)
-        entry = {"file": fname, "tau": tau}
-        entry.update(dataclasses.asdict(report))
-        results.append(entry)
+        report = roundtrip_check(load_matrix_file(fname), fallback=s.tau)
+        results.append({"file": fname, **dataclasses.asdict(report)})
     write_json(os.path.join(_out_dir(s), "roundtrip.json"), {"results": results})
 
 

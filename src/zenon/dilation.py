@@ -77,8 +77,17 @@ def choose_tau(f: float) -> float:
 def dilation_step(h_eff, fallback: float | None = None) -> float:
     """Step tau for dilating h_eff: choose_tau of the largest Bohr frequency
     of its decay generator, or fallback when that frequency is 0."""
+    return _step(_decay_eig(h_eff).eigenvalues, fallback)
+
+
+def _decay_eig(h_eff) -> EigenDecomposition:
+    """hermitian_eig of h_eff's decay generator, the one eigh a dilation makes."""
     with np.errstate(over="ignore"):  # frobenius_norm retries an overflowing sum of squares
-        w = hermitian_eig(decay_generator(h_eff)).eigenvalues
+        return hermitian_eig(decay_generator(h_eff))
+
+
+def _step(w: np.ndarray, fallback: float | None) -> float:
+    """dilation_step's rule on the decay generator's ascending eigenvalues w."""
     f = float(w[-1] - w[0])
     if f > 0 or fallback is None:
         return choose_tau(f)
@@ -142,19 +151,24 @@ class DilationResult:
         return cls(h=h, tau=tau, c=c, f=f, m=m)
 
 
-def dilate(h_eff, tau: float) -> DilationResult:
+def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> DilationResult:
     """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
-    with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.
+    with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.  A tau
+    of None takes dilation_step(h_eff, fallback) from that same eigh.
 
     Raises NumericalError when c + w / tau overflows the double range; R is
     finite whenever those weights are (its entries are at most
     sqrt(max(c + w / tau)) in modulus)."""
     m = as_cmatrix(h_eff)
-    if not tau > 0:
+    if tau is not None and not tau > 0:  # refused before the eigh, as any bad input
         raise ValidationError(f"tau must be positive, got {tau}")
+    eig = _decay_eig(m)
+    w = eig.eigenvalues
+    if tau is None:
+        tau = _step(w, fallback)
+        if not tau > 0:  # a fallback that is not, or choose_tau of an infinite spread
+            raise ValidationError(f"tau must be positive, got {tau}")
     with np.errstate(over="ignore"):  # an overflow is refused below
-        eig = hermitian_eig(decay_generator(m))
-        w = eig.eigenvalues
         f = float(w[-1] - w[0])
         m_min = float(w[0]) / tau
         c = max(0.0, -m_min)
@@ -168,16 +182,19 @@ def dilate(h_eff, tau: float) -> DilationResult:
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Residuals of dilate -> derive_effective against the dilation targets."""
+    """Residuals of dilate -> derive_effective against the dilation targets,
+    at step tau."""
 
+    tau: float
     hermitian_residual: float
     gamma_residual: float
     traceless_residual: float
     recovered_shift: float
 
 
-def roundtrip_check(h_eff, tau: float) -> RoundTripReport:
-    """Dilate, re-derive, and compare against the construction targets.
+def roundtrip_check(h_eff, tau: float | None = None, fallback: float | None = None) -> RoundTripReport:
+    """Dilate (tau and fallback as dilate takes them), re-derive, and compare
+    against the construction targets.
 
     The recovered generator equals the input plus the pure identity shift
     -i tau c / 2 (reported as recovered_shift = -tau c / 2 on the imaginary
@@ -185,7 +202,8 @@ def roundtrip_check(h_eff, tau: float) -> RoundTripReport:
     when any residual exceeds ROUNDTRIP_TOL relative to max(1, target norm).
     """
     m = as_cmatrix(h_eff)
-    res = dilate(m, tau)
+    res = dilate(m, tau, fallback)
+    tau = res.tau
     eff = derive_effective(res.h, AncillaSpec(), tau)
     herm_target = hermitian_part(m)
     gamma_target = res.c * np.eye(m.shape[0], dtype=complex) + decay_generator(m) / tau
@@ -208,6 +226,7 @@ def roundtrip_check(h_eff, tau: float) -> RoundTripReport:
                 f"traceless {r_traceless:.3e}) exceed {ROUNDTRIP_TOL:g}"
             )
     return RoundTripReport(
+        tau=tau,
         hermitian_residual=r_herm,
         gamma_residual=r_gamma,
         traceless_residual=r_traceless,

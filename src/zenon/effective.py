@@ -26,14 +26,15 @@ import numpy as np
 from .errors import BadDimensionError, NumericalError, ValidationError
 from .linalg import (
     EigenDecomposition,
+    _eigvals,
     as_cmatrix,
     as_hermitian,
     as_psd,
+    certified_above,
     dagger,
     finite_reals,
     frobenius_norm,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
@@ -118,7 +119,8 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     K scaled by tau, not at full size as in V exp(-i tau w) V^dag.  phi =
     exp(-i tau w) - 1 is an order-18 series at |tau w| / 2^s <= 1/2 doubled s
     times by expm1(2x) = expm1(x) (2 + expm1(x)), with no libm sin (new library
-    pages for a protocol run).  K's operator norm is verified to be <= 1 + 1e-10."""
+    pages for a protocol run).  K's operator norm is verified to be <= 1 + 1e-10
+    (_check_step_norm)."""
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
     vm = eig.eigenvectors[ancilla_rows(eig.eigenvalues.size, spec)[0]]
@@ -134,12 +136,21 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     for _ in range(s):
         phi = phi * (2 + phi)
     k = np.eye(vm.shape[0], dtype=complex) + (vm * phi) @ dagger(vm)
-    sv_sq = hermitian_eigvals(dagger(k) @ k)[-1]
-    if sv_sq > 1.0 + 1e-10:
-        raise NumericalError(
-            f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1"
-        )
+    _check_step_norm(k)
     return k
+
+
+def _check_step_norm(k: np.ndarray) -> None:
+    """NumericalError unless ||K||_2^2 <= 1 + 1e-10: linalg.certified_above
+    on I - K^dag K proves it, or else the largest eigenvalue of K^dag K
+    decides."""
+    gram = as_hermitian(dagger(k) @ k)
+    if not certified_above(np.eye(k.shape[0], dtype=complex) - gram, -1e-10):
+        sv_sq = _eigvals(gram)[-1]
+        if sv_sq > 1.0 + 1e-10:
+            raise NumericalError(
+                f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ HERMITICITY_RTOL = 1e-10
 EXPM_SCALE_LIMIT = 0.5
 EXPM_SERIES_ORDER = 18
 EIGVALSH_MIN_DIM = 32
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_NORMAL = 2.0**-1022
+_TAYLOR = [1.0 / math.factorial(k) for k in range(EXPM_SERIES_ORDER + 1)]
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -69,8 +72,17 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 def _halved_sum(a: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2 in adj's own buffer: the same elementwise operations,
-    in the same operand order, as the expression, so bit for bit."""
-    np.add(a, adj, out=adj)
+    in the same operand order, as the expression, so bit for bit.  Where the
+    sum of finite entries overflows, A^dag / 2 + A / 2 instead, finite
+    whenever the result is; only that rare case pays for the temporary A / 2."""
+    try:
+        with np.errstate(over="raise"):
+            np.add(a, adj, out=adj)
+    except FloatingPointError:
+        np.conjugate(a.swapaxes(-1, -2), out=adj)
+        adj /= 2
+        adj += a / 2
+        return adj
     adj /= 2
     return adj
 
@@ -127,12 +139,6 @@ def hermitian_eig(a) -> EigenDecomposition:
     return EigenDecomposition(*np.linalg.eigh(as_hermitian(a)))
 
 
-def hermitian_eigvals(a) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, for a caller that reads no
-    eigenvector: as_hermitian, then _eigvals."""
-    return _eigvals(as_hermitian(a))
-
-
 def _eigvals(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a gated Hermitian h: eigvalsh from dimension
     EIGVALSH_MIN_DIM on.  Below it eigh's eigenvalues serve: the vectors cost
@@ -144,13 +150,17 @@ def _eigvals(h: np.ndarray) -> np.ndarray:
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring.
 
-    The input is halved until its Frobenius norm is at most 0.5, an order-18
-    Taylor polynomial is evaluated in Horner form, and the result is squared
-    back up.  At that norm the series truncation error sits far below double
-    rounding, so no Pade machinery is needed.
+    The input is halved until its Frobenius norm is at most 0.5, the
+    order-18 Taylor polynomial is evaluated as I + q(B), and the result is
+    squared back up.  At that norm the series truncation error sits far below
+    double rounding, so no Pade machinery is needed.  q, the series without
+    its constant term, is evaluated by Paterson and Stockmeyer (SIAM J.
+    Comput. 2, 60 (1973)): B^2 .. B^5, then three Horner steps in B^5, 7
+    products where Horner's rule takes 18.  The identity is added last, as
+    Horner's last step adds it, so U - I keeps its relative accuracy at small
+    norms.
     """
     m = as_cmatrix(a)
-    n = m.shape[0]
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         nrm = float(np.linalg.norm(m))  # unscaled: past 1e154 no squaring stays finite
     if not np.isfinite(nrm):
@@ -158,20 +168,36 @@ def expm(a) -> np.ndarray:
     squarings = 0
     if nrm > EXPM_SCALE_LIMIT:
         squarings = int(np.ceil(np.log2(nrm / EXPM_SCALE_LIMIT)))
-    b = m / (2.0**squarings)
-    eye = np.eye(n, dtype=complex)
-    out = eye.copy()
-    for k in range(EXPM_SERIES_ORDER, 0, -1):
-        out = eye + (b / k) @ out
+    n = m.shape[0]
+    b = m  # as_cmatrix's own copy, scaled in place
+    b /= 2.0**squarings
+    b2 = b @ b
+    powers = (b, b2, b2 @ b, b2 @ b2)  # B^1 .. B^4
+    b5 = powers[3] @ b
+    out = None
+    for low in (15, 10, 5, 0):  # q's degrees low .. low + 4, the highest first
+        chunk = _TAYLOR[low + 1] * b
+        for r in range(2, min(5, EXPM_SERIES_ORDER + 1 - low)):
+            chunk += _TAYLOR[low + r] * powers[r - 1]
+        if low:
+            chunk.flat[:: n + 1] += _TAYLOR[low]
+        if out is not None:
+            chunk += b5 @ out
+        out = chunk
+    out.flat[:: n + 1] += 1.0
     for _ in range(squarings):
         out = out @ out
     return out
 
 
-def _psd_rule(a, w: np.ndarray) -> None:
+def _psd_tol(a) -> float:
+    """The PSD rule's tolerance, 1e-10 times the Frobenius norm of A."""
+    return 1e-10 * frobenius_norm(a)
+
+
+def _psd_rule(w: np.ndarray, tol: float) -> None:
     """The one PSD rule, on A's ascending eigenvalues w: w_0 below -tol
-    raises NotPSDError, tol = 1e-10 times the Frobenius norm of A."""
-    tol = 1e-10 * frobenius_norm(a)
+    (_psd_tol) raises NotPSDError."""
     if w[0] < -tol:
         raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
 
@@ -179,16 +205,46 @@ def _psd_rule(a, w: np.ndarray) -> None:
 def psd_eig(a) -> EigenDecomposition:
     """hermitian_eig of a positive semidefinite matrix (see _psd_rule)."""
     eig = hermitian_eig(a)
-    _psd_rule(a, eig.eigenvalues)
+    _psd_rule(eig.eigenvalues, _psd_tol(a))
     return eig
 
 
 def as_psd(a) -> np.ndarray:
-    """The package's one PSD gate: as_hermitian(a), returned once _psd_rule
-    has read its eigenvalues alone (_eigvals); raises what psd_eig raises."""
+    """The package's one PSD gate: as_hermitian(a), returned once it passes
+    _psd_rule; raises what psd_eig raises.  From EIGVALSH_MIN_DIM on a
+    Cholesky certificate of A + (tol / 2) I usually settles the pass, and
+    _psd_rule reads the eigenvalues alone (_eigvals) wherever it does not."""
     h = as_hermitian(a)
-    _psd_rule(a, _eigvals(h))
+    tol = _psd_tol(a)
+    if not certified_above(h, -tol):
+        _psd_rule(_eigvals(h), tol)
     return h
+
+
+def certified_above(h: np.ndarray, floor: float) -> bool:
+    """Whether a Cholesky factorization proves every eigenvalue of the
+    Hermitian h at least floor < 0.  It factors h + (-floor / 2) I: one that
+    completes is exact for a matrix within (d + 1)^2 u ||.||_F of it in the
+    2-norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.5), so it is tried only where that bound is at most -floor / 4,
+    on finite h of dimension d >= EIGVALSH_MIN_DIM (below it, no LAPACK
+    routine beyond the eigensolver's).  False proves nothing: the caller's
+    eigenvalue rule decides, and so keeps every verdict and message."""
+    d = h.shape[0]
+    if d < EIGVALSH_MIN_DIM:
+        return False
+    shift = -floor / 2
+    with np.errstate(over="ignore"):  # an overflowing norm only refuses the certificate
+        bound = (d + 1) ** 2 * _UNIT_ROUNDOFF * frobenius_norm(h)
+    if not (_SMALLEST_NORMAL <= shift < math.inf and bound <= shift / 2):  # a NaN refuses
+        return False
+    x = h.copy()
+    x.flat[:: d + 1] += shift
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:

@@ -10,9 +10,13 @@ it must share, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
 density-matrix RK4 that the factor RK4 must match, the row-by-row
 time-series writer that the vectorised one must match, the bit-by-bit
-ancilla permutation that the axis-transposing one must match, and the
+ancilla permutation that the axis-transposing one must match, the
 expression forms of the Hermitian part, the Hermiticity test and the PSD
-eigendecomposition that the one-pass linalg helpers must match bit for bit.
+eigendecomposition that the one-pass linalg helpers must match bit for bit,
+the Horner-form expm and the 40-digit mpmath exponential that the
+Paterson-Stockmeyer one is measured against, and the eigenvalue-only PSD and
+step-norm gates whose verdicts and messages the Cholesky-certified ones
+must keep.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -36,9 +40,15 @@ from zenon.errors import (
     ValidationError,
 )
 from zenon.linalg import (
+    EXPM_SCALE_LIMIT,
+    EXPM_SERIES_ORDER,
     HERMITICITY_RTOL,
     EigenDecomposition,
+    _eigvals,
+    _psd_rule,
+    _psd_tol,
     as_cmatrix,
+    as_hermitian,
     dagger,
     expm,
     frobenius_norm,
@@ -230,6 +240,43 @@ FIG5_REALIZATIONS = {
     "b": AnisotropicParams(1.0, 0.0, 0.3, 0.0, 0.1, 0.005, 0.01, 1.0, 0.005),
     "c": AnisotropicParams(1.0, 0.0, 0.3, 0.0, 1.0, 0.05, 0.01, 10.0, 0.05),
 }
+
+
+def horner_expm(a) -> np.ndarray:
+    """Reference expm: linalg.expm's scaling and squaring with its order-18
+    Taylor polynomial in Horner form, 18 products where expm's
+    Paterson-Stockmeyer evaluation takes 7."""
+    m = as_cmatrix(a)
+    n = m.shape[0]
+    nrm = float(np.linalg.norm(m))
+    squarings = 0
+    if nrm > EXPM_SCALE_LIMIT:
+        squarings = int(np.ceil(np.log2(nrm / EXPM_SCALE_LIMIT)))
+    b = m / (2.0**squarings)
+    eye = np.eye(n, dtype=complex)
+    out = eye.copy()
+    for k in range(EXPM_SERIES_ORDER, 0, -1):
+        out = eye + (b / k) @ out
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def mp_expm(a: np.ndarray, dps: int = 40):
+    """exp(a) in mpmath at dps digits, for a whose entries are exact doubles."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.expm(mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in a]))
+
+
+def mp_relative_error(approx: np.ndarray, exact) -> float:
+    """||approx - exact||_F / ||exact||_F, formed in mpmath at exact's precision."""
+    import mpmath
+
+    n = approx.shape[0]
+    diff = mpmath.matrix([[mpmath.mpc(complex(approx[i, j])) - exact[i, j] for j in range(n)] for i in range(n)])
+    return float(mpmath.mnorm(diff, "f") / mpmath.mnorm(exact, "f"))
 
 
 def _trajectory_uniforms(seed: int, index: int, n: int) -> np.ndarray:
@@ -531,3 +578,51 @@ def expression_psd_eig(a) -> EigenDecomposition:
     if w[0] < -tol:
         raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
     return EigenDecomposition(w, v)
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix: as_hermitian, then
+    linalg._eigvals, the eigenvalue rule of both gates."""
+    return _eigvals(as_hermitian(a))
+
+
+def eigenvalue_as_psd(a) -> np.ndarray:
+    """Reference PSD gate: as_hermitian, then the PSD rule on the eigenvalues
+    alone at every dimension, as linalg.as_psd decides where its Cholesky
+    certificate proves nothing."""
+    h = as_hermitian(a)
+    _psd_rule(_eigvals(h), _psd_tol(a))
+    return h
+
+
+def eigenvalue_step_norm(k: np.ndarray) -> None:
+    """Reference ||K||_2 <= 1 + 1e-10 gate on the largest eigenvalue of
+    K^dag K at every dimension, as effective._check_step_norm decides where
+    its Cholesky certificate proves nothing."""
+    sv_sq = hermitian_eigvals(dagger(k) @ k)[-1]
+    if sv_sq > 1.0 + 1e-10:
+        raise NumericalError(f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1")
+
+
+def verdict(check, *args):
+    """None when check(*args) passes, else the type and message of what it raised."""
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - the verdict is the exception itself
+        return type(exc), str(exc)
+    return None
+
+
+def counting_kernels(monkeypatch, names) -> list:
+    """Wrap each np.linalg kernel named in names so that a call appends
+    (name, its argument's shape) to the returned list."""
+    calls = []
+    for name in names:
+        kernel = getattr(np.linalg, name)
+
+        def call(a, *args, _kernel=kernel, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+    return calls

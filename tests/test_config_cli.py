@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenon.cli
+import zenon.dilation
 from helpers import coherence, survival_probability, symmetric_odd_block, transition_probability
 from zenon.cli import load_matrix_file, main, parse_initial_state
 from zenon.config import (
@@ -22,12 +23,12 @@ from zenon.config import (
     scenario_from_json,
     scenario_to_json,
 )
-from zenon.dilation import DilationResult
+from zenon.dilation import DilationResult, decay_generator
 from zenon.dynamics import DensityMatrix, default_time_step
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
 from zenon.entanglement import block_decompose
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
-from zenon.linalg import expm
+from zenon.linalg import as_hermitian, expm
 from zenon.spin_models import SymmetricParams, build_symmetric
 
 REPO = Path(__file__).resolve().parent.parent
@@ -271,6 +272,44 @@ def test_cli_roundtrip_covers_all_fixtures(tmp_path, repo_cwd):
         assert entry["traceless_residual"] < 1e-8
         matrix = load_matrix_file(entry["file"])
         assert matrix.shape[0] in (2, 3, 4, 8)
+
+
+@pytest.mark.parametrize("command, config", [("roundtrip", "roundtrip_fixtures"), ("dilate", "dilate_random")])
+def test_cli_dilation_makes_one_eigh_of_each_decay_generator(command, config, tmp_path, repo_cwd, monkeypatch):
+    s = load_scenario(CONFIGS / f"{config}.json")
+    assert command != "dilate" or s.tau is None  # the step is picked from the spectrum
+    paths = sorted(Path(s.params).glob("*.json")) if command == "roundtrip" else [Path(s.params)]
+    decay = {}
+    for p in paths:
+        decay.setdefault(as_hermitian(decay_generator(load_matrix_file(p))).tobytes(), []).append(p.name)
+    calls = []
+    hermitian_eig = zenon.dilation.hermitian_eig  # one eigh; the Gamma gate of the re-derivation is not one
+
+    def counting(a):
+        calls.extend(decay.get(as_hermitian(a).tobytes(), ["other"]))
+        return hermitian_eig(a)
+
+    monkeypatch.setattr(zenon.dilation, "hermitian_eig", counting)
+    assert main([command, "--config", f"configs/{config}.json", "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == sorted(p.name for p in paths)
+
+
+@pytest.mark.parametrize("command", ["dilate", "roundtrip"])
+def test_cli_dilates_a_decay_generator_whose_hermitian_sum_overflows(command, tmp_path, capsys):
+    # i (M - M^dag) = diag(1.5e308, 1.5e308) fits a double; M + M^dag's sum on the way does not
+    matrix = tmp_path / "big.json"
+    matrix.write_text(json.dumps({"dim": 2, "re": [0.0] * 4, "im": [-0.75e308, 0.0, 0.0, -0.75e308]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "model": "matrix-file", "params": str(matrix), "tau": 2.0}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):  # the residual norms' first tries at this scale
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    if command == "dilate":
+        h = DilationResult.from_json(json.loads((out / "dilation.json").read_text())).h
+        assert np.isfinite(h).all() and h[0, 1] == math.sqrt(0.75e308)  # R = sqrt(G / tau)
+    else:
+        [entry] = json.loads((out / "roundtrip.json").read_text())["results"]
+        assert entry["tau"] == 2.0 and entry["gamma_residual"] == 0.0
 
 
 def test_cli_figures_outputs_and_reruns_identically(tmp_path, repo_cwd):

@@ -54,6 +54,8 @@ def test_decay_generator_overflow_raises_without_warnings():
             decay_generator(np.array([[1e308 - 1e308j, 1e308], [1e308, 0.0]]))
         # entries past 1e154 with a finite norm still give the operator
         assert np.array_equal(decay_generator(np.array([[-1e160j, 0.0], [0.0, 0.0]])), np.diag([2e160, 0.0]))
+        # and so does an operator whose Hermitian sum alone passes the double range
+        assert np.array_equal(decay_generator(np.diag([-0.75e308j, -0.75e308j])), np.diag([1.5e308, 1.5e308]))
 
 
 def test_choose_tau():
@@ -236,5 +238,5 @@ def test_validate_stroboscopic_rejects_strong_coupling():
 
 
 def test_report_is_plain_data():
-    report = RoundTripReport(1e-12, 1e-12, 1e-12, -0.5)
+    report = RoundTripReport(0.01, 1e-12, 1e-12, 1e-12, -0.5)
     assert report.recovered_shift == -0.5

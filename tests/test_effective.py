@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from helpers import (
     anisotropic_effective_matrix,
     bitloop_ancilla_order,
+    counting_kernels,
+    eigenvalue_step_norm,
+    random_complex,
     random_anisotropic_params,
     random_hermitian,
     random_symmetric_params,
     symmetric_effective_matrix,
     taylor_kraus_step,
+    verdict,
 )
 from zenon.effective import (
     AncillaSpec,
     EffectiveHamiltonian,
+    _check_step_norm,
     ancilla_blocks,
     ancilla_order,
     derive_effective,
@@ -33,7 +38,7 @@ from zenon.errors import (
     NumericalError,
     ValidationError,
 )
-from zenon.linalg import dagger, expm, frobenius_norm, hermitian_eig, kron, psd_eig
+from zenon.linalg import EIGVALSH_MIN_DIM, dagger, expm, frobenius_norm, hermitian_eig, kron, psd_eig
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric, pauli
 
 
@@ -154,6 +159,38 @@ def test_kraus_from_eig_matches_taylor_oracle(dim):
         k = kraus_from_eig(eig, spec, tau_spread / spread)
         rel = frobenius_norm(k - oracle) / frobenius_norm(oracle)
         assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, m, tau_spread, rel)
+
+
+@pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM, EIGVALSH_MIN_DIM + 8, 256])
+def test_step_norm_certificate_keeps_the_eigenvalue_rule_at_its_boundary(dim, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(dim))
+    u, _ = np.linalg.qr(random_complex(rng, dim))
+    v, _ = np.linalg.qr(random_complex(rng, dim))
+    sv_sq = np.linspace(0.99, 1.0, dim)  # ||I - K^dag K||_F <= 0.16: the certificate's bound holds
+    calls = counting_kernels(monkeypatch, ("cholesky", "eigvalsh", "eigh"))
+    for f in (0.45, 0.55, 0.9, 1.1):
+        sv_sq[-1] = 1.0 + f * 1e-10
+        k = (u * np.sqrt(sv_sq)) @ dagger(v)
+        calls.clear()
+        got = verdict(_check_step_norm, k)
+        # (1 + 1e-10 / 2) I - K^dag K is positive definite at f = 0.45 alone
+        assert [name for name, _ in calls] == (["cholesky"] if f < 0.5 else ["cholesky", "eigvalsh"])
+        assert got == verdict(eigenvalue_step_norm, k)
+        assert (got is None) == (f < 1)
+
+
+def test_step_norm_certificate_keeps_the_verdicts_on_extreme_inputs():
+    dim = EIGVALSH_MIN_DIM + 8
+    k = np.eye(dim, dtype=complex)
+    cases = [k, k * (1 + 2e-10), k * 1e150, k * 1e300, k * 1e-300]
+    for bad in (np.inf, np.nan):
+        a = k.copy()
+        a[1, 2] = bad
+        cases.append(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdicts = [(verdict(_check_step_norm, a), verdict(eigenvalue_step_norm, a)) for a in cases]
+    assert all(new == old for new, old in verdicts)
+    assert [got is None for got, _ in verdicts] == [True, False, False, False, True, False, False]
 
 
 def test_kraus_step_close_to_effective_exponential():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tempfile
@@ -11,27 +12,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    counting_kernels,
+    eigenvalue_as_psd,
     expression_hermitian_part,
     expression_is_hermitian,
     expression_psd_eig,
+    hermitian_eigvals,
+    horner_expm,
+    mp_expm,
+    mp_relative_error,
     percell_csv,
     random_complex,
     random_hermitian,
     random_psd,
     taylor_expm,
+    verdict,
 )
 from zenon.errors import NotHermitianError, NotPSDError, ValidationError
 from zenon.linalg import (
     EIGVALSH_MIN_DIM,
+    EXPM_SCALE_LIMIT,
     as_cmatrix,
     as_hermitian,
     as_psd,
+    certified_above,
     commutator,
     dagger,
     expm,
     frobenius_norm,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
     hermitian_residual,
     is_hermitian,
@@ -195,6 +204,66 @@ def test_check_psd_gives_psd_eig_verdict_and_message_at_the_rule_boundary(seed, 
             assert float(m.group(2)) == pytest.approx(tol, rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM, EIGVALSH_MIN_DIM + 8, 256])
+def test_as_psd_certificate_keeps_the_eigenvalue_rule_at_its_boundary(dim, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(dim))
+    v, _ = np.linalg.qr(random_complex(rng, dim))
+    w = np.linspace(1.0, 3.0, dim)
+    tol = 1e-10 * np.linalg.norm(w[1:])
+    calls = counting_kernels(monkeypatch, ("cholesky", "eigvalsh", "eigh"))
+    for f in (0.45, 0.55, 0.9, 1.1):
+        w[0] = -f * tol
+        a = (v * w) @ dagger(v)
+        expected = verdict(eigenvalue_as_psd, a)
+        assert (expected is None) == (f < 1)
+        calls.clear()
+        assert verdict(as_psd, a) == expected
+        # A + (tol / 2) I is positive definite at f = 0.45 alone: there the
+        # factorization settles the gate and no eigenvalue is read
+        assert [name for name, _ in calls] == (["cholesky"] if f < 0.5 else ["cholesky", "eigvalsh"])
+        if expected is None:
+            assert np.array_equal(_bits(as_psd(a)), _bits(eigenvalue_as_psd(a)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_as_psd_certificate_keeps_the_verdicts_on_extreme_inputs(scale):
+    rng = np.random.Generator(np.random.PCG64(40))
+    dim = EIGVALSH_MIN_DIM + 8
+    v, _ = np.linalg.qr(random_complex(rng, dim))
+    w = np.linspace(0.0, 2.0, dim)
+    cases = []
+    for first in (0.0, -2.0, -1e-11, -2e-9):
+        w[0] = first
+        cases.append(((v * w) @ dagger(v)) * scale)
+    for bad in (np.inf, -np.inf, np.nan):
+        a = cases[0].copy()
+        a[3, 3] = bad
+        cases.append(a)
+        a = cases[0].copy()
+        a[2, 5] = a[5, 2] = bad
+        cases.append(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the norms of the 1e300 cases
+        verdicts = [(verdict(as_psd, a), verdict(eigenvalue_as_psd, a)) for a in cases]
+    assert all(new == old for new, old in verdicts)
+    assert [got is None for got, _ in verdicts[:4]] == [True, False, True, False]
+    assert all(got is not None for got, _ in verdicts[4:])
+
+
+def test_certified_above_refuses_what_it_cannot_prove():
+    h = np.eye(EIGVALSH_MIN_DIM, dtype=complex)
+    assert certified_above(h, -1e-10) and certified_above(h * 1e-290, -1e-300)
+    assert not certified_above(np.eye(EIGVALSH_MIN_DIM - 1, dtype=complex), -1e-10)  # below its dimension
+    assert not certified_above(h, -1e-13)  # the backward-error bound exceeds a quarter of the floor
+    assert not certified_above(h * 1e-310, -1e-320)  # a subnormal shift: no relative error bound
+    for floor in (-math.inf, math.nan):
+        assert not certified_above(h, floor)
+    h[0, 0] = -1.0
+    assert not certified_above(h, -1e-10)  # not positive: the factorization fails
+    h[0, 0] = np.nan
+    assert not certified_above(h, -1e-10)
+
+
 @pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM - 1, EIGVALSH_MIN_DIM])
 def test_hermitian_eigvals_takes_eigvalsh_from_its_minimum_dimension(dim, monkeypatch):
     h = random_hermitian(np.random.Generator(np.random.PCG64(dim)), dim)
@@ -229,6 +298,30 @@ def test_one_pass_hermitian_helpers_hold_one_temporary(helper):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * h.nbytes
+
+
+def test_hermitian_part_halves_first_only_where_the_sum_overflows():
+    # the sum of the entries fits below 1.79e308: the expression's bits
+    for big in (0.89e308, 1e307, 5e-324):
+        a = np.array([[big, -big * 1j], [big, -big]])
+        assert np.array_equal(_bits(hermitian_part(a)), _bits(expression_hermitian_part(a)))
+        with np.errstate(over="ignore"):  # the norm's first try, which as_hermitian's caller owns
+            assert np.array_equal(_bits(as_hermitian(hermitian_part(a))), _bits(hermitian_part(a)))
+    # A + A^dag overflows where (A + A^dag) / 2 does not: A / 2 + A^dag / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        a = np.array([[1.5e308, 1e308], [1.2e308 + 1.7e308j, -1.5e308j]])
+        part = hermitian_part(a)
+        expected = a / 2 + dagger(a) / 2
+        assert np.array_equal(_bits(part), _bits(expected)) and np.isfinite(part).all()
+        assert part[0, 1] == 1.1e308 - 0.85e308j
+    with np.errstate(over="ignore"):  # the norm's first try, which as_hermitian's caller owns
+        h = as_hermitian(np.diag([1.5e308, 1.5e308]))
+    assert np.array_equal(h, np.diag([1.5e308, 1.5e308]))
+    # infinite and NaN entries keep the expression's values
+    for bad in (np.inf, np.nan):
+        a = np.array([[bad, 1.0], [1e308, 1.0]])
+        assert np.array_equal(hermitian_part(a), expression_hermitian_part(a), equal_nan=True)
 
 
 def test_hermitian_eig_pauli_z():
@@ -293,6 +386,43 @@ def test_expm_unitary_for_hermitian_generators(t):
     h = random_hermitian(rng, 6)
     u = expm(-1j * t * h)
     assert frobenius_norm(dagger(u) @ u - np.eye(6)) < 1e-10
+
+
+def _mp_case(d: int, norm: float):
+    """(A, exp(A) in mpmath at 40 digits) for a seeded random A with ||A||_F
+    = norm.  At d = 64, A is the Kronecker sum X (x) I + I (x) Y of two 8x8
+    draws, Y with a zero diagonal so that every entry of A is an entry of X or
+    of Y, exact; its exponential is exp(X) (x) exp(Y)."""
+    import mpmath
+
+    rng = np.random.Generator(np.random.PCG64((d, round(math.log10(norm)) + 3)))
+    if d != 64:
+        a = random_complex(rng, d)
+        return a * (norm / np.linalg.norm(a)), None
+    x, y = random_complex(rng, 8), random_complex(rng, 8)
+    np.fill_diagonal(y, 0.0)
+    scale = norm / np.linalg.norm(np.kron(x, np.eye(8)) + np.kron(np.eye(8), y))
+    x, y = x * scale, y * scale
+    ex, ey = mp_expm(x), mp_expm(y)
+    with mpmath.workdps(40):
+        exact = mpmath.matrix(64, 64)
+        for i, j, k, l in itertools.product(range(8), repeat=4):
+            exact[8 * i + k, 8 * j + l] = ex[i, j] * ey[k, l]
+    return np.kron(x, np.eye(8)) + np.kron(np.eye(8), y), exact
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 64])
+def test_expm_is_as_accurate_as_the_horner_form_against_40_digits(d):
+    """Relative Frobenius error against mpmath at most twice the Horner form's,
+    or 2^s u (u = 1.1e-16), the rounding of one evaluation after the s
+    squarings that double a relative error each: that floor is the bare 2u
+    below ||A||_F = EXPM_SCALE_LIMIT."""
+    for norm in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
+        a, exact = _mp_case(d, norm)
+        exact = mp_expm(a) if exact is None else exact
+        squarings = max(0, math.ceil(math.log2(norm / EXPM_SCALE_LIMIT)))
+        err, horner = mp_relative_error(expm(a), exact), mp_relative_error(horner_expm(a), exact)
+        assert err <= max(2 * horner, 2.0**squarings * 2.2e-16), (norm, err, horner)
 
 
 def test_psd_sqrt_examples():

@@ -12,6 +12,7 @@ import zenon.cli
 import zenon.linalg
 import zenon.protocol
 from helpers import (
+    counting_kernels,
     curve_sorting_trajectories,
     random_hermitian,
     random_ket,
@@ -103,30 +104,25 @@ def test_protocol_makes_one_eigh_of_the_composite_and_no_expm(monkeypatch):
 
 @pytest.mark.parametrize("system_dim", [4, EIGVALSH_MIN_DIM])
 def test_checks_read_eigenvalues_only_and_the_protocol_config_one_eigh_of_the_composite(system_dim, monkeypatch):
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
     if system_dim == 4:  # the bundled sizes: an 8x8 composite
         h = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1.0, g_z=0.3))
     else:
         h = random_hermitian(np.random.Generator(np.random.PCG64(64)), 2 * system_dim)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = counting_kernels(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
     eff = derive_effective(h, AncillaSpec(), 0.05)  # checks gamma
     DensityMatrix(np.eye(system_dim, dtype=complex) / system_dim)
     normalize(evolve_conditional(eff, DensityMatrix.basis_state(system_dim, 1), 0.5))
     ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.05, n_steps=10)  # checks ||K||_2
     composite, system = (2 * system_dim,) * 2, (system_dim,) * 2
     if system_dim >= EIGVALSH_MIN_DIM:
-        # the Gamma, density-matrix and ||K||_2 checks read eigvalsh's eigenvalues;
-        # the one eigh is the composite's, whose vectors build the step
-        assert shapes == [composite]
+        # the Gamma, density-matrix and ||K||_2 checks are settled by Cholesky
+        # certificates, with no eigenvalue read; the one eigh is the
+        # composite's, whose vectors build the step
+        assert calls == [("cholesky", system)] * 4 + [("eigh", composite), ("cholesky", system)]
     else:
-        # below EIGVALSH_MIN_DIM the same checks read eigh's eigenvalues
-        assert shapes == [system] * 4 + [composite, system]
+        # below EIGVALSH_MIN_DIM the same checks read eigh's eigenvalues, and
+        # no factorization runs
+        assert calls == [("eigh", system)] * 4 + [("eigh", composite), ("eigh", system)]
 
 
 def test_protocol_config_regime_warning_stays_short_at_huge_couplings():
