@@ -11,7 +11,6 @@ unit and times are measured in its inverse.
 from .dilation import (
     DilationResult,
     RoundTripReport,
-    bohr_frequencies,
     choose_tau,
     dilate,
     roundtrip_check,
@@ -27,23 +26,17 @@ from .dynamics import (
     evolve_conditional,
     expectation,
     integrate_nonlinear,
-    integrate_pure_nonlinear,
     normalize,
-    success_probability_rate,
 )
 from .effective import (
     AncillaSpec,
     EffectiveHamiltonian,
-    ancilla_blocks,
     decay_generator,
     derive_effective,
-    effective_from_matrix,
-    kraus_step,
     remove_identity_shift,
 )
 from .entanglement import (
     BELL_STATES,
-    FIG5_REGIMES,
     TwoLevelBlockParams,
     bell_fidelity,
     block_decompose,
@@ -75,7 +68,6 @@ from .linalg import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    psd_sqrt,
 )
 from .protocol import (
     ProtocolConfig,
@@ -90,7 +82,6 @@ from .spin_models import (
     SymmetricParams,
     build_anisotropic,
     build_symmetric,
-    pauli,
     xyz_hamiltonian,
 )
 

@@ -7,7 +7,7 @@ Building a Scenario runs every check that needs no matrix: each field's
 JSON type (its annotation; a bool is never a number) and range, and what
 its command needs (among them each protocol run's step count), so a
 scenario that loads is one its command can run.
-Serialization round-trips exactly: scenario_from_json(scenario_to_json(s))
+Serialization round-trips exactly: scenario_from_json(dataclasses.asdict(s))
 compares equal to s.  read_json and write_json read and write every JSON
 file of the package: scenarios, matrix files and the CLI's outputs.
 """
@@ -175,16 +175,6 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario(**data)
 
 
-def scenario_to_json(s: Scenario) -> dict:
-    out: dict = {}
-    for f in dataclasses.fields(Scenario):
-        v = getattr(s, f.name)
-        if dataclasses.is_dataclass(v):
-            v = dataclasses.asdict(v)
-        out[f.name] = v
-    return out
-
-
 def read_json(path, what: str):
     """The JSON value in the file at path; `what` names the file in errors."""
     try:
@@ -204,7 +194,3 @@ def write_json(path, obj) -> None:
 
 def load_scenario(path) -> Scenario:
     return scenario_from_json(read_json(path, "scenario"))
-
-
-def save_scenario(s: Scenario, path) -> None:
-    write_json(path, scenario_to_json(s))

@@ -56,14 +56,6 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def bohr_frequencies(a) -> np.ndarray:
-    """All eigenvalue gaps |w_j - w_i|, i < j, of a Hermitian matrix, ascending."""
-    w = hermitian_eig(a).eigenvalues
-    gaps = w[None, :] - w[:, None]
-    iu = np.triu_indices(w.size, k=1)
-    return np.sort(np.abs(gaps[iu]))
-
-
 def choose_tau(f: float) -> float:
     """tau = 0.01 / f; rejects f <= 0 (nothing to dilate for a Hermitian input)."""
     if not f > 0:
@@ -72,26 +64,6 @@ def choose_tau(f: float) -> float:
             "supply tau explicitly for (near-)Hermitian inputs"
         )
     return TAU_BOHR_PRODUCT / f
-
-
-def dilation_step(h_eff, fallback: float | None = None) -> float:
-    """Step tau for dilating h_eff: choose_tau of the largest Bohr frequency
-    of its decay generator, or fallback when that frequency is 0."""
-    return _step(_decay_eig(h_eff).eigenvalues, fallback)
-
-
-def _decay_eig(h_eff) -> EigenDecomposition:
-    """hermitian_eig of h_eff's decay generator, the one eigh a dilation makes."""
-    with np.errstate(over="ignore"):  # frobenius_norm retries an overflowing sum of squares
-        return hermitian_eig(decay_generator(h_eff))
-
-
-def _step(w: np.ndarray, fallback: float | None) -> float:
-    """dilation_step's rule on the decay generator's ascending eigenvalues w."""
-    f = float(w[-1] - w[0])
-    if f > 0 or fallback is None:
-        return choose_tau(f)
-    return fallback
 
 
 @dataclass(frozen=True)
@@ -154,7 +126,7 @@ class DilationResult:
 def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> DilationResult:
     """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
     with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.  A tau
-    of None takes dilation_step(h_eff, fallback) from that same eigh.
+    of None takes choose_tau(f) from that same eigh, or fallback when f is 0.
 
     Raises NumericalError when c + w / tau overflows the double range; R is
     finite whenever those weights are (its entries are at most
@@ -162,14 +134,15 @@ def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> Di
     m = as_cmatrix(h_eff)
     if tau is not None and not tau > 0:  # refused before the eigh, as any bad input
         raise ValidationError(f"tau must be positive, got {tau}")
-    eig = _decay_eig(m)
-    w = eig.eigenvalues
+    with np.errstate(over="ignore"):  # frobenius_norm retries; an infinite spread is refused below
+        eig = hermitian_eig(decay_generator(m))
+        w = eig.eigenvalues
+        f = float(w[-1] - w[0])
     if tau is None:
-        tau = _step(w, fallback)
+        tau = choose_tau(f) if f > 0 or fallback is None else fallback
         if not tau > 0:  # a fallback that is not, or choose_tau of an infinite spread
             raise ValidationError(f"tau must be positive, got {tau}")
     with np.errstate(over="ignore"):  # an overflow is refused below
-        f = float(w[-1] - w[0])
         m_min = float(w[0]) / tau
         c = max(0.0, -m_min)
         lifted = c + w / tau
@@ -205,20 +178,18 @@ def roundtrip_check(h_eff, tau: float | None = None, fallback: float | None = No
     res = dilate(m, tau, fallback)
     tau = res.tau
     eff = derive_effective(res.h, AncillaSpec(), tau)
-    herm_target = hermitian_part(m)
-    gamma_target = res.c * np.eye(m.shape[0], dtype=complex) + decay_generator(m) / tau
-    r_herm = frobenius_norm(eff.h0 - herm_target)
-    r_gamma = frobenius_norm(eff.gamma - gamma_target)
-    recovered = eff.matrix()
-    r_traceless = frobenius_norm(
-        remove_identity_shift(recovered) - remove_identity_shift(m)
-    )
+    with np.errstate(over="ignore"):  # frobenius_norm retries an overflowing sum of squares
+        herm_target = hermitian_part(m)
+        gamma_target = res.c * np.eye(m.shape[0], dtype=complex) + decay_generator(m) / tau
+        r_herm = frobenius_norm(eff.h0 - herm_target)
+        r_gamma = frobenius_norm(eff.gamma - gamma_target)
+        r_traceless = frobenius_norm(remove_identity_shift(eff.matrix()) - remove_identity_shift(m))
+        checks = (
+            (r_herm, max(1.0, frobenius_norm(herm_target))),
+            (r_gamma, max(1.0, frobenius_norm(gamma_target))),
+            (r_traceless, max(1.0, frobenius_norm(remove_identity_shift(m)))),
+        )
     shift = -tau * res.c / 2.0
-    checks = (
-        (r_herm, max(1.0, frobenius_norm(herm_target))),
-        (r_gamma, max(1.0, frobenius_norm(gamma_target))),
-        (r_traceless, max(1.0, frobenius_norm(remove_identity_shift(m)))),
-    )
     for residual, scale in checks:
         if residual > ROUNDTRIP_TOL * scale:
             raise RoundTripFailureError(

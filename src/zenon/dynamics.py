@@ -154,11 +154,6 @@ def normalize(cs: ConditionalState) -> DensityMatrix:
     return DensityMatrix(cs.rho_c / trace(cs.rho_c).real)
 
 
-def success_probability_rate(eff: EffectiveHamiltonian, cs: ConditionalState) -> float:
-    """dp/dt = -tau * tr(gamma rho_c); never positive for PSD gamma."""
-    return -eff.tau * trace(eff.gamma @ cs.rho_c).real
-
-
 def default_time_step(eff: EffectiveHamiltonian) -> float:
     """5e-3 over the larger of ||h0||_F and tau ||gamma||_F."""
     scale = max(frobenius_norm(eff.h0), eff.tau * frobenius_norm(eff.gamma))
@@ -221,23 +216,6 @@ def integrate_nonlinear(
         return rho0
     f = _integrate_factor(eff, state_factor(rho0.rho), t, dt)
     return DensityMatrix(f @ dagger(f))
-
-
-def integrate_pure_nonlinear(
-    eff: EffectiveHamiltonian, psi0, t: float, dt: float | None = None
-) -> np.ndarray:
-    """Pure-state version: the same integrator on the one-column factor psi,
-    d psi/dt = (-i h0 - (tau/2) gamma + (tau/2)<gamma>) psi."""
-    psi = np.asarray(psi0, dtype=complex).ravel()
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:  # a NaN fails
-        raise ValidationError("psi0 must be normalized to 1e-12")
-    if psi.size != eff.dim:
-        raise BadDimensionError(f"state dim {psi.size} != generator dim {eff.dim}")
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return psi.copy()
-    return _integrate_factor(eff, psi, t, dt)
 
 
 def expectation(state, observable) -> float:

@@ -34,7 +34,6 @@ from .linalg import (
     dagger,
     finite_reals,
     frobenius_norm,
-    hermitian_eig,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
@@ -98,19 +97,6 @@ def ancilla_rows(dim: int, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray]:
     order = ancilla_order(dim, spec)
     m = spec.measured_state
     return order[m::2], order[1 - m :: 2]
-
-
-def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
-    """System-space blocks (<m|A|m>, <m|A|o>, <o|A|m>, <o|A|o>) of a composite
-    operator, with m the measured ancilla state and o the other one."""
-    a = as_cmatrix(h)
-    rm, ro = ancilla_rows(a.shape[0], spec)
-    return (a[np.ix_(rm, rm)], a[np.ix_(rm, ro)], a[np.ix_(ro, rm)], a[np.ix_(ro, ro)])
-
-
-def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """Exact conditional step <m| exp(-i H tau) |m> of a Hermitian H."""
-    return kraus_from_eig(hermitian_eig(h), spec, tau)
 
 
 def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np.ndarray:
@@ -234,18 +220,6 @@ def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
             raise NumericalError(f"the two decay-operator forms disagree by {gap:.3e} (Frobenius)")
     del hm, rows, b, gamma_moment  # dead before the constructor gates h0 and gamma
     return EffectiveHamiltonian(h0=h0, gamma=gamma, tau=tau)
-
-
-def effective_from_matrix(h_eff, tau: float) -> EffectiveHamiltonian:
-    """Split a non-Hermitian generator into (h0, gamma, tau).
-
-    The anti-Hermitian part is read as -i (tau/2) gamma, so gamma must come
-    out positive semidefinite for the split to be a valid decay operator.
-    """
-    m = as_cmatrix(h_eff)
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    return EffectiveHamiltonian(h0=hermitian_part(m), gamma=decay_generator(m) / tau, tau=tau)
 
 
 def decay_generator(h_eff) -> np.ndarray:

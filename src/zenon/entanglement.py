@@ -223,6 +223,8 @@ def block_rows(block: TwoLevelBlockParams, x_max: float, n_samples: int = 400):
     """
     if block.mu_x == 0 or x_max / block.mu_x < 0:
         raise ValidationError(f"the time axis x = mu_x t needs mu_x != 0 and t >= 0, got mu_x {block.mu_x}")
+    if n_samples < 2:
+        raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     rows = []
     for k in range(n_samples):
         x = x_max * k / (n_samples - 1)
@@ -246,10 +248,3 @@ def fig5_rows(block: TwoLevelBlockParams, mxt_max: float = 40.0, n_samples: int 
         raise ValidationError("fig5 curves live in the even-parity sector")
     rows = block_rows(block, mxt_max, n_samples)
     return [(mxt, pop11, re_coh, im_coh) for mxt, _, pop11, re_coh, im_coh in rows]
-
-
-FIG5_REGIMES = {
-    "a": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=1.0, sector="plus"),
-    "b": TwoLevelBlockParams(mu_z=0.01, nu_z=0.01, mu_x=1.0, nu_x=0.1, sector="plus"),
-    "c": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=10.0, sector="plus"),
-}

@@ -253,12 +253,6 @@ def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
     return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix (see psd_eig);
-    eigenvalues in [-tol, 0) are clamped to zero."""
-    return eig_sqrt(psd_eig(a))
-
-
 def matrix_to_json(a) -> dict:
     """Serialize a square complex matrix to {dim, re, im} with row-major entries."""
     m = as_cmatrix(a)

@@ -1,4 +1,4 @@
-"""Pauli operators, the n-qubit XYZ bond builder, and the three-spin models.
+"""The Pauli matrices, the n-qubit XYZ bond builder, and the three-spin models.
 
 Conventions used everywhere: basis states are labelled |q1 q2 ... qn> with
 qubit 1 as the most significant bit of the basis index, and sigma_z|0> = +|0>.
@@ -9,7 +9,6 @@ the repeatedly measured ancilla.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
@@ -22,8 +21,6 @@ SIGMA = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_EYE2 = np.eye(2, dtype=complex)
-
 
 def _check_sites(axis: str, sites: tuple[int, ...], n_qubits: int) -> None:
     if axis not in SIGMA:
@@ -31,19 +28,6 @@ def _check_sites(axis: str, sites: tuple[int, ...], n_qubits: int) -> None:
     for site in sites:
         if not 1 <= site <= n_qubits:
             raise SiteOutOfRangeError(f"site {site} outside 1..{n_qubits}")
-
-
-def _chain(axis: str, sites: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """sigma_axis at each of the 1-based sites and the identity elsewhere, as
-    one Kronecker chain with site 1 the most significant factor."""
-    _check_sites(axis, sites, n_qubits)
-    factors = [SIGMA[axis] if k in sites else _EYE2 for k in range(1, n_qubits + 1)]
-    return reduce(np.kron, factors[1:], factors[0].copy())  # never the shared SIGMA array
-
-
-def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
-    """Single-site Pauli operator at the 1-based site of an n-qubit register."""
-    return _chain(axis, (site,), n_qubits)
 
 
 def xyz_hamiltonian(n_qubits: int, bonds) -> np.ndarray:

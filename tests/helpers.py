@@ -16,7 +16,10 @@ eigendecomposition that the one-pass linalg helpers must match bit for bit,
 the Horner-form expm and the 40-digit mpmath exponential that the
 Paterson-Stockmeyer one is measured against, and the eigenvalue-only PSD and
 step-norm gates whose verdicts and messages the Cholesky-certified ones
-must keep.
+must keep.  Also the test-only views of the model: single-site Pauli
+operators as Kronecker chains, the four ancilla blocks of a composite, the
+Kraus step of a Hermitian composite from its own eigh, and the three Fig. 5
+regimes.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -30,7 +33,8 @@ import numpy as np
 
 from zenon.chain import renormalized_blocks
 from zenon.dynamics import STEP_NORM_LIMIT, basis_labels, state_factor
-from zenon.effective import AncillaSpec, ancilla_order
+from zenon.effective import AncillaSpec, ancilla_order, ancilla_rows, kraus_from_eig
+from zenon.entanglement import TwoLevelBlockParams
 from zenon.errors import (
     NotHermitianError,
     NotPSDError,
@@ -56,9 +60,21 @@ from zenon.linalg import (
     hermitian_part,
     is_hermitian,
 )
-from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams, pauli
+from zenon.spin_models import SIGMA, AnisotropicParams, SymmetricParams
 
 EYE2 = np.eye(2, dtype=complex)
+
+
+def _chain(axis: str, sites: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """sigma_axis at each of the 1-based sites and the identity elsewhere, as
+    one Kronecker chain with site 1 the most significant factor."""
+    factors = [SIGMA[axis] if k in sites else EYE2 for k in range(1, n_qubits + 1)]
+    return reduce(np.kron, factors[1:], factors[0].copy())  # never the shared SIGMA array
+
+
+def pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
+    """Single-site Pauli operator at the 1-based site of an n-qubit register."""
+    return _chain(axis, (site,), n_qubits)
 
 
 def two_qubit(axis: str, site: int) -> np.ndarray:
@@ -108,8 +124,7 @@ def kron_xyz_hamiltonian(n_qubits: int, bonds) -> np.ndarray:
     bond in the order given."""
     h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     for (i, j), axis, coupling in bonds:
-        factors = [SIGMA[axis] if k in (i, j) else EYE2 for k in range(1, n_qubits + 1)]
-        h = h + coupling * reduce(np.kron, factors)
+        h = h + coupling * _chain(axis, (i, j), n_qubits)
     return h
 
 
@@ -233,6 +248,13 @@ def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ a / k
         out = out + term
     return out
+
+
+FIG5_REGIMES = {
+    "a": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=1.0, sector="plus"),
+    "b": TwoLevelBlockParams(mu_z=0.01, nu_z=0.01, mu_x=1.0, nu_x=0.1, sector="plus"),
+    "c": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=10.0, sector="plus"),
+}
 
 
 FIG5_REALIZATIONS = {
@@ -441,6 +463,19 @@ def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
     n_steps applications of F <- A F; it ends and raises where they do."""
     for p, fs in renormalized_blocks(a, f, n_steps):
         yield from zip(p.tolist(), fs)
+
+
+def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
+    """System-space blocks (<m|A|m>, <m|A|o>, <o|A|m>, <o|A|o>) of a composite
+    operator, with m the measured ancilla state and o the other one."""
+    a = as_cmatrix(h)
+    rm, ro = ancilla_rows(a.shape[0], spec)
+    return (a[np.ix_(rm, rm)], a[np.ix_(rm, ro)], a[np.ix_(ro, rm)], a[np.ix_(ro, ro)])
+
+
+def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
+    """Exact conditional step <m| exp(-i H tau) |m> of a Hermitian H."""
+    return kraus_from_eig(hermitian_eig(h), spec, tau)
 
 
 def taylor_kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:

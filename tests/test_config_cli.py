@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,15 +17,9 @@ import zenon.cli
 import zenon.dilation
 from helpers import coherence, survival_probability, symmetric_odd_block, transition_probability
 from zenon.cli import load_matrix_file, main, parse_initial_state
-from zenon.config import (
-    Scenario,
-    load_scenario,
-    save_scenario,
-    scenario_from_json,
-    scenario_to_json,
-)
+from zenon.config import Scenario, load_scenario, scenario_from_json
 from zenon.dilation import DilationResult, decay_generator
-from zenon.dynamics import DensityMatrix, default_time_step
+from zenon.dynamics import default_time_step
 from zenon.effective import AncillaSpec, EffectiveHamiltonian, derive_effective
 from zenon.entanglement import block_decompose
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
@@ -45,15 +40,8 @@ def test_all_bundled_scenarios_roundtrip():
     assert len(paths) >= 9
     for path in paths:
         s = load_scenario(path)
-        again = scenario_from_json(json.loads(json.dumps(scenario_to_json(s))))
+        again = scenario_from_json(json.loads(json.dumps(dataclasses.asdict(s))))
         assert again == s, path.name
-
-
-def test_save_scenario_roundtrip(tmp_path):
-    s = load_scenario(CONFIGS / "fig4.json")
-    out = tmp_path / "copy.json"
-    save_scenario(s, out)
-    assert load_scenario(out) == s
 
 
 def test_scenario_rejections():
@@ -302,7 +290,8 @@ def test_cli_dilates_a_decay_generator_whose_hermitian_sum_overflows(command, tm
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": command, "model": "matrix-file", "params": str(matrix), "tau": 2.0}))
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):  # the residual norms' first tries at this scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow warning would make main exit 3
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
     if command == "dilate":
         h = DilationResult.from_json(json.loads((out / "dilation.json").read_text())).h

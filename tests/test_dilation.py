@@ -5,19 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import ancilla_blocks
 from zenon.dilation import (
     DilationResult,
     RoundTripReport,
-    bohr_frequencies,
     choose_tau,
-    dilation_step,
     decay_generator,
     dilate,
     roundtrip_check,
     validate_stroboscopic,
 )
 from zenon.dynamics import DensityMatrix
-from zenon.effective import AncillaSpec, ancilla_blocks, derive_effective
+from zenon.effective import AncillaSpec, derive_effective
 from zenon.errors import (
     NotHermitianError,
     NumericalError,
@@ -32,12 +31,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "roundtrip"
 
 PT_2X2 = np.array([[0.5j, 1.0], [1.0, -0.5j]])
 DECAYING = np.array([[0.0, 0.0], [0.0, -0.4j]])
-
-
-def test_bohr_frequencies_examples():
-    assert np.allclose(bohr_frequencies(np.diag([1.0, -1.0])), [2.0])
-    assert np.allclose(bohr_frequencies(np.diag([0.0, 1.0, 3.0])), [1.0, 2.0, 3.0])
-    assert bohr_frequencies(np.array([[2.0]])).size == 0
 
 
 def test_decay_generator_examples():
@@ -143,8 +136,8 @@ def test_coupling_null_direction_is_exact_on_every_fixture():
     c is active, T is singular and so is R, to rounding."""
     for path in sorted(FIXTURES.glob("*.json")):
         m = matrix_from_json(json.loads(path.read_text()))
-        tau = dilation_step(m, fallback=0.01)
-        res = dilate(m, tau)
+        res = dilate(m, fallback=0.01)
+        tau = res.tau
         r = ancilla_blocks(res.h)[1]
         t = res.c * np.eye(m.shape[0]) + decay_generator(m) / tau
         assert frobenius_norm(r @ r - t) <= 1e-14 * max(1.0, frobenius_norm(t)), path.name
@@ -213,12 +206,12 @@ def test_roundtrip_failure_surfaces_as_error(monkeypatch):
 
 def test_dilation_step_from_decay_spread_or_fallback():
     # DECAYING has decay generator diag(0, 0.8): spread 0.8
-    assert dilation_step(DECAYING) == choose_tau(0.8)
-    assert dilation_step(DECAYING, fallback=0.3) == choose_tau(0.8)
+    assert dilate(DECAYING).tau == choose_tau(0.8)
+    assert dilate(DECAYING, fallback=0.3).tau == choose_tau(0.8)
     hermitian = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
-    assert dilation_step(hermitian, fallback=0.3) == 0.3
+    assert dilate(hermitian, fallback=0.3).tau == 0.3
     with pytest.raises(ZeroAntiHermitianPartError):
-        dilation_step(hermitian)
+        dilate(hermitian)
 
 
 def test_validate_stroboscopic_small_error_in_regime():

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ancilla_blocks,
     anisotropic_effective_matrix,
     bitloop_ancilla_order,
     counting_kernels,
     eigenvalue_step_norm,
+    kraus_step,
+    pauli,
     random_complex,
     random_anisotropic_params,
     random_hermitian,
@@ -23,12 +26,9 @@ from zenon.effective import (
     AncillaSpec,
     EffectiveHamiltonian,
     _check_step_norm,
-    ancilla_blocks,
     ancilla_order,
     derive_effective,
-    effective_from_matrix,
     kraus_from_eig,
-    kraus_step,
     remove_identity_shift,
 )
 from zenon.errors import (
@@ -39,7 +39,7 @@ from zenon.errors import (
     ValidationError,
 )
 from zenon.linalg import EIGVALSH_MIN_DIM, dagger, expm, frobenius_norm, hermitian_eig, kron, psd_eig
-from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric, pauli
+from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
 
 def test_ancilla_spec_validation():
@@ -321,16 +321,6 @@ def test_effective_hamiltonian_from_json_takes_tau_only_as_a_finite_number(tau):
     obj["tau"] = tau
     with pytest.raises(ValidationError, match="tau"):
         EffectiveHamiltonian.from_json(obj)
-
-
-def test_effective_from_matrix_splits_and_rejects():
-    p = SymmetricParams(0.3, -0.2, 0.9, 0.1)
-    eff = derive_effective(build_symmetric(p), AncillaSpec(), 0.05)
-    again = effective_from_matrix(eff.matrix(), eff.tau)
-    assert np.allclose(again.h0, eff.h0, atol=1e-13)
-    assert np.allclose(again.gamma, eff.gamma, atol=1e-12)
-    with pytest.raises(NotPSDError):
-        effective_from_matrix(np.diag([1j, -1j]), 0.1)  # growth direction present
 
 
 def test_remove_identity_shift():

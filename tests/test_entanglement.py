@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIG5_REALIZATIONS,
+    FIG5_REGIMES,
     anisotropic_block_coefficients,
     anisotropic_effective_matrix,
     coherence,
@@ -22,7 +23,6 @@ from zenon.dynamics import DensityMatrix
 from zenon.effective import AncillaSpec, derive_effective
 from zenon.entanglement import (
     BELL_STATES,
-    FIG5_REGIMES,
     TwoLevelBlockParams,
     bell_fidelity,
     block_decompose,
@@ -392,6 +392,14 @@ def test_fig5_rows_structure_and_consistency():
         fig5_rows(TwoLevelBlockParams(0.0, 0.0, 0.0, 1.0, sector="plus"))
     with pytest.raises(ValidationError):
         fig5_rows(TwoLevelBlockParams(0.0, 0.0, 1.0, 0.0, sector="minus"))
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+@pytest.mark.parametrize("rows", [block_rows, fig5_rows])
+def test_figure_rows_need_two_samples(rows, n_samples):
+    # the grid x_max k / (n_samples - 1): one sample divides by zero, none makes an empty figure
+    with pytest.raises(ValidationError, match=f"^n_samples must be at least 2, got {n_samples}$"):
+        rows(FIG5_REGIMES["c"], 40.0, n_samples)
 
 
 def test_fig5_strong_damping_reaches_even_bell_state():

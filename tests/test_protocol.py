@@ -14,6 +14,7 @@ import zenon.protocol
 from helpers import (
     counting_kernels,
     curve_sorting_trajectories,
+    kraus_step,
     random_hermitian,
     random_ket,
     sorting_trajectories,
@@ -21,7 +22,7 @@ from helpers import (
     taylor_expm,
 )
 from zenon.dynamics import DensityMatrix, evolve_conditional, normalize, state_factor
-from zenon.effective import AncillaSpec, derive_effective, kraus_step
+from zenon.effective import AncillaSpec, derive_effective
 from zenon.errors import (
     BadDimensionError,
     NumericalError,

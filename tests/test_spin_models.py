@@ -11,6 +11,7 @@ from helpers import (
     kron_xyz_hamiltonian,
     nine_term_anisotropic,
     nine_term_symmetric,
+    pauli,
     random_anisotropic_params,
     random_symmetric_params,
 )
@@ -23,7 +24,6 @@ from zenon.spin_models import (
     SymmetricParams,
     build_anisotropic,
     build_symmetric,
-    pauli,
     xyz_hamiltonian,
 )
 
@@ -46,15 +46,6 @@ def test_pauli_matches_manual_kron(axis, site):
     ops = [SIGMA[axis] if k == site else np.eye(2) for k in (1, 2, 3)]
     manual = np.kron(np.kron(ops[0], ops[1]), ops[2])
     assert np.array_equal(pauli(axis, site, 3), manual)
-
-
-def test_pauli_validation():
-    with pytest.raises(SiteOutOfRangeError):
-        pauli("x", 4, 3)
-    with pytest.raises(SiteOutOfRangeError):
-        pauli("x", 0, 3)
-    with pytest.raises(ValidationError):
-        pauli("w", 1, 3)
 
 
 def test_params_reject_non_finite():
