@@ -4,11 +4,12 @@ probability accumulated in log space.
 
 Two entry points share one block renormalization and one single step.
 renormalized_blocks yields every step, up to 64 per stacked product of the
-powers A^1 .. A^B (chain_block_size picks B): the time series, the exact
-survival curve and the Monte Carlo read it.  renormalized_end returns only
-the end, for the filtered protocol state (and so the stroboscopic check) and
-the sweep's final states: one product A^B F per block (end_block_size picks
-B), bit for bit the stacked chain's last slice where both pick the same B.
+powers A^1 .. A^B (chain_block_size picks B): the time series and the
+exact survival curve (the Monte Carlo's input) read it.  renormalized_end
+returns only the end, for the filtered protocol state (and so the
+stroboscopic check) and the sweep's final states: one product A^B F per
+block (end_block_size picks B), bit for bit the stacked chain's last slice
+where both pick the same B.
 """
 
 from __future__ import annotations

@@ -182,7 +182,8 @@ def run_sweep(s: Scenario) -> None:
         spec = _ancilla_spec(s)
         eff = derive_effective(h, spec, tau)
         rho0 = parse_initial_state(s.initial_state, eff.dim)
-        p, final = conditional_final_state(eff.matrix(), rho0, t_max, s.n_samples)
+        p, rho = conditional_final_state(eff.matrix(), rho0, t_max, s.n_samples)
+        final = DensityMatrix(rho)  # one state gate for both measures
         row = [float(entry[k]) for k in keys]
         row += [p, bell_fidelity(final, s.bell), concurrence(final)]
         if s.with_protocol:

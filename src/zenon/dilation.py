@@ -37,13 +37,11 @@ from .linalg import (
     as_cmatrix,
     eig_sqrt,
     EigenDecomposition,
-    finite_reals,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
     hermitian_residual,
     kron,
-    matrix_from_json,
     matrix_to_json,
 )
 from .protocol import ProtocolConfig, steps_for, stroboscopic_error
@@ -108,19 +106,6 @@ class DilationResult:
             "f": float(self.f),
             "M": float(self.m),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DilationResult":
-        if not isinstance(obj, dict):
-            raise ValidationError("dilation result must be a JSON mapping")
-        try:
-            h, scalars = matrix_from_json(obj["H"]), [obj[k] for k in ("tau", "c", "f", "M")]
-        except KeyError as exc:
-            raise ValidationError(f"missing field {exc} in dilation result") from exc
-        if finite_reals(scalars) is None:
-            raise ValidationError(f"dilation result tau, c, f and M must be finite real numbers, got {scalars!r}")
-        tau, c, f, m = map(float, scalars)
-        return cls(h=h, tau=tau, c=c, f=f, m=m)
 
 
 def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> DilationResult:

@@ -302,9 +302,9 @@ def basis_labels(dim: int) -> list[str]:
     return [str(k) for k in range(dim)]
 
 
-def default_coherence_pair(dim: int, initial_index: int | None = None) -> tuple[int, int]:
+def default_coherence_pair(dim: int, initial_index: int) -> tuple[int, int]:
     """Pair (k, dim-1-k) whose off-diagonal element the time series reports."""
-    k = 0 if initial_index is None else min(initial_index, dim - 1 - initial_index)
+    k = min(initial_index, dim - 1 - initial_index)
     return (k, dim - 1 - k)
 
 

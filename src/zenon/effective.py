@@ -1,19 +1,19 @@
 """Conditional evolution step and its stroboscopic effective generator.
 
 A composite Hamiltonian lives on system (x) ancilla with the ancilla as a
-dimension-2 factor.  The conditional step for survival outcome m is the
-sub-block K(tau) = <m| exp(-i H tau) |m>, built from the eigendecomposition
-H = V diag(w) V^dag as I + V_m diag(exp(-i tau w) - 1) V_m^dag (no matrix
+dimension-2 factor, prepared and measured in |0>.  The conditional step of
+a run that finds the ancilla in |0> again is the sub-block
+K(tau) = <0| exp(-i H tau) |0>, built from the eigendecomposition
+H = V diag(w) V^dag as I + V_0 diag(exp(-i tau w) - 1) V_0^dag (no matrix
 exponential of the composite), and in the small-tau limit n such steps are
 generated by
 
     H_eff = H_0 - i (tau / 2) Gamma,
 
-with H_0 = <m|H|m> and Gamma = B B^dag >= 0, B = <m|H|o> (m = measured
-ancilla state, o = the other one).  Gamma is returned in this product form,
-positive semidefinite by construction; the second-moment form
-<m|H^2|m> - H_0^2 of the same operator is computed only to check it, a
-strong internal consistency check on the block bookkeeping.
+with H_0 = <0|H|0> and Gamma = B B^dag >= 0, B = <0|H|1>.  Gamma is
+returned in this product form, positive semidefinite by construction; the
+second-moment form <0|H^2|0> - H_0^2 of the same operator is computed only
+to check it, a strong internal consistency check on the block bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .linalg import (
     as_psd,
     certified_above,
     dagger,
-    finite_reals,
     frobenius_norm,
     hermitian_part,
-    matrix_from_json,
     matrix_to_json,
     trace,
 )
@@ -45,24 +43,19 @@ GAMMA_FORM_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class AncillaSpec:
-    """Which factor of the composite space is the measured ancilla.
+    """Which factor of the composite space is the measured ancilla, whose
+    outcome |0> continues the conditional evolution.
 
     ancilla_site None means the least significant dimension-2 factor of a
     space of even dimension (any system dimension).  An integer selects a
     1-based qubit of a power-of-two register, counted from the most
     significant factor, and the operator is permuted so that qubit becomes
-    the least significant one.  measured_state is the ancilla outcome that
-    continues the conditional evolution.
+    the least significant one.
     """
 
     ancilla_site: int | None = None
-    measured_state: int = 0
 
     def __post_init__(self):
-        if self.measured_state not in (0, 1):
-            raise ValidationError(
-                f"measured_state must be 0 or 1, got {self.measured_state}"
-            )
         if self.ancilla_site is not None and self.ancilla_site < 1:
             raise ValidationError(f"ancilla_site must be >= 1, got {self.ancilla_site}")
 
@@ -91,17 +84,15 @@ def ancilla_order(dim: int, spec: AncillaSpec) -> np.ndarray:
 
 
 def ancilla_rows(dim: int, spec: AncillaSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite indices (rows_m, rows_o) of ancilla state m = measured_state
-    and of the other state o, each in system-index order: the one reader of
-    the ancilla layout."""
+    """Composite indices (rows_0, rows_1) of ancilla states |0> and |1>, each
+    in system-index order: the one reader of the ancilla layout."""
     order = ancilla_order(dim, spec)
-    m = spec.measured_state
-    return order[m::2], order[1 - m :: 2]
+    return order[0::2], order[1::2]
 
 
 def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """<m| exp(-i H tau) |m> from H = V diag(w) V^dag as I + V_m diag(phi) V_m^dag, V_m
-    the rows of V for ancilla state m in canonical order: V's rounding enters
+    """<0| exp(-i H tau) |0> from H = V diag(w) V^dag as I + V_0 diag(phi) V_0^dag, V_0
+    the rows of V for ancilla state |0> in canonical order: V's rounding enters
     K scaled by tau, not at full size as in V exp(-i tau w) V^dag.  phi =
     exp(-i tau w) - 1 is an order-18 series at |tau w| / 2^s <= 1/2 doubled s
     times by expm1(2x) = expm1(x) (2 + expm1(x)), with no libm sin (new library
@@ -180,24 +171,12 @@ class EffectiveHamiltonian:
             "tau": float(self.tau),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EffectiveHamiltonian":
-        if not isinstance(obj, dict):
-            raise ValidationError("effective Hamiltonian must be a JSON mapping")
-        try:
-            h0, gamma, tau = matrix_from_json(obj["h0"]), matrix_from_json(obj["gamma"]), obj["tau"]
-        except KeyError as exc:
-            raise ValidationError(f"missing field {exc} in effective Hamiltonian") from exc
-        if finite_reals([tau]) is None:
-            raise ValidationError(f"effective Hamiltonian tau must be a finite real number, got {tau!r}")
-        return cls(h0=h0, gamma=gamma, tau=float(tau))
-
 
 def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
     """Effective generator of the repeated-measurement limit.
 
-    Gamma is the product B B^dag, B = <m|H|o>.  Its second-moment form
-    <m|H^2|m> - H_0^2, read from the m rows and columns of H alone, is only
+    Gamma is the product B B^dag, B = <0|H|1>.  Its second-moment form
+    <0|H^2|0> - H_0^2, read from the |0> rows and columns of H alone, is only
     its check: the two must agree to GAMMA_FORM_ATOL (relative to the larger
     of 1 and the moment form's norm) or a NumericalError is raised, as it is,
     without numpy's overflow warnings, for a Gamma beyond the double range.

@@ -59,9 +59,6 @@ class TwoLevelBlockParams:
     def omega_x(self) -> complex:
         return complex(self.mu_x, self.nu_x)
 
-    def matrix(self) -> np.ndarray:
-        return self.omega_z * SIGMA["z"] + self.omega_x * SIGMA["x"]
-
 
 def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
     """Split a parity-conserving 4x4 generator into its two blocks.
@@ -168,7 +165,9 @@ BELL_STATES = {
 
 
 def _as_rho(state) -> np.ndarray:
-    rho = state.rho if isinstance(state, DensityMatrix) else as_cmatrix(state)
+    """rho of a two-qubit state; a raw matrix must pass DensityMatrix, the
+    rule of dynamics.expectation."""
+    rho = state.rho if isinstance(state, DensityMatrix) else DensityMatrix(state).rho
     if rho.shape[0] != 4:
         raise BadDimensionError(f"two-qubit state must be 4x4, got {rho.shape}")
     return rho

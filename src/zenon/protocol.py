@@ -2,19 +2,18 @@
 
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
-measured outcome equals the monitored state, i.e. apply K = <m|U(tau)|m>,
+ancilla is found in its initial state |0>, i.e. apply K = <0|U(tau)|0>,
 which ProtocolConfig builds once from its eigendecomposition of H.  Every
 chain here runs K on the factor F of rho0 = F F^dag.  The filtered state
 reads only the chain's end, chain.renormalized_end: a block of B steps is
 one product K^B F, at dimension 256 from a mixed start 19 products for 100
-steps.  The exact survival curve and the waiting-time Monte Carlo (one
-uniform per trajectory against that curve) read every step,
-chain.renormalized_blocks, up to 64 steps per stacked product; the Monte
-Carlo's survivors take their kets from the chain's final factor.  A
-protocol run calls the Monte Carlo first: it records the exact survival
-curve its chain yields on the ProtocolConfig, and
-conditional_survival_curve then returns a copy of that record for the same
-start state, so the run makes one chain, not two.
+steps.  The exact survival curve reads every step,
+chain.renormalized_blocks, up to 64 steps per stacked product, and the
+waiting-time Monte Carlo reads that curve alone (one uniform per
+trajectory against it) to count survivors.  A protocol run calls the Monte
+Carlo first: it records the exact survival curve on the ProtocolConfig,
+and conditional_survival_curve then returns a copy of that record for the
+same start state, so the run makes one chain, not two.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def steps_for(t: float, tau: float) -> int:
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Composite Hamiltonian, ancilla addressing, step length, step count, and
-    the step K = <m| exp(-i H tau) |m> (kraus_from_eig of the one hermitian_eig of H).
+    the step K = <0| exp(-i H tau) |0> (kraus_from_eig of the one hermitian_eig of H).
 
     Emits StroboscopicRegimeWarning when tau times the largest Bohr frequency
     of H reaches 1; the protocol still runs, but the effective-generator
@@ -121,16 +120,15 @@ def _chain_start(cfg: ProtocolConfig, rho0: DensityMatrix):
     return cfg.kraus, state_factor(rho0.rho)
 
 
-def _survival_chain(cfg: ProtocolConfig, rho0: DensityMatrix):
-    """(exact survival curve, final factor F_N): the chain read every step."""
+def _survival_chain(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
+    """The exact survival curve: the chain read every step."""
     k, f = _chain_start(cfg, rho0)
     curve = np.zeros(cfg.n_steps)
     step = 0
-    for p, fs in renormalized_blocks(k, f, cfg.n_steps):
+    for p, _ in renormalized_blocks(k, f, cfg.n_steps):
         curve[step : step + len(p)] = p
         step += len(p)
-        f = fs[-1]
-    return curve, f
+    return curve
 
 
 def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> ConditionalState:
@@ -178,22 +176,18 @@ def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.n
     record = cfg._survival  # its key holds a validated state, so a match fits cfg
     if record is not None and record[0] == rho0.rho.tobytes():
         return record[1].copy()
-    return _survival_chain(cfg, rho0)[0]
+    return _survival_chain(cfg, rho0)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Survivor counts after each step of a Monte Carlo run.
-
+    """Survivor counts after each step of a Monte Carlo run:
     survival_counts[k] is the number of trajectories still alive after
-    measurement k+1; survived_states (optional) are the normalized system
-    kets of the survivors after the final step, in trajectory order.
-    """
+    measurement k+1."""
 
     n_traj: int
     seed: int
     survival_counts: np.ndarray
-    survived_states: np.ndarray | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.survival_counts, dtype=np.int64)
@@ -206,11 +200,7 @@ class TrajectoryEnsemble:
 
 
 def simulate_trajectories(
-    cfg: ProtocolConfig,
-    rho0: DensityMatrix,
-    n_traj: int,
-    seed: int,
-    keep_states: bool = False,
+    cfg: ProtocolConfig, rho0: DensityMatrix, n_traj: int, seed: int
 ) -> TrajectoryEnsemble:
     """Monte Carlo survivor counts for n_traj independent trajectories.
 
@@ -219,21 +209,17 @@ def simulate_trajectories(
     P(T > n) = p_n, the exact survival curve, so it survives step n exactly
     when one uniform u < p_n; the curve does not increase, so that holds on
     a prefix of the steps.  T is n_steps minus the number of curve values
-    <= u, one binary search in the reversed curve; no uniform is sorted.  A
-    survivor's ket is column j of the chain's final factor F_N, normalized,
-    j picked by the row's other uniform with weight ||F_N e_j||^2 =
-    P(started in eigenket j | survived), never a column of weight 0.  Row i
-    of one Philox stream's (pick, u) rows is trajectory i, drawn MC_CHUNK
-    rows at a time, so a run's first N trajectories are those of an
-    n_traj=N run.  Memory is O(MC_CHUNK + n_steps), plus the kept kets.  The
-    curve is recorded on cfg for conditional_survival_curve, so a protocol
-    run needs one chain.
+    <= u, one binary search in the reversed curve; no uniform is sorted.
+    Row i of one Philox stream's (pick, u) rows is trajectory i, drawn
+    MC_CHUNK rows at a time, so a run's first N trajectories are those of an
+    n_traj=N run.  Memory is O(MC_CHUNK + n_steps).  The curve is recorded
+    on cfg for conditional_survival_curve, so a protocol run needs one chain.
     """
     if not _is_count(n_traj) or not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValidationError(f"n_traj must be an int in 1..{MAX_TRAJECTORIES}, got {n_traj!r}")
     if not _is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
-    survival, f = _survival_chain(cfg, rho0)
+    survival = _survival_chain(cfg, rho0)
     object.__setattr__(cfg, "_survival", (rho0.rho.tobytes(), survival))
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
     # counts rise too.  Written into a reversed view: the curve, ascending.
@@ -243,27 +229,14 @@ def simulate_trajectories(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # hist[s]: trajectories with s curve values <= u, i.e. waiting n_steps - s steps
     hist = np.zeros(cfg.n_steps + 1, dtype=np.int64)
-    kept = []  # the survivors' pick uniforms, in trajectory order
     for start in range(0, n_traj, MC_CHUNK):
-        pick_u, u = rng.random((min(MC_CHUNK, n_traj - start), 2)).T
-        s = np.searchsorted(rising, u, side="right")
-        np.add.at(hist, s, 1)
-        if keep_states:
-            kept.append(pick_u[s == 0])
+        # (pick, u) rows, u alone read: the unused pick column keeps the
+        # stream's layout, so a seed keeps the survivor counts tests/golden pins
+        u = rng.random((min(MC_CHUNK, n_traj - start), 2))[:, 1]
+        np.add.at(hist, np.searchsorted(rising, u, side="right"), 1)
     del rising  # released before the counts, so the two never share the peak
     counts = n_traj - np.cumsum(hist[:0:-1])  # hist[:0:-1][w]: trajectories waiting w steps
-
-    states = None
-    if keep_states:
-        weights = np.linalg.norm(f, axis=0) ** 2
-        # past the rounded end of the cumulative weights, the last column
-        # that kept a weight: a column can decay to exactly 0
-        picks = np.searchsorted(np.cumsum(weights), np.concatenate(kept), side="right")
-        kets = f.T[np.minimum(picks, np.flatnonzero(weights)[-1])]
-        states = kets / np.linalg.norm(kets, axis=1, keepdims=True)
-    return TrajectoryEnsemble(
-        n_traj=n_traj, seed=seed, survival_counts=counts, survived_states=states
-    )
+    return TrajectoryEnsemble(n_traj=n_traj, seed=seed, survival_counts=counts)
 
 
 def stroboscopic_error(cfg: ProtocolConfig, rho0: DensityMatrix) -> float:

@@ -18,8 +18,8 @@ Paterson-Stockmeyer one is measured against, and the eigenvalue-only PSD and
 step-norm gates whose verdicts and messages the Cholesky-certified ones
 must keep.  Also the test-only views of the model: single-site Pauli
 operators as Kronecker chains, the four ancilla blocks of a composite, the
-Kraus step of a Hermitian composite from its own eigh, and the three Fig. 5
-regimes.
+Kraus step of a Hermitian composite from its own eigh, a parity block's
+2x2 generator, and the three Fig. 5 regimes.
 
 The closed-form matrix builders here are written from the algebra directly
 (Pauli coefficients entered by hand), never by calling the code under test,
@@ -250,6 +250,11 @@ def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def block_matrix(block: TwoLevelBlockParams) -> np.ndarray:
+    """The block generator Omega sz + omega sx as a 2x2 matrix."""
+    return block.omega_z * SIGMA["z"] + block.omega_x * SIGMA["x"]
+
+
 FIG5_REGIMES = {
     "a": TwoLevelBlockParams(mu_z=0.1, nu_z=0.1, mu_x=1.0, nu_x=1.0, sector="plus"),
     "b": TwoLevelBlockParams(mu_z=0.01, nu_z=0.01, mu_x=1.0, nu_x=0.1, sector="plus"),
@@ -306,57 +311,45 @@ def _trajectory_uniforms(seed: int, index: int, n: int) -> np.ndarray:
     return rng.random(n)
 
 
-def _run_chunk(args):
-    u, measured, cum_weights, vectors, seed, start, stop, n_steps, keep_states = args
-    dim = vectors.shape[0]
-    n_local = stop - start
-    uniforms = np.empty((n_local, n_steps + 1))
-    for i in range(n_local):
-        uniforms[i] = _trajectory_uniforms(seed, start + i, n_steps + 1)
-    picks = np.searchsorted(cum_weights, uniforms[:, 0], side="right")
-    picks = np.minimum(picks, dim - 1)
-    states = vectors[:, picks].T.copy()
-    alive = np.arange(n_local)
-    counts = np.zeros(n_steps, dtype=np.int64)
-    ut = u.T.copy()
-    for step in range(n_steps):
-        composite = np.zeros((alive.size, 2 * dim), dtype=complex)
-        composite[:, measured::2] = states
-        composite = composite @ ut
-        amp = composite[:, measured::2]
-        p_keep = np.einsum("ij,ij->i", amp, amp.conj()).real
-        p_keep = np.clip(p_keep, 0.0, 1.0)
-        kept = uniforms[alive, step + 1] < p_keep
-        alive = alive[kept]
-        states = amp[kept] / np.sqrt(p_keep[kept])[:, None]
-        counts[step] = alive.size
-    return counts, (states if keep_states else None)
-
-
 def stepwise_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     """Reference Monte Carlo that plays every measurement: each survivor is
     pushed through the composite unitary and kept with its one-step
     probability, with all uniforms of a trajectory drawn from its own
     Philox stream seeded by (seed, index).  Returns survivor counts per step."""
     order = ancilla_order(cfg.h.shape[0], cfg.spec)
-    u = expm(-1j * cfg.tau * cfg.h[np.ix_(order, order)])
+    ut = expm(-1j * cfg.tau * cfg.h[np.ix_(order, order)]).T.copy()
     w, vectors = np.linalg.eigh(rho0.rho)
     w = np.clip(w, 0.0, None)
     cum_weights = np.cumsum(w / w.sum())
-    return _run_chunk(
-        (u, cfg.spec.measured_state, cum_weights, vectors, seed, 0, n_traj, cfg.n_steps, False)
-    )[0]
+    dim = vectors.shape[0]
+    uniforms = np.empty((n_traj, cfg.n_steps + 1))
+    for i in range(n_traj):
+        uniforms[i] = _trajectory_uniforms(seed, i, cfg.n_steps + 1)
+    picks = np.searchsorted(cum_weights, uniforms[:, 0], side="right")
+    states = vectors[:, np.minimum(picks, dim - 1)].T.copy()
+    alive = np.arange(n_traj)
+    counts = np.zeros(cfg.n_steps, dtype=np.int64)
+    for step in range(cfg.n_steps):
+        composite = np.zeros((alive.size, 2 * dim), dtype=complex)
+        composite[:, 0::2] = states
+        amp = (composite @ ut)[:, 0::2]
+        p_keep = np.clip(np.einsum("ij,ij->i", amp, amp.conj()).real, 0.0, 1.0)
+        kept = uniforms[alive, step + 1] < p_keep
+        alive = alive[kept]
+        states = amp[kept] / np.sqrt(p_keep[kept])[:, None]
+        counts[step] = alive.size
+    return counts
 
 
-def sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
+def sorting_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     """Reference waiting-time Monte Carlo by start eigenket, counting
     survivors by sorting: all n_traj (pick, u) rows in one draw of the
     Philox stream, each trajectory started in eigenket j picked with weight
     w_j = ||F e_j||^2, the uniforms sorted within each start eigenket, and
     the survivors of step n read as searchsorted(sort(u_j), curve_j[n],
     "left") on that eigenket's own curve p_n ||F_n e_j||^2 / w_j.  The same
-    law as curve_sorting_trajectories, other draws.  Returns (survivor
-    counts, normalized survivor kets in trajectory order)."""
+    law as curve_sorting_trajectories, other draws.  Returns survivor counts
+    per step."""
     f = state_factor(rho0.rho)
     weights = np.linalg.norm(f, axis=0) ** 2
     pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
@@ -366,44 +359,28 @@ def sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
     for p, fs in renormalized_blocks(cfg.kraus, f, cfg.n_steps):
         curves[step : step + len(p)] = p[:, None] * np.linalg.norm(fs, axis=1) ** 2 / weights
         step += len(p)
-        f = fs[-1]
     curves = np.minimum.accumulate(curves, axis=0)
 
     counts = np.zeros(cfg.n_steps, dtype=np.int64)
     by_pick = np.split(u[np.lexsort((u, picks))], np.cumsum(np.bincount(picks, minlength=weights.size))[:-1])
     for j, u_j in enumerate(by_pick):
         counts += np.searchsorted(u_j, curves[:, j], side="left")
-
-    alive = u < curves[-1, picks] if cfg.n_steps else np.ones(n_traj, dtype=bool)
-    kets = f.T[picks[alive]]
-    return counts, kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    return counts
 
 
-def curve_sorting_trajectories(cfg, rho0, n_traj: int, seed: int):
+def curve_sorting_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     """Reference waiting-time Monte Carlo on the exact survival curve alone,
     counting survivors by sorting: all n_traj (pick, u) rows in one draw of
-    the Philox stream, the uniforms sorted once, and the survivors of step n
-    read as searchsorted(sort(u), curve[n], "left").  A survivor's ket is
-    column j of the chain's final factor F_N, normalized, j picked with its
-    row's pick uniform against the cumulative weights ||F_N e_j||^2 (past
-    their rounded end, the last column of nonzero weight).  Returns
-    (survivor counts, normalized survivor kets in trajectory order)."""
-    f = state_factor(rho0.rho)
-    pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
+    the Philox stream, the uniforms u sorted once, and the survivors of step
+    n read as searchsorted(sort(u), curve[n], "left").  Returns survivor
+    counts per step."""
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2))[:, 1]
     curve = np.zeros(cfg.n_steps)
     step = 0
-    for p, fs in renormalized_blocks(cfg.kraus, f, cfg.n_steps):
+    for p, _ in renormalized_blocks(cfg.kraus, state_factor(rho0.rho), cfg.n_steps):
         curve[step : step + len(p)] = p
         step += len(p)
-        f = fs[-1]
-    curve = np.minimum.accumulate(curve)
-    counts = np.searchsorted(np.sort(u), curve, side="left")
-
-    alive = u < curve[-1] if cfg.n_steps else np.ones(n_traj, dtype=bool)
-    weights = np.linalg.norm(f, axis=0) ** 2
-    picks = np.searchsorted(np.cumsum(weights), pick_u[alive], side="right")
-    kets = f.T[np.minimum(picks, np.flatnonzero(weights)[-1])]
-    return counts, kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    return np.searchsorted(np.sort(u), np.minimum.accumulate(curve), side="left")
 
 
 def rho_chain(a: np.ndarray, rho: np.ndarray, n_steps: int):
@@ -466,20 +443,20 @@ def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
 
 
 def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
-    """System-space blocks (<m|A|m>, <m|A|o>, <o|A|m>, <o|A|o>) of a composite
-    operator, with m the measured ancilla state and o the other one."""
+    """System-space blocks (<0|A|0>, <0|A|1>, <1|A|0>, <1|A|1>) of a composite
+    operator, |0> the measured ancilla state."""
     a = as_cmatrix(h)
-    rm, ro = ancilla_rows(a.shape[0], spec)
-    return (a[np.ix_(rm, rm)], a[np.ix_(rm, ro)], a[np.ix_(ro, rm)], a[np.ix_(ro, ro)])
+    r0, r1 = ancilla_rows(a.shape[0], spec)
+    return (a[np.ix_(r0, r0)], a[np.ix_(r0, r1)], a[np.ix_(r1, r0)], a[np.ix_(r1, r1)])
 
 
 def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """Exact conditional step <m| exp(-i H tau) |m> of a Hermitian H."""
+    """Exact conditional step <0| exp(-i H tau) |0> of a Hermitian H."""
     return kraus_from_eig(hermitian_eig(h), spec, tau)
 
 
 def taylor_kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """Reference conditional step <m| exp(-i H tau) |m>: the order-18 Taylor
+    """Reference conditional step <0| exp(-i H tau) |0>: the order-18 Taylor
     expm (scaling and squaring) of the whole canonical composite, then its
     measured block, with the same norm check as kraus_step."""
     hm = as_cmatrix(h)
@@ -489,8 +466,7 @@ def taylor_kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
         raise ValidationError(f"tau must be positive, got {tau}")
     order = ancilla_order(hm.shape[0], spec)
     u = expm(-1j * tau * hm[np.ix_(order, order)])
-    m = spec.measured_state
-    k = u[m::2, m::2]
+    k = u[0::2, 0::2]
     sv_sq = hermitian_eig(dagger(k) @ k).eigenvalues[-1]
     if sv_sq > 1.0 + 1e-10:
         raise NumericalError(f"conditional step has operator norm {np.sqrt(sv_sq):.12f} > 1")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -38,13 +39,20 @@ from zenon.errors import (
     NumericalError,
     ValidationError,
 )
-from zenon.linalg import EIGVALSH_MIN_DIM, dagger, expm, frobenius_norm, hermitian_eig, kron, psd_eig
+from zenon.linalg import (
+    EIGVALSH_MIN_DIM,
+    dagger,
+    expm,
+    frobenius_norm,
+    hermitian_eig,
+    kron,
+    matrix_from_json,
+    psd_eig,
+)
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
 
 def test_ancilla_spec_validation():
-    with pytest.raises(ValidationError):
-        AncillaSpec(measured_state=2)
     with pytest.raises(ValidationError):
         AncillaSpec(ancilla_site=0)
 
@@ -57,15 +65,6 @@ def test_ancilla_blocks_of_tensor_products():
     assert np.allclose(h11, -hs)
     assert np.allclose(h01, 0)
     assert np.allclose(h10, 0)
-
-
-def test_ancilla_blocks_measured_state_one_swaps_roles():
-    hs = random_hermitian(np.random.Generator(np.random.PCG64(3)), 2)
-    h = kron(hs, np.array([[0.25, 0], [0, 0.75]], dtype=complex))
-    b0 = ancilla_blocks(h, AncillaSpec(measured_state=0))
-    b1 = ancilla_blocks(h, AncillaSpec(measured_state=1))
-    assert np.allclose(b0[0], 0.25 * hs)
-    assert np.allclose(b1[0], 0.75 * hs)
 
 
 def test_ancilla_site_permutation_matches_relabelled_operator():
@@ -104,21 +103,16 @@ def test_derive_effective_site_addressing_consistent():
     eff_site1 = derive_effective(h_moved, AncillaSpec(ancilla_site=1), 0.1)
     assert np.allclose(eff_site1.h0, eff_minor.h0, atol=1e-12)
     assert np.allclose(eff_site1.gamma, eff_minor.gamma, atol=1e-12)
-    # every ancilla address of 3- and 4-qubit registers, both outcomes: the
-    # bit-loop permutation moves the ancilla to the minor slot, and sigma_x
-    # on it turns outcome 1 into outcome 0 of the default spec
+    # every ancilla address of 3- and 4-qubit registers: the bit-loop
+    # permutation moves the ancilla to the minor slot of the default spec
     for n in (3, 4):
         h = random_hermitian(rng, 2**n)
-        flip = kron(np.eye(2 ** (n - 1)), pauli("x", 1, 1))
-        for site, m in itertools.product(range(1, n + 1), (0, 1)):
+        for site in range(1, n + 1):
             order = bitloop_ancilla_order(2**n, site)
-            moved = h[np.ix_(order, order)]
-            if m == 1:
-                moved = flip @ moved @ flip
-            want = derive_effective(moved, AncillaSpec(), 0.1)
-            got = derive_effective(h, AncillaSpec(ancilla_site=site, measured_state=m), 0.1)
+            want = derive_effective(h[np.ix_(order, order)], AncillaSpec(), 0.1)
+            got = derive_effective(h, AncillaSpec(ancilla_site=site), 0.1)
             for a, b in ((got.h0, want.h0), (got.gamma, want.gamma)):
-                assert frobenius_norm(a - b) <= 1e-12 * max(1.0, frobenius_norm(b)), (n, site, m)
+                assert frobenius_norm(a - b) <= 1e-12 * max(1.0, frobenius_norm(b)), (n, site)
 
 
 def test_kraus_step_identity_and_unitary_cases():
@@ -145,7 +139,7 @@ def test_kraus_step_rejects_unresolved_phases():
 
 @pytest.mark.parametrize("dim", [4, 8, 16, 64, 256])
 def test_kraus_from_eig_matches_taylor_oracle(dim):
-    # every ancilla site and outcome, tau from far below to just under the
+    # every ancilla site, tau from far below to just under the
     # stroboscopic limit; at tau * spread = 1e-4 the identity-plus-phase form
     # keeps K's error proportional to tau (the plain V e^{-i tau w} V^dag
     # agrees with the oracle only to about 3e-16 there)
@@ -153,12 +147,12 @@ def test_kraus_from_eig_matches_taylor_oracle(dim):
     eig = hermitian_eig(h)
     spread = eig.eigenvalues[-1] - eig.eigenvalues[0]
     sites = [None, *range(1, dim.bit_length())]
-    for site, m, tau_spread in itertools.product(sites, (0, 1), (1e-4, 0.05, 0.5, 0.99)):
-        spec = AncillaSpec(ancilla_site=site, measured_state=m)
+    for site, tau_spread in itertools.product(sites, (1e-4, 0.05, 0.5, 0.99)):
+        spec = AncillaSpec(ancilla_site=site)
         oracle = taylor_kraus_step(h, spec, tau_spread / spread)
         k = kraus_from_eig(eig, spec, tau_spread / spread)
         rel = frobenius_norm(k - oracle) / frobenius_norm(oracle)
-        assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, m, tau_spread, rel)
+        assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, tau_spread, rel)
 
 
 @pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM, EIGVALSH_MIN_DIM + 8, 256])
@@ -309,18 +303,10 @@ def test_effective_hamiltonian_validation():
 def test_effective_hamiltonian_json_roundtrip():
     p = SymmetricParams(0.3, -0.2, 0.9, 0.1)
     eff = derive_effective(build_symmetric(p), AncillaSpec(), 0.05)
-    again = EffectiveHamiltonian.from_json(eff.to_json())
-    assert np.array_equal(again.h0, eff.h0)
-    assert np.array_equal(again.gamma, eff.gamma)
-    assert again.tau == eff.tau
-
-
-@pytest.mark.parametrize("tau", [True, "0.05", [0.05], None, "abc", float("inf")])
-def test_effective_hamiltonian_from_json_takes_tau_only_as_a_finite_number(tau):
-    obj = EffectiveHamiltonian(h0=np.eye(2), gamma=np.eye(2), tau=0.05).to_json()
-    obj["tau"] = tau
-    with pytest.raises(ValidationError, match="tau"):
-        EffectiveHamiltonian.from_json(obj)
+    obj = json.loads(json.dumps(eff.to_json()))
+    assert np.array_equal(matrix_from_json(obj["h0"]), eff.h0)
+    assert np.array_equal(matrix_from_json(obj["gamma"]), eff.gamma)
+    assert obj["tau"] == eff.tau
 
 
 def test_remove_identity_shift():

@@ -10,6 +10,7 @@ from helpers import (
     FIG5_REGIMES,
     anisotropic_block_coefficients,
     anisotropic_effective_matrix,
+    block_matrix,
     coherence,
     random_anisotropic_params,
     random_ket,
@@ -36,7 +37,6 @@ from zenon.entanglement import (
 from zenon.errors import (
     BadDimensionError,
     NotBlockDiagonalError,
-    NotPSDError,
     ValidationError,
 )
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
@@ -94,7 +94,7 @@ def test_two_level_block_params():
     with pytest.raises(ValidationError):
         TwoLevelBlockParams(0.0, 0.0, 1.0, 0.0, sector="diagonal")
     b = TwoLevelBlockParams(0.1, 0.2, 0.3, 0.4, sector="plus")
-    m = b.matrix()
+    m = block_matrix(b)
     assert m[0, 0] == complex(0.1, 0.2)
     assert m[1, 1] == -complex(0.1, 0.2)
     assert m[0, 1] == m[1, 0] == complex(0.3, 0.4)
@@ -154,7 +154,7 @@ def test_closed_forms_match_block_evolution_oracle():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.5, 1.5, 3.0):
         t, pop01, pop10, coh = row_at(block, t)
-        psi = taylor_expm(-1j * t * block.matrix(), terms=40) @ psi0
+        psi = taylor_expm(-1j * t * block_matrix(block), terms=40) @ psi0
         psi = psi / np.linalg.norm(psi)
         assert abs(abs(psi[0]) ** 2 - pop01) < 1e-12
         assert abs(abs(psi[1]) ** 2 - pop10) < 1e-12
@@ -238,7 +238,7 @@ def test_block_propagator_identity_at_t_zero():
 def test_block_propagator_matches_series_oracle(fields):
     b = TwoLevelBlockParams(*fields, sector="plus")
     for t in (0.1, 0.7, 2.0):
-        direct = taylor_expm(-1j * t * b.matrix(), terms=80)
+        direct = taylor_expm(-1j * t * block_matrix(b), terms=80)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(block_propagator(b, t) - direct)) < 1e-10 * scale
 
@@ -248,7 +248,7 @@ def test_block_propagator_exceptional_point():
     # exponential truncates exactly to 1 - i M t there
     a = 0.8
     b = TwoLevelBlockParams(mu_z=0.0, nu_z=a, mu_x=a, nu_x=0.0, sector="plus")
-    m = b.matrix()
+    m = block_matrix(b)
     assert abs((m @ m).sum()) < 1e-14
     for t in (0.5, 2.0, 7.0):
         expected = np.eye(2) - 1j * t * m
@@ -308,6 +308,16 @@ def test_bell_fidelity_examples():
         bell_fidelity(rho, "psi")
 
 
+def test_entanglement_measures_take_a_raw_matrix_only_as_a_state():
+    # unit trace and Hermitian, but not PSD: a bad input (exit 2), not a number
+    not_a_state = np.diag([2.0, -1.0, 0.0, 0.0])
+    for measure in (lambda m: bell_fidelity(m, "phi_plus"), concurrence):
+        with pytest.raises(ValidationError, match="not PSD"):
+            measure(not_a_state)
+    bell = BELL_STATES["phi_plus"]
+    assert bell_fidelity(np.outer(bell, bell.conj()), "phi_plus") == pytest.approx(1.0, abs=1e-14)
+
+
 def test_concurrence_reference_values():
     assert concurrence(DensityMatrix.basis_state(4, 0)) == pytest.approx(0.0, abs=1e-8)
     for vec in BELL_STATES.values():
@@ -315,7 +325,7 @@ def test_concurrence_reference_values():
     assert concurrence(DensityMatrix.maximally_mixed(4)) == pytest.approx(0.0, abs=1e-10)
     product = np.kron(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0]))
     assert concurrence(DensityMatrix.from_pure(product)) == pytest.approx(0.0, abs=1e-8)
-    with pytest.raises(NotPSDError):
+    with pytest.raises(ValidationError):
         concurrence(np.diag([0.6, 0.5, 0.0, -0.1]))
 
 

@@ -21,7 +21,7 @@ from helpers import (
     stepwise_trajectories,
     taylor_expm,
 )
-from zenon.dynamics import DensityMatrix, evolve_conditional, normalize, state_factor
+from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
 from zenon.effective import AncillaSpec, derive_effective
 from zenon.errors import (
     BadDimensionError,
@@ -75,7 +75,7 @@ def test_step_count_is_capped():
 
 def test_protocol_config_kraus_is_kraus_step_bit_for_bit():
     h = _cfg().h
-    for spec in (AncillaSpec(), AncillaSpec(ancilla_site=2, measured_state=1)):
+    for spec in (AncillaSpec(), AncillaSpec(ancilla_site=2)):
         cfg = ProtocolConfig(h=h, spec=spec, tau=0.07, n_steps=3)
         assert np.array_equal(cfg.kraus, kraus_step(cfg.h, cfg.spec, cfg.tau))
 
@@ -291,21 +291,11 @@ def test_trajectory_ensemble_validation():
 def test_simulate_trajectories_deterministic_and_worker_independent():
     cfg = _cfg(n_steps=10, tau=0.05)
     rho0 = DensityMatrix.basis_state(4, 1)
-    a = simulate_trajectories(cfg, rho0, n_traj=64, seed=123, keep_states=True)
-    b = simulate_trajectories(cfg, rho0, n_traj=64, seed=123, keep_states=True)
+    a = simulate_trajectories(cfg, rho0, n_traj=64, seed=123)
+    b = simulate_trajectories(cfg, rho0, n_traj=64, seed=123)
     assert np.array_equal(a.survival_counts, b.survival_counts)
-    assert np.array_equal(a.survived_states, b.survived_states)
     d = simulate_trajectories(cfg, rho0, n_traj=64, seed=124)
     assert not np.array_equal(a.survival_counts, d.survival_counts)
-
-
-def test_simulate_trajectories_states_are_normalized_kets():
-    cfg = _cfg(n_steps=8, tau=0.05)
-    rho0 = DensityMatrix.basis_state(4, 1)
-    ens = simulate_trajectories(cfg, rho0, n_traj=50, seed=9, keep_states=True)
-    assert ens.survived_states.shape == (ens.survival_counts[-1], 4)
-    norms = np.linalg.norm(ens.survived_states, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 def test_simulate_trajectories_agrees_with_exact_survival():
@@ -384,12 +374,10 @@ def test_waiting_time_counts_are_the_sorting_counts_bit_for_bit(start, n_steps):
         cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
     for n_traj in (1, 2000, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK - 5):
         for seed in (0, 7, 123):
-            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=seed, keep_states=True)
-            counts, states = curve_sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
+            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
+            counts = curve_sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
             assert ens.survival_counts.dtype == counts.dtype
             assert np.array_equal(ens.survival_counts, counts)
-            assert ens.survived_states.shape == states.shape
-            assert np.array_equal(ens.survived_states.view(np.int64), states.view(np.int64))
 
 
 def _feed_rows(monkeypatch, rows):
@@ -414,11 +402,10 @@ def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkey
     rho0 = DensityMatrix.maximally_mixed(2)
     rows = np.array([[0.2, 0.0], [0.7, 0.0], [0.9, 0.5]] * (MC_CHUNK // 2))
     _feed_rows(monkeypatch, rows)
-    ens = simulate_trajectories(cfg, rho0, n_traj=len(rows), seed=0, keep_states=True)
-    counts, states = curve_sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
+    ens = simulate_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
+    counts = curve_sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
     assert np.array_equal(ens.survival_counts, counts)
     assert 0 == counts[-1] < counts[0]
-    assert ens.survived_states.shape == states.shape == (0, 2)
 
 
 def _binomial_z(counts, p, n):
@@ -443,22 +430,10 @@ def test_waiting_time_and_stepwise_samplers_agree_with_exact_survival(rho0):
     assert abs(p_fast - p_slow) < 4.0 * math.sqrt(pooled * (1 - pooled) * 2 / n)
 
 
-def test_simulate_trajectories_zero_steps_keeps_initial_kets():
+def test_simulate_trajectories_zero_steps_has_no_counts():
     cfg = _cfg(n_steps=0)
-    ens = simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=20, seed=3, keep_states=True)
+    ens = simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=20, seed=3)
     assert ens.survival_counts.shape == (0,)
-    assert ens.survived_states.shape == (20, 4)
-    assert np.allclose(np.abs(ens.survived_states[:, 1]), 1.0, atol=1e-12)
-
-
-def test_simulate_trajectories_never_picks_zero_weight_eigenket():
-    rho0 = DensityMatrix(rho=np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
-    n = 2000
-    ens = simulate_trajectories(_cfg(n_steps=0), rho0, n_traj=n, seed=8, keep_states=True)
-    states = ens.survived_states
-    assert np.allclose(states[:, 2:], 0.0, atol=1e-12)
-    frac = np.mean(np.abs(states[:, 0]) > 0.5)
-    assert abs(frac - 0.7) < 4.0 * math.sqrt(0.7 * 0.3 / n)
 
 
 def test_simulate_trajectories_annihilating_step_has_no_survivors():
@@ -471,9 +446,8 @@ def test_simulate_trajectories_annihilating_step_has_no_survivors():
     assert np.max(np.abs(kraus_step(cfg.h, cfg.spec, cfg.tau) - math.cos(cfg.tau) * np.eye(2))) <= 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4, keep_states=True)
+        ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4)
     assert np.array_equal(ens.survival_counts, np.zeros(6))
-    assert ens.survived_states.shape == (0, 2)
     slow = stepwise_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4)
     assert np.array_equal(slow, np.zeros(6))
 
@@ -496,25 +470,11 @@ def test_nilpotent_step_ends_the_filtered_state_at_its_step():
         simulate_conditional(_nilpotent_cfg(), DensityMatrix.maximally_mixed(4))
 
 
-def test_simulate_trajectories_mixed_survivor_states_follow_their_eigenket():
-    cfg = _cfg(n_steps=12, tau=0.05)
-    ens = simulate_trajectories(cfg, _MIXED, n_traj=400, seed=12, keep_states=True)
-    states = ens.survived_states
-    assert states.shape == (ens.survival_counts[-1], 4)
-    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
-    kn = np.linalg.matrix_power(kraus_step(cfg.h, cfg.spec, cfg.tau), cfg.n_steps)
-    finals = kn / np.linalg.norm(kn, axis=0)  # K^n |j> / ||.|| for each basis ket j
-    overlaps = np.abs(states @ finals.conj())
-    assert np.allclose(overlaps.max(axis=1), 1.0, atol=1e-10)
-    assert len(set(overlaps.argmax(axis=1))) == 4
-
-
 def test_simulate_trajectories_prefix_stable_in_n_traj():
     cfg = _cfg(n_steps=15, tau=0.05)
-    a = simulate_trajectories(cfg, _MIXED, n_traj=300, seed=21, keep_states=True)
-    b = simulate_trajectories(cfg, _MIXED, n_traj=600, seed=21, keep_states=True)
+    a = simulate_trajectories(cfg, _MIXED, n_traj=300, seed=21)
+    b = simulate_trajectories(cfg, _MIXED, n_traj=600, seed=21)
     assert np.all(b.survival_counts >= a.survival_counts)
-    assert np.array_equal(b.survived_states[: len(a.survived_states)], a.survived_states)
 
 
 def test_simulate_trajectories_memory_independent_of_draw_count():
@@ -547,7 +507,7 @@ def test_monte_carlo_peak_from_a_mixed_start_stays_at_the_pure_start():
         cfg = _cfg(n_steps=100_000, tau=0.005)
         tracemalloc.start()
         try:
-            simulate_trajectories(cfg, rho0, n_traj=1000, seed=3, keep_states=True)
+            simulate_trajectories(cfg, rho0, n_traj=1000, seed=3)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,50 +519,11 @@ def test_curve_and_per_eigenket_samplers_agree_in_law(start):
     h, tau, rho0 = _SORTING_ORACLE_STARTS[start]
     cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=40)
     n = 20_000
-    ens = simulate_trajectories(cfg, rho0, n_traj=n, seed=41, keep_states=True)
-    old_counts, old_states = sorting_trajectories(cfg, rho0, n_traj=n, seed=42)
+    ens = simulate_trajectories(cfg, rho0, n_traj=n, seed=41)
+    old_counts = sorting_trajectories(cfg, rho0, n_traj=n, seed=42)
     p_new, p_old = ens.survival_counts / n, old_counts / n
     pooled = (p_new + p_old) / 2
     assert np.all(np.abs(p_new - p_old) <= 4.0 * np.sqrt(pooled * (1 - pooled) * 2 / n))
-    # a survivor's ket is K^n e_j normalized, for eigenket e_j of rho0 with
-    # weight w_j, and survivors start in e_j with frequency w_j ||K^n e_j||^2 / p_n
-    finals = np.linalg.matrix_power(kraus_step(cfg.h, cfg.spec, cfg.tau), cfg.n_steps) @ state_factor(rho0.rho)
-    expected = np.linalg.norm(finals, axis=0) ** 2
-    expected /= expected.sum()
-    finals /= np.linalg.norm(finals, axis=0)
-    for states in (ens.survived_states, old_states):
-        overlaps = np.abs(states @ finals.conj())
-        assert np.allclose(overlaps.max(axis=1), 1.0, atol=1e-10)
-        freq = np.bincount(overlaps.argmax(axis=1), minlength=expected.size) / len(states)
-        assert np.all(np.abs(freq - expected) < 4.0 * np.sqrt(expected * (1 - expected) / len(states)))
-
-
-def test_survivor_kets_never_come_from_a_column_that_decayed_to_zero(monkeypatch):
-    # the ancilla flipped within one tau on system state 1 only: K = diag(1,
-    # cos(fl(pi/2))), and 25 steps leave the final factor's column of |1>
-    # exactly 0 from the maximally mixed start
-    flip_on_1 = kron(np.diag([0.0, 1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.warns(StroboscopicRegimeWarning):
-        cfg = ProtocolConfig(h=flip_on_1, spec=AncillaSpec(), tau=math.pi / 2, n_steps=25)
-    ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=5000, seed=6, keep_states=True)
-    assert ens.survived_states.shape == (ens.survival_counts[-1], 2)
-    assert 0 < len(ens.survived_states) < 5000
-    assert np.array_equal(ens.survived_states[:, 1], np.zeros(len(ens.survived_states)))
-    assert np.allclose(np.abs(ens.survived_states[:, 0]), 1.0, atol=1e-12)
-
-    # from diag(0.25, 0.35, 0.4) with the flip on state 2, the final weights
-    # 5/12 and 7/12 sum to 1 - 2^-53 by rounding: the largest uniform, 1 - 2^-53,
-    # lands past their end, whose next column is the one that decayed to 0
-    flip_on_2 = kron(np.diag([0.0, 0.0, 1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.warns(StroboscopicRegimeWarning):
-        cfg = ProtocolConfig(h=flip_on_2, spec=AncillaSpec(), tau=math.pi / 2, n_steps=25)
-    _feed_rows(monkeypatch, np.array([[1.0 - 2.0**-53, 0.0], [0.0, 0.0], [0.5, 0.0]]))
-    rho0 = DensityMatrix(rho=np.diag([0.25, 0.35, 0.4]).astype(complex))
-    states = simulate_trajectories(cfg, rho0, n_traj=3, seed=0, keep_states=True).survived_states
-    assert states.shape == (3, 3)
-    assert np.all(np.isfinite(states))
-    assert np.array_equal(states[:, 2], np.zeros(3))
-    assert np.allclose(np.abs(states[:, :2]), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_write_ensemble_csv(tmp_path):
