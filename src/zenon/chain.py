@@ -139,7 +139,8 @@ def renormalized_blocks(a: np.ndarray, f: np.ndarray, n_steps: int):
                 return
             fs, logs = step[0][None], [step[1]]
         f, log_p = fs[-1], logs[-1]
-        yield np.array([_probability(x) for x in logs]), fs
+        # _probability inlined, bit for bit: one call per block, not per step
+        yield np.array([math.exp(x) if x > -745 else 0.0 for x in logs]), fs
 
 
 def _end_powers(a: np.ndarray, b: int, tail: int):

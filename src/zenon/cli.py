@@ -98,12 +98,12 @@ def run_derive(s: Scenario) -> None:
 def run_simulate(s: Scenario) -> None:
     h_eff = load_matrix_file(s.params) if s.model == "matrix-file" else _derived(s).matrix()
     rho0 = parse_initial_state(s.initial_state, h_eff.shape[0])
-    times, survival, states = conditional_trajectory(h_eff, rho0, s.t_max, s.n_samples)
     if s.coherence_pair is not None:
         pair = tuple(s.coherence_pair)
     else:
         pops = np.real(np.diag(rho0.rho))
         pair = default_coherence_pair(h_eff.shape[0], int(np.argmax(pops)))
+    times, survival, states = conditional_trajectory(h_eff, rho0, s.t_max, s.n_samples)
     write_timeseries_csv(os.path.join(_out_dir(s), "timeseries.csv"), times, survival, states, pair)
 
 

@@ -73,8 +73,8 @@ _RANGES = {
     "grid": (_same_key_mappings, "a nonempty list of mappings with the same override keys"),
     "bell": (BELL_STATES.__contains__, f"one of {sorted(BELL_STATES)}"),
     "coherence_pair": (
-        lambda v: len(v) == 2 and all(type(k) is int and k >= 0 for k in v),
-        "two nonnegative ints",
+        lambda v: len(v) == 2 and all(type(k) is int and k >= 0 for k in v) and v[0] != v[1],
+        "two distinct nonnegative ints",
     ),
     "ancilla_site": (lambda v: v >= 1, "at least 1"),
 }

@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    CSV_BLOCK_ROWS,
     as_cmatrix,
     as_hermitian,
     as_psd,
@@ -303,36 +304,44 @@ def basis_labels(dim: int) -> list[str]:
 
 
 def default_coherence_pair(dim: int, initial_index: int) -> tuple[int, int]:
-    """Pair (k, dim-1-k) whose off-diagonal element the time series reports."""
+    """Pair (k, dim-1-k) whose off-diagonal element the time series reports,
+    k = min(initial_index, dim-1-initial_index).  The middle index of an odd
+    dim has no partner: that raises ValidationError, as the pair would be a
+    population."""
     k = min(initial_index, dim - 1 - initial_index)
+    if k == dim - 1 - k:
+        raise ValidationError(
+            f"basis index {k} is the middle of dimension {dim}: no default coherence pair, set coherence_pair"
+        )
     return (k, dim - 1 - k)
 
 
 def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
     """CSV with columns t,p,pop_<basis>...,re_coh,im_coh,purity, written by
-    write_csv from the stacked states; rows are built a block at a time, so
-    the writer's own memory stays bounded however long the series."""
+    write_csv from the stacked states: the rows of each CSV_BLOCK_ROWS
+    states are one column_stack, handed over as one list of Python floats,
+    so the writer's blocks line up with them and its memory stays bounded
+    however long the series."""
     states = np.asarray(states)
     dim = states.shape[1]
     i, j = coherence_pair
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValidationError(f"coherence pair {coherence_pair} outside 0..{dim - 1}")
     header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
-    block = 512
 
-    def rows():
-        for start in range(0, len(states), block):
-            s = states[start : start + block]
-            coh = s[:, i, j]
-            yield from np.column_stack(
-                [
-                    times[start : start + block],
-                    survival[start : start + block],
-                    np.diagonal(s, axis1=1, axis2=2).real,
-                    coh.real,
-                    coh.imag,
-                    np.trace(s @ s, axis1=1, axis2=2).real,
-                ]
-            ).tolist()
+    def block(start):
+        s = states[start : start + CSV_BLOCK_ROWS]
+        coh = s[:, i, j]
+        return np.column_stack(
+            [
+                times[start : start + CSV_BLOCK_ROWS],
+                survival[start : start + CSV_BLOCK_ROWS],
+                np.diagonal(s, axis1=1, axis2=2).real,
+                coh.real,
+                coh.imag,
+                np.trace(s @ s, axis1=1, axis2=2).real,
+            ]
+        ).tolist()
 
-    write_csv(path, header, rows())
+    starts = range(0, len(states), CSV_BLOCK_ROWS)
+    write_csv(path, header, itertools.chain.from_iterable(map(block, starts)))

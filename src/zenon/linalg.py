@@ -7,6 +7,7 @@ shared freely between callers and threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -263,6 +264,8 @@ def matrix_to_json(a) -> dict:
     }
 
 
+CSV_BLOCK_ROWS = 256
+"""Rows write_csv formats and writes as one string."""
 _PLAIN_CELLS = frozenset((float, int))
 
 
@@ -272,21 +275,31 @@ def write_csv(path, header: list[str], rows) -> None:
     Integers are written as integers and every other value as
     repr(float(v)), the shortest string that reads back to the same double,
     so rerunning a scenario reproduces the file byte for byte.
+
+    Rows are taken CSV_BLOCK_ROWS at a time and a block is one write: when
+    its rows share one nonzero width, one type test over its cells picks
+    repr for a block of exact Python floats and ints (nearly every block)
+    or the per-cell rule (bools, numpy scalars), and the cells are regrouped
+    into lines by that width; a block with rows of other widths, or empty
+    rows, is written a line at a time.  Only one block is held as text, so a
+    long table never is.
     """
     def cell(v) -> str:
         return str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
 
-    def line(row) -> str:
-        # a row of exact Python floats and ints, nearly every row, is its
-        # cells' reprs; bools and numpy scalars take the per-cell rule
-        if _PLAIN_CELLS.issuperset(map(type, row)):
-            return ",".join(map(repr, row)) + "\n"
-        return ",".join(map(cell, row)) + "\n"
-
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        # lines are streamed, not joined, so a long table is never held as text
-        fh.writelines(map(line, rows))
+        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+            widths = set(map(len, block))
+            width = widths.pop()
+            if widths or not width:
+                fh.writelines(",".join(map(cell, row)) + "\n" for row in block)
+                continue
+            plain = _PLAIN_CELLS.issuperset(map(type, itertools.chain.from_iterable(block)))
+            cells = map(repr if plain else cell, itertools.chain.from_iterable(block))
+            fh.write("\n".join(map(",".join, zip(*[cells] * width))))
+            fh.write("\n")
 
 
 def finite_reals(values) -> np.ndarray | None:

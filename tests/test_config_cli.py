@@ -74,6 +74,7 @@ def test_scenario_rejections():
         {"output_dir": 5},
         {"with_protocol": "yes"},
         {"coherence_pair": [True, 0]},
+        {"coherence_pair": [1, 1]},
         {"output_dir": ""},
         {"tau": 10**400},
         {"params": {"gamma_xy": 10**400, "gamma_z": 0.5, "g_xy": 1.0, "g_z": 0.3}},
@@ -500,6 +501,34 @@ def test_cli_simulate_accepts_matrix_file_generator(tmp_path, repo_cwd):
     assert len(lines) == 32
 
 
+def test_cli_simulate_exit_2_when_the_start_has_no_default_coherence_partner(tmp_path, repo_cwd, capsys):
+    # a 3x3 generator from the middle basis state: (1, 1) would write pop_1
+    # as re_coh, so the run stops before the chain and asks for a pair
+    matrix = {"dim": 3, "re": [0.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.0, 0.5, 0.0], "im": [-0.1, 0, 0, 0, -0.2, 0, 0, 0, -0.3]}
+    mpath = tmp_path / "three.json"
+    mpath.write_text(json.dumps(matrix))
+    scenario = {
+        "command": "simulate",
+        "model": "matrix-file",
+        "params": str(mpath),
+        "initial_state": [0, 1, 0],
+        "t_max": 2.0,
+        "n_samples": 5,
+    }
+    cfg = tmp_path / "middle.json"
+    cfg.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenon: validation error") and "coherence_pair" in err
+    assert not (out / "timeseries.csv").exists()
+    cfg.write_text(json.dumps({**scenario, "coherence_pair": [0, 2]}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()]
+    assert rows[0] == ["t", "p", "pop_0", "pop_1", "pop_2", "re_coh", "im_coh", "purity"]
+    assert len(rows) == 6 and all(row[5] != row[3] for row in rows[2:])
+
+
 # One change to a bundled config per row; each must exit 2 with a
 # validation error.  Python's json writes and reads math.inf as Infinity.
 MALFORMED_SCENARIOS = [
@@ -525,6 +554,7 @@ MALFORMED_SCENARIOS = [
     ("fig4", {"initial_state": [1, 0, 0, 0]}),
     ("fig4", {"initial_state": "00"}),
     ("fig5", {"initial_state": "01"}),
+    ("simulate_symmetric", {"coherence_pair": [2, 2]}),  # a population, not a coherence
 ]
 
 

@@ -364,6 +364,14 @@ def test_basis_labels_and_default_coherence_pair():
     assert default_coherence_pair(8, 6) == (1, 6)
 
 
+@pytest.mark.parametrize("dim, index", [(1, 0), (3, 1), (5, 2)])
+def test_default_coherence_pair_rejects_the_middle_index_of_an_odd_dimension(dim, index):
+    # (k, k) is a population, not a coherence
+    with pytest.raises(ValidationError, match="coherence_pair"):
+        default_coherence_pair(dim, index)
+    assert default_coherence_pair(dim + 1, index) == (index, dim - index)
+
+
 def test_write_timeseries_csv_format_and_determinism(tmp_path):
     eff = _symmetric_eff()
     rho0 = DensityMatrix.basis_state(4, 1)
