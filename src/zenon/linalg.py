@@ -298,6 +298,7 @@ def write_csv(path, header: list[str], rows) -> None:
                 continue
             plain = _PLAIN_CELLS.issuperset(map(type, itertools.chain.from_iterable(block)))
             cells = map(repr if plain else cell, itertools.chain.from_iterable(block))
+            # zip over `width` references to the one iterator: each tuple is a row's cells
             fh.write("\n".join(map(",".join, zip(*[cells] * width))))
             fh.write("\n")
 
