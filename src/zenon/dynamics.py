@@ -47,7 +47,6 @@ from .linalg import (
     expm,
     frobenius_norm,
     hermitian_part,
-    psd_eig,
     trace,
     write_csv,
 )
@@ -63,13 +62,14 @@ criterion 7 plan at most about 400 steps."""
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace positive semidefinite state, stored as linalg.as_psd returns it."""
+    """Unit-trace positive semidefinite state, stored as linalg.as_psd returns
+    it: the one PSD gate every state passes, so state_factor reads rho as it is."""
 
     rho: np.ndarray
 
     def __post_init__(self):
         try:
-            m = as_psd(self.rho)  # the PSD rule of state_factor, so a state it rejects fails here
+            m = as_psd(self.rho)
         except NotPSDError as exc:
             raise ValidationError(f"density matrix is not PSD: {exc}") from exc
         if abs(trace(m) - 1.0) > 1e-10:
@@ -118,11 +118,10 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class ConditionalState:
     """Unnormalized post-selected state: trace(rho_c) is the survival
-    probability p of the filter up to time t."""
+    probability p of the filter."""
 
     rho_c: np.ndarray
     p: float
-    t: float
 
     def __post_init__(self):
         m = as_hermitian(self.rho_c)
@@ -143,7 +142,7 @@ def evolve_conditional(eff: EffectiveHamiltonian, rho0: DensityMatrix, t: float)
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     u = expm(-1j * t * eff.matrix())
     rc = hermitian_part(u @ rho0.rho @ dagger(u))
-    return ConditionalState(rho_c=rc, p=trace(rc).real, t=t)
+    return ConditionalState(rho_c=rc, p=trace(rc).real)
 
 
 def normalize(cs: ConditionalState) -> DensityMatrix:
@@ -215,7 +214,7 @@ def integrate_nonlinear(
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     if t == 0:
         return rho0
-    f = _integrate_factor(eff, state_factor(rho0.rho), t, dt)
+    f = _integrate_factor(eff, state_factor(rho0), t, dt)
     return DensityMatrix(f @ dagger(f))
 
 
@@ -230,14 +229,14 @@ def expectation(state, observable) -> float:
     return float(val.real)
 
 
-def state_factor(rho) -> np.ndarray:
-    """F with F F^dag = rho (PSD, see psd_eig) and unit Frobenius norm: each
-    eigenvector of rho with weight above 1e-14 times the largest (rounding
-    noise adds no column) times the square root of its weight."""
-    eig = psd_eig(rho)
-    w = eig.eigenvalues.tolist()  # ascending: the largest weights last
+def state_factor(state: DensityMatrix) -> np.ndarray:
+    """F with F F^dag = state.rho (gated, so one eigh) and unit Frobenius
+    norm: each eigenvector with weight above 1e-14 times the largest
+    (rounding noise adds no column) times the square root of its weight."""
+    eigenvalues, eigenvectors = np.linalg.eigh(state.rho)
+    w = eigenvalues.tolist()  # ascending: the largest weights last
     first = bisect.bisect_right(w, 1e-14 * w[-1])
-    f = eig.eigenvectors[:, first:] * np.sqrt(eig.eigenvalues[first:])
+    f = eigenvectors[:, first:] * np.sqrt(eigenvalues[first:])
     return f / np.linalg.norm(f)
 
 
@@ -253,7 +252,7 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)
-    return dt, expm(-1j * dt * m), state_factor(rho0.rho)
+    return dt, expm(-1j * dt * m), state_factor(rho0)
 
 
 def _collapsed(t: float) -> ProbabilityUnderflowError:
@@ -321,12 +320,11 @@ def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
     write_csv from the stacked states: the rows of each CSV_BLOCK_ROWS
     states are one column_stack, handed over as one list of Python floats,
     so the writer's blocks line up with them and its memory stays bounded
-    however long the series."""
+    however long the series.  coherence_pair (i, j) indexes the states as
+    given; cli.run_simulate checks it before the chain runs."""
     states = np.asarray(states)
     dim = states.shape[1]
     i, j = coherence_pair
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValidationError(f"coherence pair {coherence_pair} outside 0..{dim - 1}")
     header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
 
     def block(start):

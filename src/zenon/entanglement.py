@@ -164,13 +164,13 @@ BELL_STATES = {
 }
 
 
-def _as_rho(state) -> np.ndarray:
-    """rho of a two-qubit state; a raw matrix must pass DensityMatrix, the
-    rule of dynamics.expectation."""
-    rho = state.rho if isinstance(state, DensityMatrix) else DensityMatrix(state).rho
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"two-qubit state must be 4x4, got {rho.shape}")
-    return rho
+def _as_state(state) -> DensityMatrix:
+    """A two-qubit state as a DensityMatrix; a raw matrix must pass
+    DensityMatrix, the rule of dynamics.expectation."""
+    state = state if isinstance(state, DensityMatrix) else DensityMatrix(state)
+    if state.dim != 4:
+        raise BadDimensionError(f"two-qubit state must be 4x4, got {state.rho.shape}")
+    return state
 
 
 def bell_fidelity(state, which: str) -> float:
@@ -179,7 +179,7 @@ def bell_fidelity(state, which: str) -> float:
         raise ValidationError(
             f"unknown Bell state {which!r}; choose from {sorted(BELL_STATES)}"
         )
-    rho = _as_rho(state)
+    rho = _as_state(state).rho
     vec = BELL_STATES[which]
     val = vec.conj() @ rho @ vec
     if abs(val.imag) > 1e-10:
@@ -188,12 +188,13 @@ def bell_fidelity(state, which: str) -> float:
 
 
 def concurrence(state) -> float:
-    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4) of rho / tr rho.
+    """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4) of a state (a raw
+    matrix must pass DensityMatrix, whose gate is the only PSD check).
 
     Wootters' l_k are the singular values of M = F^T (sy x sy) F with
-    F = state_factor(rho) (Uhlmann, PRA 62, 032307 (2000)), read as the
+    F = state_factor(state) (Uhlmann, PRA 62, 032307 (2000)), read as the
     nonnegative eigenvalues of the Hermitian [[0, M], [M^dag, 0]]."""
-    f = state_factor(_as_rho(state))
+    f = state_factor(_as_state(state))
     m = f.T @ np.kron(SIGMA["y"], SIGMA["y"]) @ f
     zero = np.zeros_like(m)
     lam = hermitian_eig(np.block([[zero, m], [m.conj().T, zero]])).eigenvalues[m.shape[0]:]

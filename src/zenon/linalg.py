@@ -203,16 +203,9 @@ def _psd_rule(w: np.ndarray, tol: float) -> None:
         raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
 
 
-def psd_eig(a) -> EigenDecomposition:
-    """hermitian_eig of a positive semidefinite matrix (see _psd_rule)."""
-    eig = hermitian_eig(a)
-    _psd_rule(eig.eigenvalues, _psd_tol(a))
-    return eig
-
-
 def as_psd(a) -> np.ndarray:
     """The package's one PSD gate: as_hermitian(a), returned once it passes
-    _psd_rule; raises what psd_eig raises.  From EIGVALSH_MIN_DIM on a
+    _psd_rule, else NotHermitianError or NotPSDError.  From EIGVALSH_MIN_DIM on a
     Cholesky certificate of A + (tol / 2) I usually settles the pass, and
     _psd_rule reads the eigenvalues alone (_eigvals) wherever it does not."""
     h = as_hermitian(a)
@@ -265,39 +258,32 @@ def matrix_to_json(a) -> dict:
 
 
 CSV_BLOCK_ROWS = 256
-"""Rows write_csv formats and writes as one string."""
+"""Rows write_csv checks, formats and writes as one string."""
 _PLAIN_CELLS = frozenset((float, int))
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header line and one line per row, a sequence of cells.
+    """Write a header line and one line per row, a sequence of len(header)
+    Python ints and floats: each cell is repr(v), for a float the shortest
+    string that reads back to the same double, so rerunning a scenario
+    reproduces the file byte for byte.
 
-    Integers are written as integers and every other value as
-    repr(float(v)), the shortest string that reads back to the same double,
-    so rerunning a scenario reproduces the file byte for byte.
-
-    Rows are taken CSV_BLOCK_ROWS at a time and a block is one write: when
-    its rows share one nonzero width, one type test over its cells picks
-    repr for a block of exact Python floats and ints (nearly every block)
-    or the per-cell rule (bools, numpy scalars), and the cells are regrouped
-    into lines by that width; a block with rows of other widths, or empty
-    rows, is written a line at a time.  Only one block is held as text, so a
-    long table never is.
+    Rows are taken CSV_BLOCK_ROWS at a time and a block is one write, its
+    cells' reprs regrouped into lines by the header's width.  A block with
+    a row of another width or a cell of another type (a bool, a numpy
+    scalar) raises ValueError; the blocks before it stay written.  Only one
+    block is held as text, so a long table never is.
     """
-    def cell(v) -> str:
-        return str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
-
+    width = len(header)
     rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-            widths = set(map(len, block))
-            width = widths.pop()
-            if widths or not width:
-                fh.writelines(",".join(map(cell, row)) + "\n" for row in block)
-                continue
-            plain = _PLAIN_CELLS.issuperset(map(type, itertools.chain.from_iterable(block)))
-            cells = map(repr if plain else cell, itertools.chain.from_iterable(block))
+            if set(map(len, block)) != {width} or not _PLAIN_CELLS.issuperset(
+                map(type, itertools.chain.from_iterable(block))
+            ):
+                raise ValueError(f"a CSV row is not {width} Python ints and floats")
+            cells = map(repr, itertools.chain.from_iterable(block))
             # zip over `width` references to the one iterator: each tuple is a row's cells
             fh.write("\n".join(map(",".join, zip(*[cells] * width))))
             fh.write("\n")

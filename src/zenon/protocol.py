@@ -117,7 +117,7 @@ def _chain_start(cfg: ProtocolConfig, rho0: DensityMatrix):
     """(K, F): the Kraus step and the factor of rho0 that start every chain here."""
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(f"state dim {rho0.dim} != system dim {cfg.system_dim}")
-    return cfg.kraus, state_factor(rho0.rho)
+    return cfg.kraus, state_factor(rho0)
 
 
 def _survival_chain(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
@@ -144,7 +144,7 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     """
     k, f = _chain_start(cfg, rho0)
     if cfg.n_steps == 0:
-        return ConditionalState(rho_c=rho0.rho.copy(), p=1.0, t=0.0)
+        return ConditionalState(rho_c=rho0.rho.copy(), p=1.0)
     # K^n is released before the chain runs, so the two never share the peak
     k_pow = np.linalg.matrix_power(k, cfg.n_steps)
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
@@ -163,7 +163,7 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
             f"survival probability {p_chain:.3e} at or below floor {P_MIN:g}"
         )
     p = min(p_chain, 1.0)
-    return ConditionalState(rho_c=(f * p) @ dagger(f), p=p, t=cfg.n_steps * cfg.tau)
+    return ConditionalState(rho_c=(f * p) @ dagger(f), p=p)
 
 
 def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
@@ -186,7 +186,6 @@ class TrajectoryEnsemble:
     measurement k+1."""
 
     n_traj: int
-    seed: int
     survival_counts: np.ndarray
 
     def __post_init__(self):
@@ -236,7 +235,7 @@ def simulate_trajectories(
         np.add.at(hist, np.searchsorted(rising, u, side="right"), 1)
     del rising  # released before the counts, so the two never share the peak
     counts = n_traj - np.cumsum(hist[:0:-1])  # hist[:0:-1][w]: trajectories waiting w steps
-    return TrajectoryEnsemble(n_traj=n_traj, seed=seed, survival_counts=counts)
+    return TrajectoryEnsemble(n_traj=n_traj, survival_counts=counts)
 
 
 def stroboscopic_error(cfg: ProtocolConfig, rho0: DensityMatrix) -> float:

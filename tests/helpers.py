@@ -350,7 +350,7 @@ def sorting_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     "left") on that eigenket's own curve p_n ||F_n e_j||^2 / w_j.  The same
     law as curve_sorting_trajectories, other draws.  Returns survivor counts
     per step."""
-    f = state_factor(rho0.rho)
+    f = state_factor(rho0)
     weights = np.linalg.norm(f, axis=0) ** 2
     pick_u, u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2)).T
     picks = np.minimum(np.searchsorted(np.cumsum(weights), pick_u, side="right"), weights.size - 1)
@@ -377,7 +377,7 @@ def curve_sorting_trajectories(cfg, rho0, n_traj: int, seed: int) -> np.ndarray:
     u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random((n_traj, 2))[:, 1]
     curve = np.zeros(cfg.n_steps)
     step = 0
-    for p, _ in renormalized_blocks(cfg.kraus, state_factor(rho0.rho), cfg.n_steps):
+    for p, _ in renormalized_blocks(cfg.kraus, state_factor(rho0), cfg.n_steps):
         curve[step : step + len(p)] = p
         step += len(p)
     return np.searchsorted(np.sort(u), np.minimum.accumulate(curve), side="left")

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import zenon.cli
 import zenon.dilation
+import zenon.linalg
 from helpers import block_matrix, coherence, survival_probability, symmetric_odd_block, transition_probability
 from zenon.cli import load_matrix_file, main, parse_initial_state
 from zenon.config import Scenario, load_scenario, scenario_from_json
 from zenon.dilation import decay_generator
-from zenon.dynamics import default_time_step
+from zenon.dynamics import DensityMatrix, default_time_step
 from zenon.effective import AncillaSpec, derive_effective
 from zenon.entanglement import block_decompose
 from zenon.errors import StroboscopicRegimeWarning, ValidationError
@@ -122,10 +123,15 @@ def test_parse_initial_state_forms():
     assert amp.rho[1, 1] == 1.0
     ket = parse_initial_state([1.0, 1.0], 2)
     assert ket.rho[0, 1] == pytest.approx(0.5)
-    bad_pairs = ([[1.0, "x"], 0, 0, 0], [[True, 0.0], 0, 0, 0], [[None, 1.0], 0, 0, 0], [True, 0, 0, 0])
-    for bad in (None, "0101", "02", [1.0, 0.0, 0.0], [[1.0]], ["x", "y"], *bad_pairs):
+    for bad in ("0101", "02", "mixed!", [1.0, 0.0, 0.0], [[1.0]], [0.0] * 8):  # wrong for dimension 4
         with pytest.raises(ValidationError):
             parse_initial_state(bad, 4)
+    # the form of the value is Scenario's to check, before any dimension is known
+    base = json.loads((CONFIGS / "simulate_symmetric.json").read_text())
+    bad_pairs = ([[1.0, "x"], 0, 0, 0], [[True, 0.0], 0, 0, 0], [[None, 1.0], 0, 0, 0], [True, 0, 0, 0])
+    for bad in (None, ["x", "y"], 5, {"re": 1}, *bad_pairs):
+        with pytest.raises(ValidationError):
+            scenario_from_json({**base, "initial_state": bad})
 
 
 # Kets whose 2-norm under- or overflows a double, each with a ket of the same
@@ -527,6 +533,55 @@ def test_cli_simulate_exit_2_when_the_start_has_no_default_coherence_partner(tmp
     rows = [line.split(",") for line in (out / "timeseries.csv").read_text().splitlines()]
     assert rows[0] == ["t", "p", "pop_0", "pop_1", "pop_2", "re_coh", "im_coh", "purity"]
     assert len(rows) == 6 and all(row[5] != row[3] for row in rows[2:])
+
+
+def test_cli_simulate_checks_an_explicit_coherence_pair_before_the_chain(tmp_path, repo_cwd, monkeypatch, capsys):
+    # index 9 of a 4x4 state: the run stops before the 200 000-sample chain
+    scenario = json.loads((CONFIGS / "simulate_symmetric.json").read_text())
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({**scenario, "n_samples": 200_000, "coherence_pair": [0, 9]}))
+
+    def chain(*args):
+        raise AssertionError("the chain ran before the coherence pair was checked")
+
+    monkeypatch.setattr(zenon.cli, "conditional_trajectory", chain)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenon: validation error") and "coherence_pair" in err
+    assert not (out / "timeseries.csv").exists()
+
+
+def test_cli_protocol_factors_its_start_state_with_one_eigh_and_no_second_gate(tmp_path, repo_cwd, monkeypatch):
+    # |01><01| passes its one Hermiticity and PSD gate when parse_initial_state
+    # builds it; after that the run makes one eigh of it (state_factor's) and
+    # checks it no more
+    start = DensityMatrix.basis_state(4, 1).rho
+    built, eighs, gates = [], [], []
+    parse, eigh, gate = zenon.cli.parse_initial_state, np.linalg.eigh, zenon.linalg.as_hermitian
+
+    def is_start(a):
+        return bool(built) and np.shape(a) == start.shape and np.array_equal(a, start)
+
+    def parsing(value, dim):
+        built.append(parse(value, dim))
+        return built[-1]
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.extend([a] if is_start(a) else [])
+        return eigh(a, *args, **kwargs)
+
+    def counting_gate(a):
+        gates.extend([a] if is_start(a) else [])
+        return gate(a)
+
+    monkeypatch.setattr(zenon.cli, "parse_initial_state", parsing)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(zenon.linalg, "as_hermitian", counting_gate)
+    assert main(["protocol", "--config", "configs/protocol_symmetric.json", "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1 and np.array_equal(built[0].rho, start)
+    assert len(eighs) == 1 and eighs[0] is built[0].rho
+    assert not gates
 
 
 # One change to a bundled config per row; each must exit 2 with a

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenon.linalg
 from helpers import (
     expression_hermitian_part,
     random_hermitian,
@@ -91,7 +92,7 @@ def test_validated_types_store_the_hermitian_part_of_their_input(nearly):
     eff = EffectiveHamiltonian(h0=h0, gamma=gamma, tau=0.1)
     for stored, m in (
         (DensityMatrix(rho).rho, rho),
-        (ConditionalState(rho_c, trace(rho_c).real, 1.0).rho_c, rho_c),
+        (ConditionalState(rho_c, trace(rho_c).real).rho_c, rho_c),
         (eff.h0, h0),
         (eff.gamma, gamma),
     ):
@@ -137,11 +138,24 @@ def test_a_nan_ket_fails_the_norm_checks():
 
 def test_density_matrix_rejects_what_state_factor_rejects():
     # ||rho||_F = 0.577: -8e-11 is above -1e-10 * max(1, ||rho||_F) but below
-    # state_factor's PSD floor -1e-10 * ||rho||_F, so it must fail as input
+    # as_psd's floor -1e-10 * ||rho||_F, the one PSD rule, so it must fail as
+    # input: state_factor takes a DensityMatrix and checks nothing again
     with pytest.raises(ValidationError):
         DensityMatrix(_rotated([1 / 3, 1 / 3, 1 / 3 + 8e-11, -8e-11], 23))
     inside = DensityMatrix(_rotated([1 / 3, 1 / 3, 1 / 3 + 5e-11, -5e-11], 23))
-    assert state_factor(inside.rho).shape == (4, 3)
+    assert state_factor(inside).shape == (4, 3)
+
+
+def test_state_factor_does_not_gate_a_gated_state_again(monkeypatch):
+    state = DensityMatrix.maximally_mixed(4)
+
+    def second_gate(a):
+        raise AssertionError("a DensityMatrix passed its one Hermiticity and PSD gate when it was built")
+
+    monkeypatch.setattr(zenon.linalg, "as_hermitian", second_gate)
+    f = state_factor(state)
+    assert f.shape == (4, 4)
+    assert frobenius_norm(f @ f.conj().T - state.rho) < 1e-15
 
 
 def test_density_matrix_constructors():
@@ -160,12 +174,12 @@ def test_density_matrix_constructors():
 
 def test_conditional_state_validation():
     rho = np.diag([0.25, 0.25]).astype(complex)
-    cs = ConditionalState(rho_c=rho, p=0.5, t=1.0)
+    cs = ConditionalState(rho_c=rho, p=0.5)
     assert cs.p == 0.5
     with pytest.raises(ValidationError):
-        ConditionalState(rho_c=rho, p=0.9, t=1.0)  # p != trace
+        ConditionalState(rho_c=rho, p=0.9)  # p != trace
     with pytest.raises(ValidationError):
-        ConditionalState(rho_c=-rho, p=-0.5, t=1.0)
+        ConditionalState(rho_c=-rho, p=-0.5)
 
 
 def test_evolve_conditional_identity_at_t_zero():
@@ -209,7 +223,7 @@ def test_normalize_and_underflow():
     n = normalize(cs)
     assert abs(trace(n.rho) - 1.0) < 1e-12
     with pytest.raises(ProbabilityUnderflowError):
-        normalize(ConditionalState(rho_c=np.zeros((2, 2)), p=0.0, t=1.0))
+        normalize(ConditionalState(rho_c=np.zeros((2, 2)), p=0.0))
 
 
 def test_success_probability_rate_matches_finite_difference():
@@ -411,7 +425,7 @@ def test_write_timeseries_csv_matches_rowwise_oracle(tmp_path, rho0):
 
 def test_renormalized_chain_ends_when_trace_reaches_zero():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|, nilpotent
-    f0 = state_factor(DensityMatrix.basis_state(2, 1).rho)
+    f0 = state_factor(DensityMatrix.basis_state(2, 1))
     steps = list(renormalized_chain(a, f0, 5))
     assert len(steps) == 1
     p, f = steps[0]
@@ -485,7 +499,7 @@ def _chain_matrix():
 @pytest.mark.parametrize("start", ["pure", "rank2", "maximally_mixed"])
 def test_renormalized_blocks_match_stepwise_oracle(start):
     a = _chain_matrix()
-    f0 = state_factor(_CHAIN_STARTS[start].rho)
+    f0 = state_factor(_CHAIN_STARTS[start])
     blocks = list(renormalized_blocks(a, f0, 400))
     assert len(blocks) == math.ceil(400 / chain_block_size(a, 400))
     p = np.concatenate([ps for ps, _ in blocks])
@@ -509,7 +523,7 @@ def test_renormalized_blocks_match_stepwise_oracle(start):
     cfg = ProtocolConfig(build_symmetric(SymmetricParams(1.0, 0.5, 1.0, 0.3)), AncillaSpec(), 0.05, 400)
     object.__setattr__(cfg, "kraus", a)  # the protocol's step replaced by the chain's
     cs = simulate_conditional(cfg, _CHAIN_STARTS[start])
-    last = ConditionalState(rho_c=(fs[-1] * p[-1]) @ fs[-1].conj().T, p=p[-1], t=cs.t)
+    last = ConditionalState(rho_c=(fs[-1] * p[-1]) @ fs[-1].conj().T, p=p[-1])
     assert np.float64(cs.p).view(np.int64) == p[-1:].view(np.int64)[0]
     assert np.array_equal(cs.rho_c.view(np.int64), last.rho_c.view(np.int64))
 
@@ -522,8 +536,8 @@ def _mild_contraction(rng, dim):
 
 _LARGE_STARTS = {
     "pure": lambda d: random_ket(np.random.Generator(np.random.PCG64(40)), d)[:, None],
-    "rank2": lambda d: state_factor(_rotated([0.7, 0.3] + [0.0] * (d - 2), 41)),
-    "maximally_mixed": lambda d: state_factor(np.eye(d, dtype=complex) / d),
+    "rank2": lambda d: state_factor(DensityMatrix(_rotated([0.7, 0.3] + [0.0] * (d - 2), 41))),
+    "maximally_mixed": lambda d: state_factor(DensityMatrix.maximally_mixed(d)),
 }
 
 
@@ -555,10 +569,10 @@ def test_renormalized_chain_is_the_stepwise_chain_bit_for_bit_at_block_size_one(
     rng = np.random.Generator(np.random.PCG64(31))
     if case == "singular":
         a = _chain_matrix() @ np.diag([1.0, 1.0, 0.0, 1.0])
-        f0 = state_factor(_CHAIN_STARTS["maximally_mixed"].rho)
+        f0 = state_factor(_CHAIN_STARTS["maximally_mixed"])
     else:
         a = _random_contraction(rng, 64)
-        f0 = state_factor(DensityMatrix(np.eye(64, dtype=complex) / 64).rho)
+        f0 = state_factor(DensityMatrix(np.eye(64, dtype=complex) / 64))
     assert chain_block_size(a, 50) == 1
     chain = list(renormalized_chain(a, f0, 50))
     oracle = list(stepwise_chain(a, f0, 50))
@@ -604,10 +618,10 @@ _CHAIN_STARTS = {
 
 @pytest.mark.parametrize("start", list(_CHAIN_STARTS))
 def test_renormalized_chain_matches_density_matrix_oracle(start):
-    rho0 = _CHAIN_STARTS[start].rho
+    rho0 = _CHAIN_STARTS[start]
     a = expm(-1j * 0.05 * _symmetric_eff().matrix())
     factor = list(renormalized_chain(a, state_factor(rho0), 400))
-    oracle = list(rho_chain(a, rho0, 400))
+    oracle = list(rho_chain(a, rho0.rho, 400))
     assert len(factor) == len(oracle) == 400
     for (p, f), (p_ref, rho_ref) in zip(factor, oracle):
         assert abs(p - p_ref) <= 1e-13 * p_ref
@@ -617,19 +631,19 @@ def test_renormalized_chain_matches_density_matrix_oracle(start):
 
 def test_state_factor_rebuilds_rho_and_drops_non_positive_eigenvalues():
     rho = np.diag([0.6, 0.0, 0.4, -1e-13]).astype(complex)
-    f = state_factor(rho)
+    f = state_factor(DensityMatrix(rho))
     assert f.shape == (4, 2)
     assert frobenius_norm(f @ f.conj().T - np.diag([0.6, 0.0, 0.4, 0.0])) < 1e-15
     for dm in _CHAIN_STARTS.values():
-        f = state_factor(dm.rho)
+        f = state_factor(dm)
         assert frobenius_norm(f @ f.conj().T - dm.rho) < 1e-14
         assert abs(frobenius_norm(f) - 1.0) < 1e-15
-    assert state_factor(_CHAIN_STARTS["maximally_mixed"].rho).shape == (4, 4)
+    assert state_factor(_CHAIN_STARTS["maximally_mixed"]).shape == (4, 4)
     # rounding noise in the zero eigenvalues adds no column
-    assert state_factor(_CHAIN_STARTS["rank2"].rho).shape == (4, 2)
+    assert state_factor(_CHAIN_STARTS["rank2"]).shape == (4, 2)
     rng = np.random.Generator(np.random.PCG64(23))
     for _ in range(12):
-        assert state_factor(DensityMatrix.from_pure(random_ket(rng, 4)).rho).shape == (4, 1)
+        assert state_factor(DensityMatrix.from_pure(random_ket(rng, 4))).shape == (4, 1)
 
 
 def _criterion7_case0():

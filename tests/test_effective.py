@@ -41,13 +41,13 @@ from zenon.errors import (
 )
 from zenon.linalg import (
     EIGVALSH_MIN_DIM,
+    as_psd,
     dagger,
     expm,
     frobenius_norm,
     hermitian_eig,
     kron,
     matrix_from_json,
-    psd_eig,
 )
 from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetric
 
@@ -257,7 +257,7 @@ def test_weak_coupling_gamma_passes_the_psd_rule():
         g_xy = float(10 ** rng.uniform(-7, -2))
         p = SymmetricParams(gamma_xy=gamma_xy, gamma_z=gamma_z, g_xy=g_xy, g_z=g_z)
         eff = derive_effective(build_symmetric(p), AncillaSpec(), 0.05)
-        psd_eig(eff.gamma)
+        as_psd(eff.gamma)
 
 
 def test_derive_effective_gamma_equals_coupling_product():

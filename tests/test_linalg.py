@@ -49,7 +49,6 @@ from zenon.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    psd_eig,
     trace,
     write_csv,
 )
@@ -159,16 +158,19 @@ def test_one_pass_hermitian_helpers_match_the_expression_forms_bit_for_bit(kind,
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=40)
-def test_psd_eig_matches_its_expression_form_bit_for_bit(seed, dim):
+def test_eigh_of_the_psd_gate_is_the_expression_psd_eig_bit_for_bit(seed, dim):
+    # what state_factor reads: eigh of the matrix as_psd stored, with no second gate
     m = random_psd(np.random.Generator(np.random.PCG64(seed)), dim)
-    eig, ref = psd_eig(m), expression_psd_eig(m)
-    assert np.array_equal(_bits(eig.eigenvalues), _bits(ref.eigenvalues))
-    assert np.array_equal(_bits(eig.eigenvectors), _bits(ref.eigenvectors))
-    assert np.array_equal(_bits(as_psd(m)), _bits(expression_hermitian_part(m)))
+    gated, ref = as_psd(m), expression_psd_eig(m)
+    w, v = np.linalg.eigh(gated)
+    assert np.array_equal(_bits(w), _bits(ref.eigenvalues))
+    assert np.array_equal(_bits(v), _bits(ref.eigenvectors))
+    assert np.array_equal(_bits(gated), _bits(expression_hermitian_part(m)))
+    assert np.array_equal(_bits(as_hermitian(gated)), _bits(gated))  # the gate is idempotent
 
 
 def test_eigenvalue_helpers_share_the_hermiticity_check():
-    for check in (hermitian_eigvals, as_psd, psd_eig):
+    for check in (hermitian_eigvals, as_psd):
         with pytest.raises(NotHermitianError):
             check(np.array([[0, 1], [0, 0]]))
         with pytest.raises(NotHermitianError):
@@ -190,11 +192,10 @@ def test_check_psd_gives_psd_eig_verdict_and_message_at_the_rule_boundary(seed, 
         a = (v * w) @ dagger(v)  # exactly as V diag(w) V^dag
         if factor < 1:
             as_psd(a)
-            psd_eig(a)
             expression_psd_eig(a)
             continue
         messages = []
-        for check in (as_psd, psd_eig, expression_psd_eig):
+        for check in (as_psd, expression_psd_eig):
             with pytest.raises(NotPSDError) as info:
                 check(a)
             messages.append(PSD_MESSAGE.fullmatch(str(info.value)))
@@ -427,20 +428,20 @@ def test_expm_is_as_accurate_as_the_horner_form_against_40_digits(d):
 
 
 def test_psd_sqrt_examples():
-    # the PSD square root is eig_sqrt of the checked eigendecomposition psd_eig
-    assert np.allclose(eig_sqrt(psd_eig(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]))
-    assert np.allclose(eig_sqrt(psd_eig(np.zeros((2, 2)))), np.zeros((2, 2)))
+    # the PSD square root is eig_sqrt of a checked eigendecomposition
+    assert np.allclose(eig_sqrt(expression_psd_eig(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]))
+    assert np.allclose(eig_sqrt(expression_psd_eig(np.zeros((2, 2)))), np.zeros((2, 2)))
     with pytest.raises(NotPSDError):
-        eig_sqrt(psd_eig(np.diag([1.0, -1.0])))
+        eig_sqrt(expression_psd_eig(np.diag([1.0, -1.0])))
     with pytest.raises(NotHermitianError):
-        eig_sqrt(psd_eig(np.array([[0, 1], [0, 0]])))
+        eig_sqrt(expression_psd_eig(np.array([[0, 1], [0, 0]])))
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40)
 def test_psd_sqrt_squares_back(seed):
     m = random_psd(np.random.Generator(np.random.PCG64(seed)), 5)
-    r = eig_sqrt(psd_eig(m))
+    r = eig_sqrt(expression_psd_eig(m))
     assert is_hermitian(r, 1e-10) or frobenius_norm(r) == 0
     assert frobenius_norm(r @ r - m) < 1e-10 * max(1.0, frobenius_norm(m))
 
@@ -449,8 +450,8 @@ def test_psd_sqrt_squares_back(seed):
 @settings(max_examples=25)
 def test_psd_sqrt_scaling(seed, s):
     m = random_psd(np.random.Generator(np.random.PCG64(seed)), 4)
-    root = eig_sqrt(psd_eig(m))
-    assert np.allclose(eig_sqrt(psd_eig(s**2 * m)), s * root, atol=1e-9 * s * frobenius_norm(m))
+    root = eig_sqrt(expression_psd_eig(m))
+    assert np.allclose(eig_sqrt(expression_psd_eig(s**2 * m)), s * root, atol=1e-9 * s * frobenius_norm(m))
 
 
 def test_matrix_json_roundtrip():
@@ -473,9 +474,9 @@ def test_matrix_json_rejects_mismatched_counts():
 
 def test_write_csv_integers_and_float_edge_cases(tmp_path):
     rows = [
-        (1, np.int64(7), -0.0, 5e-324),
+        (1, 7, -0.0, 5e-324),
         (2, 0, 1e300, float("nan")),
-        (3, np.int64(-4), np.float64(0.1), 2),
+        (3, -4, 0.1, 2),
     ]
     path = tmp_path / "t.csv"
     write_csv(path, ["step", "count", "x", "y"], rows)
@@ -488,32 +489,43 @@ def test_write_csv_integers_and_float_edge_cases(tmp_path):
     again = tmp_path / "u.csv"
     write_csv(again, ["step", "count", "x", "y"], rows)
     assert again.read_bytes() == path.read_bytes()
+    for numpy_row in ((1, np.int64(7), -0.0, 5e-324), (3, -4, np.float64(0.1), 2)):
+        with pytest.raises(ValueError, match="4 Python ints and floats"):
+            write_csv(path, ["step", "count", "x", "y"], [numpy_row])
 
 
-_CELLS = [
-    0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 5e-324, 1e300, 2.5,
-    0, 7, -3, 10**20, True, False,
-    np.float64(0.1), np.float64(1e16), np.float32(0.1), np.float32(1e-5), np.int64(-4), np.int32(9),
-    np.float64(-0.0), np.bool_(True),
+_PLAIN_CELLS = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 5e-324, 1e300, 2.5, 0, 7, -3, 10**20]
+_ODD_CELLS = [
+    True, False, np.bool_(True), np.float64(0.1), np.float64(1e16), np.float32(0.1), np.float32(1e-5),
+    np.int64(-4), np.int32(9), np.float64(-0.0),
 ]
+_PLAIN_ROWS = st.lists(st.lists(st.sampled_from(_PLAIN_CELLS), min_size=2, max_size=2), max_size=8)
+_ODD_ROW = st.one_of(
+    st.lists(st.sampled_from(_PLAIN_CELLS), max_size=6).filter(lambda row: len(row) != 2),
+    st.lists(st.sampled_from(_ODD_CELLS), min_size=1, max_size=2).map(lambda row: (row + [0.5])[:2]),
+)
 
 
-@given(st.lists(st.lists(st.sampled_from(_CELLS), max_size=6), max_size=8))
+@given(_PLAIN_ROWS, _ODD_ROW, st.integers(0, 8))
 @settings(max_examples=200, deadline=None)
-def test_write_csv_rows_match_the_per_cell_writer_byte_for_byte(rows):
+def test_write_csv_rows_match_the_per_cell_writer_byte_for_byte(rows, odd, at):
+    # plain rows of the header's width are the per-cell writer's bytes; one
+    # row of another width or with a cell of another type raises instead
     with tempfile.TemporaryDirectory() as tmp:
         fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
         write_csv(fast, ["a", "b"], rows)
         percell_csv(slow, ["a", "b"], rows)
         assert fast.read_bytes() == slow.read_bytes()
+        with pytest.raises(ValueError):
+            write_csv(fast, ["a", "b"], rows[:at] + [odd] + rows[at:])
 
 
 def test_write_csv_plain_rows_and_mixed_rows(tmp_path):
-    rows = [(1, 0.5, -0.0, 1e16), [True, np.float32(0.1), np.int64(2), 1e-5], (), (math.nan, math.inf)]
-    write_csv(tmp_path / "t.csv", ["x"], rows)
-    assert (tmp_path / "t.csv").read_text() == (
-        "x\n1,0.5,-0.0,1e+16\nTrue,0.10000000149011612,2,1e-05\n\nnan,inf\n"
-    )
+    write_csv(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), (math.nan, math.inf, 10**20, -3)])
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n1,0.5,-0.0,1e+16\nnan,inf,100000000000000000000,-3\n"
+    for mixed in ([True, np.float32(0.1), np.int64(2), 1e-5], [1, 0.5, -0.0, np.float64(1e16)], (), (math.nan, math.inf)):
+        with pytest.raises(ValueError, match="4 Python ints and floats"):
+            write_csv(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), mixed])
 
 
 def _same_as_percell(tmp_path, rows):
@@ -550,17 +562,14 @@ _ODD_ROWS = {
 @pytest.mark.parametrize("at", [_B - 1, _B, _B + 1])
 @pytest.mark.parametrize("kind", list(_ODD_ROWS))
 def test_write_csv_odd_row_before_on_and_after_a_block_boundary(tmp_path, kind, at):
-    # row _B - 1 ends the first block and row _B starts the second
+    # row _B - 1 ends the first block and row _B starts the second: the block
+    # holding the odd row raises, and the blocks before it stay written
     rows = _plain_table(2 * _B + 3)
     rows[at] = _ODD_ROWS[kind]
-    lines = _same_as_percell(tmp_path, rows).splitlines()
-    assert len(lines) == len(rows) + 1
-    assert lines[at + 1] == {
-        "ragged": "0.25,3,-1.5",
-        "empty": "",
-        "bool": "0.25,True,-1.5,False",
-        "numpy_scalar": "0.1,-4,9.999999747378752e-06,2",
-    }[kind]
+    with pytest.raises(ValueError, match="4 Python ints and floats"):
+        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+    percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: at // _B * _B])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_write_csv_plain_block_of_float_edge_cases(tmp_path):

@@ -156,7 +156,7 @@ def test_simulate_conditional_zero_steps_is_identity():
     cfg = _cfg(n_steps=0)
     rho0 = DensityMatrix.basis_state(4, 1)
     cs = simulate_conditional(cfg, rho0)
-    assert cs.p == 1.0 and cs.t == 0.0
+    assert cs.p == 1.0
     assert np.allclose(cs.rho_c, rho0.rho)
 
 
@@ -281,10 +281,10 @@ def test_stroboscopic_error_blows_up_outside_regime():
 
 def test_trajectory_ensemble_validation():
     with pytest.raises(NumericalError):
-        TrajectoryEnsemble(n_traj=10, seed=0, survival_counts=np.array([5, 7]))
+        TrajectoryEnsemble(n_traj=10, survival_counts=np.array([5, 7]))
     with pytest.raises(NumericalError):
-        TrajectoryEnsemble(n_traj=10, seed=0, survival_counts=np.array([11, 9]))
-    ens = TrajectoryEnsemble(n_traj=10, seed=0, survival_counts=np.array([8, 4, 4]))
+        TrajectoryEnsemble(n_traj=10, survival_counts=np.array([11, 9]))
+    ens = TrajectoryEnsemble(n_traj=10, survival_counts=np.array([8, 4, 4]))
     assert np.allclose(ens.empirical_survival(), [0.8, 0.4, 0.4])
 
 
