@@ -205,9 +205,9 @@ def _psd_rule(w: np.ndarray, tol: float) -> None:
 
 def as_psd(a) -> np.ndarray:
     """The package's one PSD gate: as_hermitian(a), returned once it passes
-    _psd_rule, else NotHermitianError or NotPSDError.  From EIGVALSH_MIN_DIM on a
-    Cholesky certificate of A + (tol / 2) I usually settles the pass, and
-    _psd_rule reads the eigenvalues alone (_eigvals) wherever it does not."""
+    _psd_rule, else NotHermitianError or NotPSDError.  From EIGVALSH_MIN_DIM
+    on a Cholesky certificate of A + (tol / 2) I usually settles the pass,
+    and _psd_rule reads the eigenvalues alone (_eigvals) wherever it does not."""
     h = as_hermitian(a)
     tol = _psd_tol(a)
     if not certified_above(h, -tol):
