@@ -9,7 +9,7 @@ exact survival curve (the Monte Carlo's input) read it.  renormalized_end
 returns only the end, for the filtered protocol state (and so the
 stroboscopic check) and the sweep's final states: one product A^B F per
 block (end_block_size picks B), bit for bit the stacked chain's last slice
-where both pick the same B.
+where both pick the same B; a trace of 0 leaves it no end, so it raises.
 """
 
 from __future__ import annotations
@@ -157,23 +157,24 @@ def _end_powers(a: np.ndarray, b: int, tail: int):
 
 
 def renormalized_end(a: np.ndarray, f: np.ndarray, n_steps: int):
-    """(p, F, steps): the end of renormalized_blocks' chain, after `steps`
-    steps, fewer than n_steps only when a trace reached 0.  f is not modified.
+    """(p, F): the end of renormalized_blocks' chain after n_steps steps; f
+    is not modified.
 
     Each whole block of B = end_block_size steps is one product A^B F, the
     n_steps % B left one product with A^tail after them (a single step at
     1), renormalized as a stacked block's last slice; only A^B, A^tail and
     two factor buffers are held.  At B = 1 every step is the single step,
-    which alone can end the chain or raise ProbabilityUnderflowError."""
+    which alone can raise ProbabilityUnderflowError: at a non-finite trace
+    or a trace of 0 ("hit 0.0 at step n"), which leaves no state."""
     b = end_block_size(a, f.shape[1], n_steps)
     log_p = 0.0
     if b == 1:
-        for steps in range(n_steps):
+        for n in range(1, n_steps + 1):
             step = _single_step(a, f, log_p)
             if step is None:
-                return _probability(log_p), f, steps
+                raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {n}")
             f, log_p = step
-        return _probability(log_p), f, n_steps
+        return _probability(log_p), f
     n_blocks, tail = divmod(n_steps, b)
     power, tail_power = _end_powers(a, b, tail)
     bufs = np.empty((2, 1) + f.shape, dtype=complex)
@@ -184,4 +185,4 @@ def renormalized_end(a: np.ndarray, f: np.ndarray, n_steps: int):
         f, log_p = g[0], _renormalize(g, log_p, scratch)[-1]
     if tail == 1:
         f, log_p = _single_step(a, f, log_p)
-    return _probability(log_p), f, n_steps
+    return _probability(log_p), f

@@ -35,8 +35,7 @@ from .errors import (
 )
 from .linalg import (
     as_cmatrix,
-    eig_sqrt,
-    EigenDecomposition,
+    dagger,
     frobenius_norm,
     hermitian_eig,
     hermitian_part,
@@ -68,14 +67,13 @@ def choose_tau(f: float) -> float:
 class DilationResult:
     """Composite Hermitian Hamiltonian plus the bookkeeping scalars.
 
-    f is the largest Bohr frequency of i (H_eff - H_eff^dag), M the smallest
-    eigenvalue of that operator divided by tau, and c = max(0, -M) the
-    identity lift applied under the square root.
+    f is the largest Bohr frequency of i (H_eff - H_eff^dag) and M the
+    smallest eigenvalue of that operator divided by tau; the identity lift
+    applied under the square root, c = max(0, -M), is read from M.
     """
 
     h: np.ndarray
     tau: float
-    c: float
     f: float
     m: float
 
@@ -87,8 +85,6 @@ class DilationResult:
             raise NotHermitianError("dilated Hamiltonian must be Hermitian to 1e-12")
         if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.c != max(0.0, -self.m):
-            raise ValidationError(f"c = {self.c} is not max(0, -M) for M = {self.m}")
         object.__setattr__(self, "h", hm)
         if self.f * self.tau > 0.011:
             warnings.warn(
@@ -97,6 +93,10 @@ class DilationResult:
                 StroboscopicRegimeWarning,
                 stacklevel=3,
             )
+
+    @property
+    def c(self) -> float:
+        return max(0.0, -self.m)
 
     def to_json(self) -> dict:
         return {
@@ -133,9 +133,10 @@ def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> Di
         lifted = c + w / tau
     if not np.all(np.isfinite(lifted)):
         raise NumericalError(f"c + w / tau overflows at tau = {tau:.4g}: decay spread {f:.4g}")
-    coupling = eig_sqrt(EigenDecomposition(lifted, eig.eigenvectors))
+    v = eig.eigenvectors  # lifted is >= 0 by construction; the clip only guards the square root
+    coupling = hermitian_part((v * np.sqrt(np.clip(lifted, 0.0, None))) @ dagger(v))
     h = kron(hermitian_part(m), _P0) + kron(coupling, _FLIP)
-    return DilationResult(h=h, tau=tau, c=c, f=f, m=m_min)
+    return DilationResult(h=h, tau=tau, f=f, m=m_min)
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,11 @@ def integrate_nonlinear(
 
 def expectation(state, observable) -> float:
     """tr(rho X) for a state rho (a raw matrix must pass DensityMatrix) and
-    Hermitian X; the imaginary part must sit below 1e-10."""
+    Hermitian X of its dimension; the imaginary part must sit below 1e-10."""
     rho = state.rho if isinstance(state, DensityMatrix) else DensityMatrix(state).rho
     x = as_hermitian(observable)
+    if x.shape != rho.shape:
+        raise BadDimensionError(f"observable dim {x.shape[0]} != state dim {rho.shape[0]}")
     val = trace(rho @ x)
     if abs(val.imag) > 1e-10 * max(1.0, frobenius_norm(x)):
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
@@ -255,10 +257,6 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     return dt, expm(-1j * dt * m), state_factor(rho0)
 
 
-def _collapsed(t: float) -> ProbabilityUnderflowError:
-    return ProbabilityUnderflowError(f"conditional trace collapsed to 0 at t = {t:g}")
-
-
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """Normalized conditional states on a uniform grid of n_samples times
     from 0 to t_max under a (possibly non-Hermitian) generator h_eff, with
@@ -278,19 +276,17 @@ def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: 
         np.matmul(fs, dagger(fs), out=states[k : k + len(p)])
         k += len(p)
     if k < n_samples:
-        raise _collapsed(k * dt)
+        raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {k}")
     return times, survival, states
 
 
 def conditional_final_state(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """(survival, state) at t_max from the chain's end alone
     (chain.renormalized_end): up to dimension 8 the last sample of
-    conditional_trajectory with the same arguments, bit for bit, and it
-    raises where that does."""
-    dt, a, f = _grid_chain(h_eff, rho0, t_max, n_samples)
-    p, f, steps = renormalized_end(a, f, n_samples - 1)
-    if steps < n_samples - 1:
-        raise _collapsed((steps + 1) * dt)
+    conditional_trajectory with the same arguments, bit for bit, and the
+    chain's end raises where and as that does."""
+    _, a, f = _grid_chain(h_eff, rho0, t_max, n_samples)
+    p, f = renormalized_end(a, f, n_samples - 1)
     return p, f @ dagger(f)
 
 

@@ -183,8 +183,6 @@ def derive_effective(h, spec: AncillaSpec, tau: float) -> EffectiveHamiltonian:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         hm = as_hermitian(h)
-        if not tau > 0:
-            raise ValidationError(f"tau must be positive, got {tau}")
         rm, ro = ancilla_rows(hm.shape[0], spec)
         rows = hm[rm]
         h0 = rows[:, rm]

@@ -191,27 +191,18 @@ def expm(a) -> np.ndarray:
     return out
 
 
-def _psd_tol(a) -> float:
-    """The PSD rule's tolerance, 1e-10 times the Frobenius norm of A."""
-    return 1e-10 * frobenius_norm(a)
-
-
-def _psd_rule(w: np.ndarray, tol: float) -> None:
-    """The one PSD rule, on A's ascending eigenvalues w: w_0 below -tol
-    (_psd_tol) raises NotPSDError."""
-    if w[0] < -tol:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
-
-
 def as_psd(a) -> np.ndarray:
-    """The package's one PSD gate: as_hermitian(a), returned once it passes
-    _psd_rule, else NotHermitianError or NotPSDError.  From EIGVALSH_MIN_DIM
-    on a Cholesky certificate of A + (tol / 2) I usually settles the pass,
-    and _psd_rule reads the eigenvalues alone (_eigvals) wherever it does not."""
+    """The package's one PSD gate: as_hermitian(a) (NotHermitianError),
+    returned unless its smallest eigenvalue lies below -tol, tol = 1e-10
+    ||A||_F (NotPSDError).  From EIGVALSH_MIN_DIM on a Cholesky certificate
+    of A + (tol / 2) I usually settles the pass, and the eigenvalues alone
+    (_eigvals) decide wherever it does not."""
     h = as_hermitian(a)
-    tol = _psd_tol(a)
+    tol = 1e-10 * frobenius_norm(a)
     if not certified_above(h, -tol):
-        _psd_rule(_eigvals(h), tol)
+        w = _eigvals(h)
+        if w[0] < -tol:
+            raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
     return h
 
 
@@ -239,12 +230,6 @@ def certified_above(h: np.ndarray, floor: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
-    """V sqrt(w) V^dag of an eigendecomposition (w, V), negative w clamped to 0."""
-    v = eig.eigenvectors
-    return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
 
 
 def matrix_to_json(a) -> dict:

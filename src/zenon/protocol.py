@@ -90,10 +90,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         hm = as_cmatrix(self.h)
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not 0 <= self.n_steps <= MAX_PROTOCOL_STEPS:
-            raise ValidationError(f"n_steps must be in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps}")
+        if not _is_count(self.n_steps) or not 0 <= self.n_steps <= MAX_PROTOCOL_STEPS:
+            raise ValidationError(f"n_steps must be an int in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps!r}")
         ancilla_order(hm.shape[0], self.spec)  # validates dimension and site
         object.__setattr__(self, "h", hm)
         with np.errstate(over="ignore"):  # a spectrum too wide to resolve fails in kraus_from_eig
@@ -106,6 +104,7 @@ class ProtocolConfig:
                 StroboscopicRegimeWarning,
                 stacklevel=3,
             )
+        # kraus_from_eig checks tau > 0 before the one use a bad tau corrupts
         object.__setattr__(self, "kraus", kraus_from_eig(eig, self.spec, self.tau))
 
     @property
@@ -139,8 +138,9 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     conditional probabilities of chain.renormalized_end (one product K^B F
     per block, B = end_block_size, the same B and bits as the last block of
     renormalized_blocks up to dimension 8); both must agree to
-    CHAIN_CONSISTENCY_RTOL.  A chain that ends early or a probability at or
-    below P_MIN leaves no state to normalize: ProbabilityUnderflowError.
+    CHAIN_CONSISTENCY_RTOL.  A trace that reaches 0 (the chain's end raises)
+    or a probability at or below P_MIN leaves no state to normalize:
+    ProbabilityUnderflowError.
     """
     k, f = _chain_start(cfg, rho0)
     if cfg.n_steps == 0:
@@ -149,9 +149,7 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
     k_pow = np.linalg.matrix_power(k, cfg.n_steps)
     p_direct = np.trace(k_pow @ rho0.rho @ dagger(k_pow)).real
     del k_pow
-    p_chain, f, steps = renormalized_end(k, f, cfg.n_steps)
-    if steps < cfg.n_steps:
-        raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {steps + 1}")
+    p_chain, f = renormalized_end(k, f, cfg.n_steps)
     if p_direct > 1e-250:
         gap = abs(p_direct - p_chain)
         if gap > CHAIN_CONSISTENCY_RTOL * max(p_direct, p_chain):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SiteOutOfRangeError, ValidationError
+from .errors import NumericalError, SiteOutOfRangeError, ValidationError
 from .linalg import finite_reals
 
 SIGMA = {
@@ -61,7 +61,11 @@ def xyz_hamiltonian(n_qubits: int, bonds) -> np.ndarray:
                 even, odd = odd, even
             signed = [odd if ((k >> si) ^ (k >> sj)) & 1 else even for k in cols]
         mask = 0 if axis == "z" else 1 << si | 1 << sj
-        flat[[(k ^ mask) * dim + k for k in cols]] += np.array(signed)
+        try:
+            with np.errstate(over="raise"):
+                flat[[(k ^ mask) * dim + k for k in cols]] += np.array(signed)
+        except FloatingPointError:
+            raise NumericalError(f"the XYZ sum overflows the double range at bond ({i}, {j}) {axis}") from None
     return h
 
 

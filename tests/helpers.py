@@ -49,8 +49,6 @@ from zenon.linalg import (
     HERMITICITY_RTOL,
     EigenDecomposition,
     _eigvals,
-    _psd_rule,
-    _psd_tol,
     as_cmatrix,
     as_hermitian,
     dagger,
@@ -598,12 +596,23 @@ def hermitian_eigvals(a) -> np.ndarray:
 
 
 def eigenvalue_as_psd(a) -> np.ndarray:
-    """Reference PSD gate: as_hermitian, then the PSD rule on the eigenvalues
+    """Reference PSD gate: as_hermitian, then the PSD rule (the smallest
+    eigenvalue at least -1e-10 ||A||_F, else NotPSDError) on the eigenvalues
     alone at every dimension, as linalg.as_psd decides where its Cholesky
     certificate proves nothing."""
     h = as_hermitian(a)
-    _psd_rule(_eigvals(h), _psd_tol(a))
+    w, tol = _eigvals(h), 1e-10 * frobenius_norm(a)
+    if w[0] < -tol:
+        raise NotPSDError(f"minimum eigenvalue {w[0]:.6e} is below the PSD tolerance -{tol:.6e}")
     return h
+
+
+def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
+    """Reference matrix square root V sqrt(w) V^dag of an eigendecomposition
+    (w, V), negative w clamped to 0: the form dilation.dilate builds its
+    ancilla coupling R in."""
+    v = eig.eigenvectors
+    return hermitian_part((v * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(v))
 
 
 def eigenvalue_step_norm(k: np.ndarray) -> None:

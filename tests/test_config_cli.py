@@ -752,6 +752,22 @@ def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, says, tmp_path,
     assert err.startswith("zenon: numerical error:") and says in err
 
 
+@pytest.mark.parametrize("stem", ["derive_symmetric", "protocol_symmetric"])
+def test_cli_exit_3_names_the_bond_of_a_spin_hamiltonian_that_overflows(stem, tmp_path, repo_cwd, capsys):
+    # every symmetric coupling at 1e308: the pair's x and y bonds add to 2e308
+    # on half their entries, an overflow, never a Hamiltonian "not Hermitian"
+    scenario = json.loads((CONFIGS / f"{stem}.json").read_text())
+    scenario["params"] = {key: 1e308 for key in scenario["params"]}
+    cfg = tmp_path / "overflowing.json"
+    cfg.write_text(json.dumps(scenario))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([scenario["command"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("zenon: numerical error:") and "overflows the double range at bond (1, 2) y" in err
+
+
 @pytest.mark.parametrize("g_xy", [1e80, 1e100, 1e150, 1e160])
 def test_cli_derive_past_the_squared_double_range_is_finite_or_names_the_overflow(g_xy, tmp_path, repo_cwd, capsys):
     # Gamma's entries pass 1e154 from g_xy = 1e77 on, so its sum of squares

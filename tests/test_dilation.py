@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -112,23 +113,33 @@ def test_lift_constant_vanishes_iff_decay_generator_psd():
 
 
 def test_dilation_result_validation_and_warning():
-    with pytest.raises(ValidationError):
-        DilationResult(h=np.eye(2), tau=0.1, c=5.0, f=1.0, m=2.0)  # c != max(0,-m)
     with pytest.raises(NotHermitianError):
-        DilationResult(h=np.array([[0, 1], [0, 0]]), tau=0.1, c=0.0, f=0.0, m=0.0)
+        DilationResult(h=np.array([[0, 1], [0, 0]]), tau=0.1, f=0.0, m=0.0)
     with pytest.raises(NotHermitianError):  # a NaN residual fails the gate too
-        DilationResult(h=np.full((2, 2), np.nan), tau=0.1, c=0.0, f=0.0, m=0.0)
+        DilationResult(h=np.full((2, 2), np.nan), tau=0.1, f=0.0, m=0.0)
+    with pytest.raises(ValidationError, match="tau must be positive"):
+        DilationResult(h=np.eye(2), tau=0.0, f=0.0, m=0.0)
     with pytest.warns(StroboscopicRegimeWarning):
-        DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
+        DilationResult(h=np.eye(2), tau=0.1, f=1.0, m=0.0)
+
+
+def test_dilation_result_reads_the_lift_from_m():
+    # c is no field that could disagree with M: it is max(0, -M), read from M
+    assert "c" not in {f.name for f in fields(DilationResult)}
+    assert DilationResult(h=np.eye(2), tau=0.1, f=0.0, m=2.0).c == 0.0
+    assert DilationResult(h=np.eye(2), tau=0.1, f=0.0, m=-2.0).c == 2.0
+    for path in sorted(FIXTURES.glob("*.json")):
+        res = dilate(matrix_from_json(json.loads(path.read_text())), fallback=0.01)
+        assert res.c == max(0.0, -res.m) and res.to_json()["c"] == res.c, path.name
 
 
 def test_dilation_result_regime_warning_names_the_caller():
     with pytest.warns(StroboscopicRegimeWarning) as record:
-        DilationResult(h=np.eye(2), tau=0.1, c=0.0, f=1.0, m=0.0)
+        DilationResult(h=np.eye(2), tau=0.1, f=1.0, m=0.0)
     assert [w.filename for w in record] == [__file__]
     # f * tau in four significant digits, however large
     with pytest.warns(StroboscopicRegimeWarning, match=r"f \* tau = 1e\+300 > 0\.011"):
-        DilationResult(h=np.eye(2), tau=1e150, c=0.0, f=1e150, m=0.0)
+        DilationResult(h=np.eye(2), tau=1e150, f=1e150, m=0.0)
 
 
 def test_coupling_null_direction_is_exact_on_every_fixture():

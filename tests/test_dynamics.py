@@ -295,6 +295,11 @@ def test_expectation_real_for_hermitian_observable(seed):
     assert isinstance(val, float)
 
 
+def test_expectation_rejects_an_observable_of_another_dimension():
+    with pytest.raises(BadDimensionError, match="observable dim 2 != state dim 4"):
+        expectation(DensityMatrix.basis_state(4, 1), np.eye(2))
+
+
 def test_expectation_rejects_large_imaginary_part():
     rho = DensityMatrix.basis_state(2, 0)
     with pytest.raises(ValidationError):
@@ -359,7 +364,7 @@ def test_final_state_and_trajectory_share_validation_and_collapse(run):
     # exp(-400 t) on the occupied level: the trace e^-800 underflows to 0
     sink = np.array([[0.0, 0.0], [0.0, -400.0j]])
     rho0 = DensityMatrix.basis_state(2, 1)
-    with pytest.raises(ProbabilityUnderflowError, match="collapsed to 0 at t = 1"):
+    with pytest.raises(ProbabilityUnderflowError, match="hit 0.0 at step 1$"):
         run(sink, rho0, 2.0, 3)
     with pytest.raises(ValidationError, match="n_samples"):
         run(sink, rho0, 2.0, 1)
@@ -430,9 +435,12 @@ def test_renormalized_chain_ends_when_trace_reaches_zero():
     assert len(steps) == 1
     p, f = steps[0]
     assert p == 1.0 and np.array_equal(f @ f.conj().T, DensityMatrix.basis_state(2, 0).rho)
-    # the end-only chain ends at the same step, on the same state
-    p_end, f_end, steps_end = renormalized_end(a, f0, 5)
-    assert (p_end, steps_end) == (p, 1) and np.array_equal(f_end, f)
+    # the end-only chain reaches the same state, and raises at the step that
+    # leaves none
+    p_end, f_end = renormalized_end(a, f0, 1)
+    assert p_end == p and np.array_equal(f_end, f)
+    with pytest.raises(ProbabilityUnderflowError, match="conditional probability hit 0.0 at step 2$"):
+        renormalized_end(a, f0, 5)
     for chain in (lambda *args: list(renormalized_chain(*args)), renormalized_end):
         with pytest.raises(ProbabilityUnderflowError), np.errstate(over="ignore", invalid="ignore"):
             chain(1e200 * np.eye(2, dtype=complex), f0, 1)
@@ -516,8 +524,8 @@ def test_renormalized_blocks_match_stepwise_oracle(start):
     for n_steps in (400, 2 * b + 1):
         assert end_block_size(a, f0.shape[1], n_steps) == chain_block_size(a, n_steps) == b
         p_last, f_last = list(renormalized_blocks(a, f0, n_steps))[-1]
-        p_end, f_end, steps = renormalized_end(a, f0, n_steps)
-        assert steps == n_steps and np.float64(p_end).view(np.int64) == p_last[-1:].view(np.int64)[0]
+        p_end, f_end = renormalized_end(a, f0, n_steps)
+        assert np.float64(p_end).view(np.int64) == p_last[-1:].view(np.int64)[0]
         assert np.array_equal(f_end.view(np.int64), f_last[-1].view(np.int64))
     # and so does the filtered protocol state built from it
     cfg = ProtocolConfig(build_symmetric(SymmetricParams(1.0, 0.5, 1.0, 0.3)), AncillaSpec(), 0.05, 400)
@@ -551,9 +559,8 @@ def test_renormalized_end_matches_stepwise_oracle_at_large_dimension(dim, start)
         assert b == 10  # one product per 10 steps at n = 100; shorter chains pick their own B
     oracle = list(stepwise_chain(a, f0, 100))
     for n_steps in sorted({1, b - 1, b, 2 * b + 3, 100} - {0}):
-        p, f, steps = renormalized_end(a, f0, n_steps)
+        p, f = renormalized_end(a, f0, n_steps)
         p_ref, f_ref = oracle[n_steps - 1]
-        assert steps == n_steps
         assert abs(p - p_ref) <= 1e-13 * p_ref
         assert frobenius_norm(f @ f.conj().T - f_ref @ f_ref.conj().T) <= 1e-12
     assert oracle[-1][0] < 0.9  # the chain has decayed, not idled
@@ -584,8 +591,8 @@ def test_renormalized_chain_is_the_stepwise_chain_bit_for_bit_at_block_size_one(
         assert np.array_equal(f.view(np.int64), f_ref.view(np.int64))
     if case == "singular":  # the end-only chain's B is 1 too: the same single steps
         assert end_block_size(a, f0.shape[1], 50) == 1
-        p, f, steps = renormalized_end(a, f0, 50)
-        assert steps == 50 and np.float64(p).view(np.int64) == np.float64(p_ref).view(np.int64)
+        p, f = renormalized_end(a, f0, 50)
+        assert np.float64(p).view(np.int64) == np.float64(p_ref).view(np.int64)
         assert np.array_equal(f.view(np.int64), f_ref.view(np.int64))
 
 

@@ -300,6 +300,13 @@ def test_effective_hamiltonian_validation():
         EffectiveHamiltonian(h0=np.eye(2), gamma=np.eye(2), tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.05, float("nan")])
+def test_derive_effective_rejects_a_step_that_is_not_positive(tau):
+    # the constructor's check, the only one on this path
+    with pytest.raises(ValidationError, match="^tau must be positive"):
+        derive_effective(build_symmetric(SymmetricParams(0.3, -0.2, 0.9, 0.1)), AncillaSpec(), tau)
+
+
 def test_effective_hamiltonian_json_roundtrip():
     p = SymmetricParams(0.3, -0.2, 0.9, 0.1)
     eff = derive_effective(build_symmetric(p), AncillaSpec(), 0.05)

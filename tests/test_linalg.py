@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     counting_kernels,
+    eig_sqrt,
     eigenvalue_as_psd,
     expression_hermitian_part,
     expression_is_hermitian,
@@ -39,7 +40,6 @@ from zenon.linalg import (
     certified_above,
     commutator,
     dagger,
-    eig_sqrt,
     expm,
     frobenius_norm,
     hermitian_eig,

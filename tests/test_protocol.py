@@ -55,12 +55,21 @@ def _cfg(n_steps=20, tau=0.05, params=None):
 def test_protocol_config_validation():
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.array([[0, 1], [0, 0]]), spec=AncillaSpec(), tau=0.1, n_steps=1)
-    with pytest.raises(ValidationError):
-        ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.0, n_steps=1)
+    for tau in (0.0, -0.1, math.nan):  # kraus_from_eig's check, the only one on this path
+        with pytest.raises(ValidationError, match="^tau must be positive"):
+            ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=tau, n_steps=1)
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=-1)
     with pytest.raises(BadDimensionError):
         ProtocolConfig(h=np.eye(5), spec=AncillaSpec(), tau=0.1, n_steps=1)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, True, np.float64(3.0), 3.0, "3"])
+def test_protocol_config_rejects_a_step_count_that_is_not_an_int(n_steps):
+    with pytest.raises(ValidationError, match="^n_steps must be an int"):
+        ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=n_steps)
+    cfg = ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=np.int64(3))
+    assert abs(simulate_conditional(cfg, DensityMatrix.basis_state(2, 0)).p - 1.0) < 1e-12
 
 
 def test_step_count_is_capped():

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from helpers import (
     random_symmetric_params,
 )
 from zenon.config import SWEEP_KEYS, load_scenario
-from zenon.errors import SiteOutOfRangeError, ValidationError
+from zenon.errors import NumericalError, SiteOutOfRangeError, ValidationError
 from zenon.linalg import commutator, frobenius_norm, is_hermitian
 from zenon.spin_models import (
     SIGMA,
@@ -132,6 +133,17 @@ def test_heisenberg_ring_conserves_total_sz():
     total_sz = sum(pauli("z", site, n) for site in range(1, n + 1))
     assert frobenius_norm(h) > 1.0
     assert frobenius_norm(commutator(h, total_sz)) < 1e-14
+
+
+def test_xyz_hamiltonian_names_the_bond_whose_sum_overflows():
+    # x then y on the same pair: half the entries become J + J = inf
+    bonds = [((1, 2), "x", 1e308), ((1, 2), "y", 1e308), ((2, 3), "z", 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^the XYZ sum overflows the double range at bond \(1, 2\) y$"):
+            xyz_hamiltonian(3, bonds)
+    # bonds at 1e308 on disjoint entries stay finite
+    assert np.isfinite(xyz_hamiltonian(3, [((1, 2), "x", 1e308), ((2, 3), "z", 1e308)])).all()
 
 
 def test_xyz_hamiltonian_rejects_bad_sites():
