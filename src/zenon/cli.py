@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", help="override the scenario's output_dir")
     parser.add_argument("--seed", type=int, help="override the scenario's seed")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; Monte Carlo runs in one process")
+    parser.add_argument("--threads", type=int, default=1, help="a no-op kept for compatibility, due for removal")
     return parser
 
 

@@ -16,7 +16,8 @@ stacked product of precomputed powers of A (the sweep's final state and
 the protocol's filtered state read only the chain's end,
 chain.renormalized_end), and one RK4 integrates
 the equation for a density matrix and, with F a single column, for a pure
-state.
+state.  The time series keeps the chain's factors, not its states
+(TrajectoryStates forms F F^dag on reading): rank / dim of the dense stack.
 """
 
 from __future__ import annotations
@@ -218,10 +219,15 @@ def integrate_nonlinear(
     return DensityMatrix(f @ dagger(f))
 
 
+def as_density_matrix(state) -> DensityMatrix:
+    """state, or a raw matrix passed through DensityMatrix: the one rule."""
+    return state if isinstance(state, DensityMatrix) else DensityMatrix(state)
+
+
 def expectation(state, observable) -> float:
-    """tr(rho X) for a state rho (a raw matrix must pass DensityMatrix) and
-    Hermitian X of its dimension; the imaginary part must sit below 1e-10."""
-    rho = state.rho if isinstance(state, DensityMatrix) else DensityMatrix(state).rho
+    """tr(rho X) for a state rho (as_density_matrix) and Hermitian X of its
+    dimension; the imaginary part must sit below 1e-10."""
+    rho = as_density_matrix(state).rho
     x = as_hermitian(observable)
     if x.shape != rho.shape:
         raise BadDimensionError(f"observable dim {x.shape[0]} != state dim {rho.shape[0]}")
@@ -257,27 +263,50 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     return dt, expm(-1j * dt * m), state_factor(rho0)
 
 
+class TrajectoryStates:
+    """conditional_trajectory's states, held as rho0.rho and the chain's
+    factors F_k (n - 1, dim, rank): a read-only sequence of shape (n, dim,
+    dim) whose states (by int, negative too, or slice) are formed on reading
+    by the chain's stacked matmul F_k F_k^dag, bit for bit."""
+
+    def __init__(self, rho: np.ndarray, factors: np.ndarray):
+        self._rho, self._factors = rho, factors
+        self.shape = (len(factors) + 1,) + rho.shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        ks = range(len(self))[key]
+        if isinstance(ks, int):
+            return self[ks : ks + 1][0]
+        fs = self._factors[np.asarray(ks, dtype=np.intp) - 1]  # state 0 is rho, set below
+        out = np.matmul(fs, dagger(fs))
+        if 0 in ks:
+            out[ks.index(0)] = self._rho
+        return out
+
+
 def conditional_trajectory(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     """Normalized conditional states on a uniform grid of n_samples times
     from 0 to t_max under a (possibly non-Hermitian) generator h_eff, with
-    survival tracking: (times, survival, states), states an (n_samples, dim,
-    dim) stack of F F^dag, filled one stacked product per chain block.
-    survival may reach exactly 0.0 once exp underflows; a trace that reaches
-    0 leaves no state to return and raises ProbabilityUnderflowError."""
+    survival tracking: (times, survival, states), states a TrajectoryStates
+    holding the chain's factors, stored one chain block at a time.  survival
+    may reach exactly 0.0 once exp underflows; a trace that reaches 0 leaves
+    no state to return and raises ProbabilityUnderflowError."""
     dt, a, f = _grid_chain(h_eff, rho0, t_max, n_samples)
     times = np.arange(n_samples) * dt
     survival = np.empty(n_samples)
-    states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
+    factors = np.empty((n_samples - 1,) + f.shape, dtype=complex)
     survival[0] = 1.0
-    states[0] = rho0.rho
     k = 1
     for p, fs in renormalized_blocks(a, f, n_samples - 1):
         survival[k : k + len(p)] = p
-        np.matmul(fs, dagger(fs), out=states[k : k + len(p)])
+        factors[k - 1 : k - 1 + len(p)] = fs
         k += len(p)
     if k < n_samples:
         raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {k}")
-    return times, survival, states
+    return times, survival, TrajectoryStates(rho0.rho, factors)
 
 
 def conditional_final_state(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
@@ -311,14 +340,29 @@ def default_coherence_pair(dim: int, initial_index: int) -> tuple[int, int]:
     return (k, dim - 1 - k)
 
 
+class _BlockRows:
+    """The n rows of block(start), sized and sliced at block starts for write_csv."""
+
+    def __init__(self, n: int, block):
+        self._n, self._block = n, block
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, part: slice):
+        return itertools.chain.from_iterable(map(self._block, range(*part.indices(self._n)[:2], CSV_BLOCK_ROWS)))
+
+    def __iter__(self):
+        return self[:]
+
+
 def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
     """CSV with columns t,p,pop_<basis>...,re_coh,im_coh,purity, written by
-    write_csv from the stacked states: the rows of each CSV_BLOCK_ROWS
-    states are one column_stack, handed over as one list of Python floats,
-    so the writer's blocks line up with them and its memory stays bounded
-    however long the series.  coherence_pair (i, j) indexes the states as
-    given; cli.run_simulate checks it before the chain runs."""
-    states = np.asarray(states)
+    write_csv from the states (TrajectoryStates or a stack) CSV_BLOCK_ROWS
+    at a time: each block's rows are one column_stack, one list of Python
+    floats, so the writer's blocks and parts line up with them and memory
+    stays bounded however long the series.  coherence_pair (i, j) indexes
+    the states as given; cli.run_simulate checks it before the chain runs."""
     dim = states.shape[1]
     i, j = coherence_pair
     header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
@@ -337,5 +381,4 @@ def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
             ]
         ).tolist()
 
-    starts = range(0, len(states), CSV_BLOCK_ROWS)
-    write_csv(path, header, itertools.chain.from_iterable(map(block, starts)))
+    write_csv(path, header, _BlockRows(len(states), block))

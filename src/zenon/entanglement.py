@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, state_factor
+from .dynamics import DensityMatrix, as_density_matrix, state_factor
 from .errors import (
     BadDimensionError,
     NotBlockDiagonalError,
@@ -165,9 +165,8 @@ BELL_STATES = {
 
 
 def _as_state(state) -> DensityMatrix:
-    """A two-qubit state as a DensityMatrix; a raw matrix must pass
-    DensityMatrix, the rule of dynamics.expectation."""
-    state = state if isinstance(state, DensityMatrix) else DensityMatrix(state)
+    """A two-qubit state as dynamics.as_density_matrix reads it."""
+    state = as_density_matrix(state)
     if state.dim != 4:
         raise BadDimensionError(f"two-qubit state must be 4x4, got {state.rho.shape}")
     return state

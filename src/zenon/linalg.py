@@ -7,8 +7,11 @@ shared freely between callers and threads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,7 +247,41 @@ def matrix_to_json(a) -> dict:
 
 CSV_BLOCK_ROWS = 256
 """Rows write_csv checks, formats and writes as one string."""
+CSV_PART_MIN_ROWS = 16 * CSV_BLOCK_ROWS
+"""Fewest rows write_csv gives one process: 37 ms of 9-column rows, a fork 3 ms."""
 _PLAIN_CELLS = frozenset((float, int))
+
+
+def _format_rows(fh, width: int, rows) -> None:
+    """write_csv's one check and format path, for one part of the rows."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        if set(map(len, block)) != {width} or not _PLAIN_CELLS.issuperset(
+            map(type, itertools.chain.from_iterable(block))
+        ):
+            raise ValueError(f"a CSV row is not {width} Python ints and floats")
+        cells = map(repr, itertools.chain.from_iterable(block))
+        # zip over `width` references to the one iterator: each tuple is a row's cells
+        fh.write("\n".join(map(",".join, zip(*[cells] * width))))
+        fh.write("\n")
+
+
+def _fork_format(spill, width: int, rows) -> int | None:
+    """The pid of a forked child that writes rows to spill, exit status 0 if
+    it could; None where fork raises."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            _format_rows(spill, width, rows)
+            spill.flush()
+            code = 0
+        finally:  # the child never returns, whatever it raised
+            os._exit(code)
+    return pid
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -258,20 +295,36 @@ def write_csv(path, header: list[str], rows) -> None:
     a row of another width or a cell of another type (a bool, a numpy
     scalar) raises ValueError; the blocks before it stay written.  Only one
     block is held as text, so a long table never is.
+
+    On Linux, sized rows (a list, or any rows[lo:hi] iterates) are split at
+    block starts into parts rows[lo:hi], one per usable core at most and
+    none below CSV_PART_MIN_ROWS.  Forked
+    children write all but the first to temporary files that os.sendfile
+    appends; a part whose child fails or could not start is formatted here,
+    so the file and any ValueError are the one-part write's.
     """
-    width = len(header)
-    rows = iter(rows)
-    with open(path, "w") as fh:
+    width, n = len(header), len(rows) if hasattr(rows, "__len__") else 0
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cores, n // CSV_PART_MIN_ROWS))
+    bounds = [n // CSV_BLOCK_ROWS * i // k * CSV_BLOCK_ROWS for i in range(1, k)] + [n]
+    with open(path, "w") as fh, contextlib.ExitStack() as spills:
         fh.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-            if set(map(len, block)) != {width} or not _PLAIN_CELLS.issuperset(
-                map(type, itertools.chain.from_iterable(block))
-            ):
-                raise ValueError(f"a CSV row is not {width} Python ints and floats")
-            cells = map(repr, itertools.chain.from_iterable(block))
-            # zip over `width` references to the one iterator: each tuple is a row's cells
-            fh.write("\n".join(map(",".join, zip(*[cells] * width))))
-            fh.write("\n")
+        fh.flush()  # a child inherits no buffered text
+        parts = [(lo, hi, spills.enter_context(tempfile.TemporaryFile("w+"))) for lo, hi in zip(bounds, bounds[1:])]
+        pids = []
+        try:
+            for lo, hi, spill in parts:
+                pids.append(_fork_format(spill, width, rows[lo:hi]))
+            _format_rows(fh, width, rows if k == 1 else rows[: bounds[0]])
+        finally:  # every child is reaped, whatever this process raised
+            codes = [1 if pid is None else os.waitpid(pid, 0)[1] for pid in pids]
+        for (lo, hi, spill), code in zip(parts, codes):
+            fh.flush()
+            size, done = os.fstat(spill.fileno()).st_size, 0
+            while code == 0 and done < size:
+                done += os.sendfile(fh.fileno(), spill.fileno(), done, size - done)
+            if code:
+                _format_rows(fh, width, rows[lo:hi])
 
 
 def finite_reals(values) -> np.ndarray | None:

@@ -94,9 +94,9 @@ class ProtocolConfig:
             raise ValidationError(f"n_steps must be an int in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps!r}")
         ancilla_order(hm.shape[0], self.spec)  # validates dimension and site
         object.__setattr__(self, "h", hm)
-        with np.errstate(over="ignore"):  # a spectrum too wide to resolve fails in kraus_from_eig
+        with np.errstate(over="ignore", invalid="ignore"):  # too wide a spectrum or a bad tau fails in kraus_from_eig
             eig = hermitian_eig(hm)
-        tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
+            tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
         if tau_spread >= 1.0:
             warnings.warn(
                 f"tau * max Bohr frequency = {tau_spread:.3g} >= 1; "

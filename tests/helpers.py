@@ -8,8 +8,9 @@ against, the sorting survivor counter on the exact survival curve that its
 search must match bit for bit, the per-eigenket sorting counter whose law
 it must share, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
-density-matrix RK4 that the factor RK4 must match, the row-by-row
-time-series writer that the vectorised one must match, the bit-by-bit
+density-matrix RK4 that the factor RK4 must match, the eager (n, d, d)
+state stack that the factor-stored trajectory must match bit for bit, the
+row-by-row time-series writer that the vectorised one must match, the bit-by-bit
 ancilla permutation that the axis-transposing one must match, the
 expression forms of the Hermitian part, the Hermiticity test and the PSD
 eigendecomposition that the one-pass linalg helpers must match bit for bit,
@@ -438,6 +439,28 @@ def renormalized_chain(a: np.ndarray, f: np.ndarray, n_steps: int):
     n_steps applications of F <- A F; it ends and raises where they do."""
     for p, fs in renormalized_blocks(a, f, n_steps):
         yield from zip(p.tolist(), fs)
+
+
+def eager_conditional_trajectory(h_eff, rho0, t_max: float, n_samples: int):
+    """Reference conditional_trajectory that keeps every sampled state:
+    (times, survival, states), states the dense (n_samples, dim, dim) stack
+    of F F^dag filled one stacked product per chain block."""
+    m = as_cmatrix(h_eff)
+    dt = t_max / (n_samples - 1)
+    a, f = expm(-1j * dt * m), state_factor(rho0)
+    times = np.arange(n_samples) * dt
+    survival = np.empty(n_samples)
+    states = np.empty((n_samples, rho0.dim, rho0.dim), dtype=complex)
+    survival[0] = 1.0
+    states[0] = rho0.rho
+    k = 1
+    for p, fs in renormalized_blocks(a, f, n_samples - 1):
+        survival[k : k + len(p)] = p
+        np.matmul(fs, dagger(fs), out=states[k : k + len(p)])
+        k += len(p)
+    if k < n_samples:
+        raise ProbabilityUnderflowError(f"conditional probability hit 0.0 at step {k}")
+    return times, survival, states
 
 
 def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):

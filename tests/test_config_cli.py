@@ -752,6 +752,23 @@ def test_cli_exit_3_on_overflow_from_finite_inputs(stem, change, says, tmp_path,
     assert err.startswith("zenon: numerical error:") and says in err
 
 
+def test_cli_protocol_exit_3_on_a_spectrum_past_the_double_range_prints_no_runtime_warning(
+    tmp_path, repo_cwd, capsys
+):
+    # gamma_z = 1e308: the builder's sums stay finite, the spectrum's spread
+    # overflows; the step phase is reported, numpy's overflow is not printed
+    scenario = json.loads((CONFIGS / "protocol_symmetric.json").read_text())
+    scenario["params"]["gamma_z"] = 1e308
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(scenario))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("zenon: numerical error:") and "not resolved in double precision" in err
+
+
 @pytest.mark.parametrize("stem", ["derive_symmetric", "protocol_symmetric"])
 def test_cli_exit_3_names_the_bond_of_a_spin_hamiltonian_that_overflows(stem, tmp_path, repo_cwd, capsys):
     # every symmetric coupling at 1e308: the pair's x and y bonds add to 2e308

@@ -1,6 +1,9 @@
+import json
 import math
+import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import zenon.linalg
 from helpers import (
+    eager_conditional_trajectory,
     expression_hermitian_part,
     random_hermitian,
     random_ket,
@@ -22,12 +26,14 @@ from helpers import (
     symmetric_odd_block,
     transition_probability,
 )
+from zenon.cli import main
 from zenon.chain import chain_block_size, end_block_size, renormalized_blocks, renormalized_end
 from zenon.dynamics import (
     STEP_NORM_LIMIT,
     _integrate_factor,
     ConditionalState,
     DensityMatrix,
+    TrajectoryStates,
     basis_labels,
     conditional_final_state,
     conditional_trajectory,
@@ -48,7 +54,7 @@ from zenon.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from zenon.linalg import expm, frobenius_norm, trace
+from zenon.linalg import CSV_PART_MIN_ROWS, expm, frobenius_norm, trace
 from zenon.protocol import ProtocolConfig, simulate_conditional
 from zenon.spin_models import SymmetricParams, build_symmetric
 from zenon.effective import AncillaSpec
@@ -426,6 +432,79 @@ def test_write_timeseries_csv_matches_rowwise_oracle(tmp_path, rho0):
     write_timeseries_csv(tmp_path / "new.csv", times, survival, states, (0, 3))
     rowwise_timeseries_csv(tmp_path / "ref.csv", times, survival, list(states), (0, 3))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_PURE4 = DensityMatrix.from_pure(random_ket(np.random.Generator(np.random.PCG64(20)), 4))
+_STACK_STARTS = {
+    "pure": _PURE4,
+    "rank2": DensityMatrix(0.7 * DensityMatrix.basis_state(4, 1).rho + 0.3 * _PURE4.rho),
+    "mixed": _MIXED4,
+}
+
+
+def _words(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("start", list(_STACK_STARTS))
+def test_trajectory_states_are_the_eager_stack_bit_for_bit(start):
+    # 401 samples: six full 64-step chain blocks and a short one
+    rho0, h_eff, n = _STACK_STARTS[start], _symmetric_eff().matrix(), 401
+    times, survival, states = conditional_trajectory(h_eff, rho0, 20.0, n)
+    ref_times, ref_survival, ref = eager_conditional_trajectory(h_eff, rho0, 20.0, n)
+    assert isinstance(states, TrajectoryStates)
+    assert state_factor(rho0).shape[1] == {"pure": 1, "rank2": 2, "mixed": 4}[start]
+    assert np.array_equal(times, ref_times) and np.array_equal(survival, ref_survival)
+    assert len(states) == n and states.shape == ref.shape
+    assert np.array_equal(_words(states[0]), _words(rho0.rho))
+    for k in (0, 1, 63, 64, 65, 200, n - 1, -1, -2, -n, -65):
+        assert states[k].shape == (4, 4)
+        assert np.array_equal(_words(states[k]), _words(ref[k])), k
+    for key in (
+        slice(None), slice(0, 1), slice(1, 257), slice(5, 300, 7), slice(None, None, -1),
+        slice(-10, None), slice(300, 100, -3), slice(5, 5), slice(390, 1000),
+    ):
+        assert np.array_equal(_words(states[key]), _words(ref[key])), key
+    assert np.array_equal(_words(np.stack(list(states))), _words(ref))
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[k]
+
+
+def test_trajectory_states_of_a_pure_start_hold_factors_not_the_dense_stack():
+    # the factors of a pure start are (n - 1, 4, 1), 64 bytes a sample, and
+    # times and survival 16 more, where the (n, 4, 4) stack alone took 256
+    rho0, h_eff, n = _STACK_STARTS["pure"], _symmetric_eff().matrix(), 20_001
+    tracemalloc.start()
+    try:
+        _, _, states = conditional_trajectory(h_eff, rho0, 20.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 256 / 2
+    assert np.array_equal(states[-1], eager_conditional_trajectory(h_eff, rho0, 20.0, n)[2][-1])
+
+
+def test_simulate_at_50000_samples_is_the_eager_stack_written_in_one_part(tmp_path, monkeypatch):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    scenario = json.loads((configs / "simulate_symmetric.json").read_text())
+    scenario["n_samples"] = 50_000
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(scenario))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(forks) == min(len(os.sched_getaffinity(0)), 50_000 // CSV_PART_MIN_ROWS) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    h_eff = derive_effective(
+        build_symmetric(SymmetricParams(**scenario["params"])), AncillaSpec(), scenario["tau"]
+    ).matrix()
+    rho0 = DensityMatrix.basis_state(4, int(scenario["initial_state"], 2))
+    times, survival, states = eager_conditional_trajectory(h_eff, rho0, scenario["t_max"], 50_000)
+    monkeypatch.delattr(os, "fork")  # one part
+    write_timeseries_csv(tmp_path / "ref.csv", times, survival, states, (1, 2))
+    assert (tmp_path / "o" / "timeseries.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_renormalized_chain_ends_when_trace_reaches_zero():

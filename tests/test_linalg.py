@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -32,6 +33,7 @@ from helpers import (
 from zenon.errors import NotHermitianError, NotPSDError, ValidationError
 from zenon.linalg import (
     CSV_BLOCK_ROWS,
+    CSV_PART_MIN_ROWS,
     EIGVALSH_MIN_DIM,
     EXPM_SCALE_LIMIT,
     as_cmatrix,
@@ -570,6 +572,75 @@ def test_write_csv_odd_row_before_on_and_after_a_block_boundary(tmp_path, kind, 
         write_csv(tmp_path / "t.csv", list("abcd"), rows)
     percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: at // _B * _B])
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_M = CSV_PART_MIN_ROWS
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_fork(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize(
+    "n", [2 * _M - 1, 2 * _M, 2 * _M + 1, 2 * _M + _B - 1, 2 * _M + _B, 3 * _M - 1, 3 * _M, 3 * _M + 1, 3 * _M + _B + 5]
+)
+def test_write_csv_in_parts_is_the_one_part_write(tmp_path, monkeypatch, n):
+    # three usable cores: below 2 _M rows one part, below 3 _M two, then
+    # three, split at block starts; an iterator always takes one part
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _counting_fork(monkeypatch)
+    rows = _plain_table(n)
+    write_csv(tmp_path / "parts.csv", list("abcd"), rows)
+    _no_children_left()
+    assert len(forks) == min(3, n // _M) - 1
+    write_csv(tmp_path / "one.csv", list("abcd"), iter(rows))
+    assert len(forks) == min(3, n // _M) - 1
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "parts.csv").read_text().count("\n") == n + 1
+
+
+@pytest.mark.parametrize("at", [0, _M - 1, _M, _M + _B + 3, 2 * _M - 1, 2 * _M + 40])
+def test_write_csv_odd_row_in_any_part_is_the_one_part_error(tmp_path, monkeypatch, at):
+    # 2 _M + 41 rows in two parts, [0, _M) and [_M, 2 _M + 41): the odd row's
+    # block raises the one-part path's ValueError whichever process formats
+    # it, with the blocks before it written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rows = _plain_table(2 * _M + 41)
+    rows[at] = _ODD_ROWS["numpy_scalar"]
+    with pytest.raises(ValueError, match="4 Python ints and floats"):
+        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+    _no_children_left()
+    percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: at // _B * _B])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fork", ["missing", "raising"])
+def test_write_csv_without_a_fork_formats_every_part_itself(tmp_path, monkeypatch, fork):
+    rows = _plain_table(3 * _M + 7)
+    write_csv(tmp_path / "ref.csv", list("abcd"), iter(rows))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def refuse():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    write_csv(tmp_path / "t.csv", list("abcd"), rows)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    rows[2 * _M + 1] = _ODD_ROWS["bool"]
+    with pytest.raises(ValueError, match="4 Python ints and floats"):
+        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+    percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: 2 * _M])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _no_children_left()
 
 
 def test_write_csv_plain_block_of_float_edge_cases(tmp_path):

@@ -52,6 +52,18 @@ def _cfg(n_steps=20, tau=0.05, params=None):
     return ProtocolConfig(h=build_symmetric(p), spec=AncillaSpec(), tau=tau, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("tau", [0.0, math.nan])
+def test_protocol_config_on_a_spectrum_past_the_double_range_warns_no_runtime_warning(tau):
+    # gamma_z = 1e308 keeps H finite but spreads its spectrum past the double
+    # range: tau times the spread is inf, or NaN at tau = 0; the bad tau is
+    # reported by kraus_from_eig, and numpy's arithmetic prints nothing
+    params = SymmetricParams(gamma_xy=1.0, gamma_z=1e308, g_xy=1.0, g_z=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="^tau must be positive"):
+            _cfg(tau=tau, params=params)
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.array([[0, 1], [0, 0]]), spec=AncillaSpec(), tau=0.1, n_steps=1)
