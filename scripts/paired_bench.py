@@ -11,17 +11,21 @@ every workload and every pair k the two sides run
 each in its own fresh extraction of its archive, so that no run sees what
 another left behind; the parent goes first in even pairs and the change in
 odd ones.  The pairs of the workloads are interleaved, pair by pair.  The
-file holds `about`, `host` and `runs` (code, workload, seed, trace and the
-run's last output line as `result`); the table printed at the end gives,
+file holds `about`, `host` and `runs` (code, workload, seed, trace, the
+run's last output line as `result`, and as `raw` the uncorrected wall_s
+median, the speed factor that corrected it and the reference kernels'
+medians, read from the run's table); the table printed at the end gives,
 per workload and metric, each side's median, the parent's quartiles and in
-how many pairs the change read lower.
+how many pairs the change read lower, and for wall_s the raw medians too.
 
 `--claim <workload>/<metric>` names the one gain the change claims.  After
 the pairs, that workload runs once more per side with `--trace 1` (parent
 first, seed seed0), for its per-layer numbers, and the last line printed
 says whether the claim is met: the change reads lower in at least nine
 tenths of the pairs (ties count for neither), and the parent's median
-exceeds the change's by more than the parent's interquartile range.
+exceeds the change's by more than the parent's interquartile range.  A
+wall_s claim's line also says whether the raw medians move the same way
+as the corrected ones.
 
 Usage: python3 scripts/paired_bench.py --parent REV [--change REV|worktree]
            [--workloads a,b] [--pairs N] [--seed0 S] [--seconds T]
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import platform
+import re
 import shlex
 import shutil
 import statistics
@@ -48,6 +53,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc_ensemble", "paper_suite", "timeseries_export", "dense_composite")
 RUNNER = "python3 perfbench/run.py"
+RAW_WALL = re.compile(r"^  wall_s = \S+ s \(median of \d+ warm iterations, corrected; raw median (\S+) s", re.M)
+SPEED_FACTOR = re.compile(r"corrected by the (\w+) speed factor ([\d.]+),")
+KERNEL = re.compile(r"(\w+) kernel median ([\d.]+) ms")
 
 
 def _git(*args: str) -> str:
@@ -68,11 +76,26 @@ def archive(commit: str, path: Path) -> Path:
     return path
 
 
+def raw_of(table: str) -> dict | None:
+    """The raw wall_s median (s), the speed factor that corrected it and the
+    reference kernels' medians (ms), as a run's table prints them; None
+    where it prints no raw wall_s median."""
+    wall, speed = RAW_WALL.search(table), SPEED_FACTOR.search(table)
+    if wall is None or speed is None:
+        return None
+    return {
+        "wall_s": float(wall[1]),
+        "speed_factor": {speed[1]: float(speed[2])},
+        "kernel_ms": {kind: float(ms) for kind, ms in KERNEL.findall(table)},
+    }
+
+
 def run_once(
     tar: Path, checkout: Path, runner: list[str], workload: str, seed: int, seconds: float, trace: int = 0
-) -> dict:
+) -> tuple[dict, dict | None]:
     """One benchmark run in a fresh extraction of tar at checkout, removed
-    afterwards; returns the run's last output line, parsed."""
+    afterwards; returns the run's last output line, parsed, and raw_of its
+    table."""
     shutil.rmtree(checkout, ignore_errors=True)
     checkout.mkdir(parents=True)
     with tarfile.open(tar) as tf:
@@ -83,19 +106,28 @@ def run_once(
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or not lines:
             raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), raw_of(proc.stdout)
     finally:
         shutil.rmtree(checkout, ignore_errors=True)
 
 
-def pairs_of(runs: list[dict], workload: str) -> list[dict[str, dict]]:
-    """The untraced runs of workload as {"parent": metrics, "change": metrics},
-    one per seed that both sides ran."""
-    pairs: dict[int, dict[str, dict]] = {}
+def pairs_of(runs: list[dict], workload: str, value=lambda r: r["result"]["metrics"]) -> list[dict]:
+    """value(run) of the untraced runs of workload as {"parent": ..., "change":
+    ...}, one per seed that both sides ran with a value that is not None."""
+    pairs: dict[int, dict] = {}
     for r in runs:
-        if r["workload"] == workload and r["trace"] == 0:
-            pairs.setdefault(r["seed"], {})[r["code"]] = r["result"]["metrics"]
+        if r["workload"] == workload and r["trace"] == 0 and value(r) is not None:
+            pairs.setdefault(r["seed"], {})[r["code"]] = value(r)
     return [p for p in pairs.values() if len(p) == 2]
+
+
+def raw_walls(runs: list[dict], workload: str) -> tuple[list[float], list[float]] | None:
+    """(parent, change) raw wall_s medians of workload's pairs, or None
+    unless every pair has both."""
+    both = pairs_of(runs, workload, lambda r: (r.get("raw") or {}).get("wall_s"))
+    if not both or len(both) != len(pairs_of(runs, workload)):
+        return None
+    return [p["parent"] for p in both], [p["change"] for p in both]
 
 
 def _sides(both: list[dict[str, dict]], metric: str):
@@ -115,10 +147,17 @@ def summary(runs: list[dict]) -> list[str]:
         for metric in both[0]["parent"] if both else ():
             parent, change, (q1, _, q3) = _sides(both, metric)
             lower = sum(c < p for p, c in zip(parent, change))
-            out.append(
+            line = (
                 f"{workload} {metric}: {statistics.median(parent):.6g} [{q1:.6g}, {q3:.6g}] -> "
                 f"{statistics.median(change):.6g}, change lower in {lower}/{len(both)}"
             )
+            raw = raw_walls(runs, workload) if metric == "wall_s" else None
+            if raw is not None:
+                line += (
+                    f"; raw {statistics.median(raw[0]):.6g} -> {statistics.median(raw[1]):.6g}, "
+                    f"change lower in {sum(c < p for p, c in zip(*raw))}/{len(raw[0])}"
+                )
+            out.append(line)
     return out
 
 
@@ -135,10 +174,19 @@ def claim_verdict(runs: list[dict], claim: str) -> tuple[bool, str]:
     lower, needed = sum(c < p for p, c in zip(parent, change)), math.ceil(0.9 * len(both))
     gap = statistics.median(parent) - statistics.median(change)
     met = lower >= needed and gap > q3 - q1
-    return met, (
+    line = (
         f"claim {claim}: change lower in {lower}/{len(both)} pairs (needs {needed}), median gap "
         f"{gap:.6g} against the parent's interquartile range {q3 - q1:.6g}: {'met' if met else 'not met'}"
     )
+    raw = raw_walls(runs, workload) if metric == "wall_s" else None
+    if raw is not None:
+        raw_gap = statistics.median(raw[0]) - statistics.median(raw[1])
+        same = raw_gap > 0 if gap > 0 else raw_gap < 0 if gap < 0 else raw_gap == 0
+        line += (
+            f"; raw medians {statistics.median(raw[0]):.6g} -> {statistics.median(raw[1]):.6g}, "
+            f"{'the same way' if same else 'not the same way'}"
+        )
+    return met, line
 
 
 def main(argv=None) -> int:
@@ -170,14 +218,16 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for workload in workloads:
             for code in order:
-                result = run_once(tars[code], scratch / code, runner, workload, seed, args.seconds)
-                runs.append({"code": code, "workload": workload, "seed": seed, "trace": 0, "result": result})
-                print(f"{workload} seed {seed} {code}: {json.dumps(result['metrics'])}", flush=True)
+                result, raw = run_once(tars[code], scratch / code, runner, workload, seed, args.seconds)
+                runs.append({"code": code, "workload": workload, "seed": seed, "trace": 0, "result": result, "raw": raw})
+                print(f"{workload} seed {seed} {code}: {json.dumps(result['metrics'])} raw {json.dumps(raw)}", flush=True)
     if args.claim is not None:
         workload = args.claim.split("/")[0]
         for code in ("parent", "change"):
-            result = run_once(tars[code], scratch / code, runner, workload, args.seed0, args.seconds, trace=1)
-            runs.append({"code": code, "workload": workload, "seed": args.seed0, "trace": 1, "result": result})
+            result, raw = run_once(tars[code], scratch / code, runner, workload, args.seed0, args.seconds, trace=1)
+            runs.append(
+                {"code": code, "workload": workload, "seed": args.seed0, "trace": 1, "result": result, "raw": raw}
+            )
             print(f"{workload} seed {args.seed0} {code} traced: {json.dumps(result['metrics'])}", flush=True)
 
     about = (
@@ -186,7 +236,8 @@ def main(argv=None) -> int:
         f"which side runs first, {args.seconds:g} s per run: {args.runner} --workload <w> --seed <seed> "
         f"--seconds {args.seconds:g} --trace 0. {args.pairs} pairs per workload on seeds "
         f"{args.seed0}-{args.seed0 + args.pairs - 1}, the workloads interleaved pair by pair. "
-        "'result' is the run's last output line."
+        "'result' is the run's last output line; 'raw' its uncorrected wall_s median (s), the speed "
+        "factor that corrected it and the reference kernels' medians (ms), read from its table."
     )
     if args.claim is not None:
         about += (

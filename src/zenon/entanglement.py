@@ -59,6 +59,12 @@ class TwoLevelBlockParams:
     def omega_x(self) -> complex:
         return complex(self.mu_x, self.nu_x)
 
+    @property
+    def nu(self) -> complex:
+        """The block's frequency sqrt(Omega^2 + omega^2), principal branch."""
+        omega_z, omega_x = self.omega_z, self.omega_x
+        return cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
+
 
 def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
     """Split a parity-conserving 4x4 generator into its two blocks.
@@ -98,16 +104,14 @@ def block_decompose(h_eff) -> tuple[TwoLevelBlockParams, TwoLevelBlockParams]:
     return out[0], out[1]
 
 
-def _cos_sinc(block: TwoLevelBlockParams, t: float, damped: bool) -> tuple[complex, complex]:
-    """cos(nu t) and sin(nu t) / nu of the block; damped, both times
+def _cos_sinc(nu: complex, t: float, damped: bool) -> tuple[complex, complex]:
+    """cos(nu t) and sin(nu t) / nu of a block of frequency nu (its nu
+    property, which the caller reads once); damped, both times
     e^{-|Im nu t|}, so neither overflows.
 
-    nu = sqrt(Omega^2 + omega^2) on the principal branch; both terms are even
-    in nu, so the branch does not matter, and the nu -> 0 limit is taken by
-    series when |nu t| is small.
+    Both terms are even in nu, so its branch does not matter, and the
+    nu -> 0 limit is taken by series when |nu t| is small.
     """
-    omega_z, omega_x = block.omega_z, block.omega_x
-    nu = cmath.sqrt(omega_z * omega_z + omega_x * omega_x)
     z = nu * t
     if abs(z) < _SMALL_PHASE:
         return 1.0 - z * z / 2.0, t * (1.0 - z * z / 6.0)
@@ -119,8 +123,8 @@ def _cos_sinc(block: TwoLevelBlockParams, t: float, damped: bool) -> tuple[compl
 
 
 def _block_matrix(block: TwoLevelBlockParams, t: float, damped: bool) -> np.ndarray:
-    """cos I - i sinc (Omega sz + omega sx), with (cos, sinc) = _cos_sinc(block, t, damped)."""
-    cos_term, sinc_term = _cos_sinc(block, t, damped)
+    """cos I - i sinc (Omega sz + omega sx), with (cos, sinc) = _cos_sinc(block.nu, t, damped)."""
+    cos_term, sinc_term = _cos_sinc(block.nu, t, damped)
     omega_z, omega_x = block.omega_z, block.omega_x
     return np.array(
         [
@@ -218,18 +222,19 @@ def block_rows(block: TwoLevelBlockParams, x_max: float, n_samples: int = 400):
 
     The state (cos - i sinc Omega, -i sinc omega) is the propagator's first
     column with cos and sinc scaled by e^{-|Im nu t|}, normalized; coh is
-    psi_first psi_second^*.
+    psi_first psi_second^*.  nu, Omega, omega and mu_x are read once per call.
     """
     if block.mu_x == 0 or x_max / block.mu_x < 0:
         raise ValidationError(f"the time axis x = mu_x t needs mu_x != 0 and t >= 0, got mu_x {block.mu_x}")
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
+    nu, omega_z, omega_x, mu_x = block.nu, block.omega_z, block.omega_x, block.mu_x
     rows = []
     for k in range(n_samples):
         x = x_max * k / (n_samples - 1)
-        cos_term, sinc_term = _cos_sinc(block, x / block.mu_x, damped=True)
-        first = cos_term - 1j * sinc_term * block.omega_z
-        second = -1j * sinc_term * block.omega_x
+        cos_term, sinc_term = _cos_sinc(nu, x / mu_x, damped=True)
+        first = cos_term - 1j * sinc_term * omega_z
+        second = -1j * sinc_term * omega_x
         w_first = first.real * first.real + first.imag * first.imag
         w_second = second.real * second.real + second.imag * second.imag
         weight = w_first + w_second

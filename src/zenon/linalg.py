@@ -27,12 +27,15 @@ _SMALLEST_NORMAL = 2.0**-1022
 _TAYLOR = [1.0 / math.factorial(k) for k in range(EXPM_SERIES_ORDER + 1)]
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting anything else."""
-    m = np.array(a, dtype=complex)
+def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_cmatrix(a) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting anything else."""
+    return _square(np.array(a, dtype=complex))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -127,9 +130,10 @@ class EigenDecomposition:
 def as_hermitian(a) -> np.ndarray:
     """The package's one Hermiticity gate: as_cmatrix(a) symmetrized to
     (A + A^dag) / 2 bit for bit, or NotHermitianError unless
-    ||A - A^dag||_F <= HERMITICITY_RTOL ||A||_F (a NaN fails); one copy of A
-    and one A^dag serve the check and the sum."""
-    m = as_cmatrix(a)
+    ||A - A^dag||_F <= HERMITICITY_RTOL ||A||_F (a NaN fails); one A^dag
+    serves the check and the sum.  A complex ndarray is read where it lies,
+    not copied: only A^dag's buffer is written."""
+    m = _square(np.asarray(a, dtype=complex))
     adj = _adjoint(m)
     if not frobenius_norm(m - adj) <= HERMITICITY_RTOL * frobenius_norm(m):
         raise NotHermitianError(
@@ -282,6 +286,25 @@ def _fork_format(spill, width: int, rows) -> int | None:
         finally:  # the child never returns, whatever it raised
             os._exit(code)
     return pid
+
+
+class BlockRows:
+    """n rows as a sized lazy view for write_csv: block(start) gives the
+    rows start .. start + CSV_BLOCK_ROWS - 1 (fewer at the end), and a slice
+    taken at block starts, as write_csv takes its parts, forms only its own
+    blocks, one at a time."""
+
+    def __init__(self, n: int, block):
+        self._n, self._block = n, block
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, part: slice):
+        return itertools.chain.from_iterable(map(self._block, range(*part.indices(self._n)[:2], CSV_BLOCK_ROWS)))
+
+    def __iter__(self):
+        return self[:]
 
 
 def write_csv(path, header: list[str], rows) -> None:

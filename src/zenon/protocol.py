@@ -6,8 +6,8 @@ ancilla is found in its initial state |0>, i.e. apply K = <0|U(tau)|0>,
 which ProtocolConfig builds once from its eigendecomposition of H.  Every
 chain here runs K on the factor F of rho0 = F F^dag.  The filtered state
 reads only the chain's end, chain.renormalized_end: a block of B steps is
-one product K^B F, at dimension 256 from a mixed start 19 products for 100
-steps.  The exact survival curve reads every step,
+one product K^B F, K^B formed by squarings, at dimension 256 from a mixed
+start 9 products for 100 steps.  The exact survival curve reads every step,
 chain.renormalized_blocks, up to 64 steps per stacked product, and the
 waiting-time Monte Carlo reads that curve alone (one uniform per
 trajectory against it) to count survivors.  A protocol run calls the Monte
@@ -40,7 +40,7 @@ from .errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from .linalg import as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
+from .linalg import CSV_BLOCK_ROWS, BlockRows, as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
@@ -246,16 +246,17 @@ def stroboscopic_error(cfg: ProtocolConfig, rho0: DensityMatrix) -> float:
 
 
 def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, p_exact) -> None:
-    """CSV with columns step,survivors,p_exact,p_empirical (one row per step)."""
-    p_exact = np.asarray(p_exact, dtype=float)
-    if p_exact.shape != ensemble.survival_counts.shape:
-        raise BadDimensionError(
-            f"p_exact length {p_exact.size} != step count {ensemble.survival_counts.size}"
-        )
-    rows = zip(
-        range(1, p_exact.size + 1),
-        ensemble.survival_counts.tolist(),
-        p_exact.tolist(),
-        ensemble.empirical_survival().tolist(),
-    )
-    write_csv(path, ["step", "survivors", "p_exact", "p_empirical"], rows)
+    """CSV with columns step,survivors,p_exact,p_empirical (one row per step),
+    handed to write_csv as a BlockRows view, so a long ensemble is split
+    into parts like any sized table."""
+    p_exact, counts = np.asarray(p_exact, dtype=float), ensemble.survival_counts
+    if p_exact.shape != counts.shape:
+        raise BadDimensionError(f"p_exact length {p_exact.size} != step count {counts.size}")
+    empirical, n = ensemble.empirical_survival(), p_exact.size
+
+    def block(start):
+        stop = min(start + CSV_BLOCK_ROWS, n)
+        cells = (a[start:stop].tolist() for a in (counts, p_exact, empirical))
+        return zip(range(start + 1, stop + 1), *cells)
+
+    write_csv(path, ["step", "survivors", "p_exact", "p_empirical"], BlockRows(n, block))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenon.chain
 import zenon.linalg
 from helpers import (
     eager_conditional_trajectory,
@@ -558,8 +559,10 @@ def test_chain_block_size_rule():
 
 def test_end_block_size_rule():
     rng = np.random.Generator(np.random.PCG64(32))
-    # the end-only chain holds no stack: 9 powers and 10 block products, not 100 steps
-    assert end_block_size(np.eye(256, dtype=complex), 256, 100) == 10
+    # the end-only chain holds no stack: 7 power products (5 squarings) and
+    # 2 block products, not 100 steps; of the B that take 9 products, 50
+    # leaves no A^tail to hold
+    assert end_block_size(np.eye(256, dtype=complex), 256, 100) == 50
     # a pure start at large d: a power costs more than the steps it saves
     assert end_block_size(np.eye(256, dtype=complex), 1, 100) == 1
     # the spread rule and its singular and non-finite exits hold under the new cap
@@ -575,6 +578,75 @@ def test_end_block_size_rule():
             for rank in sorted({1, 2, d}):
                 for n_steps in (1, 2, 7, 63, 64, 65, 400):
                     assert end_block_size(a, rank, n_steps) == chain_block_size(a, n_steps)
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix whose matmuls, and those of the products it makes, add to
+    the class's count."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        if ufunc is not np.matmul:
+            return result
+        _CountedMatrix.products += 1
+        return result if out is not None else result.view(_CountedMatrix)
+
+
+def test_renormalized_end_at_full_rank_256_makes_nine_products(monkeypatch):
+    # 100 steps at d = rank = 256: the powers' squarings and digit products
+    # and the block products come to 9 d x d products, whichever of the
+    # cost model's ties B is; the spread rule's own Gram product is not one
+    rng = np.random.Generator(np.random.PCG64(33))
+    q, _ = np.linalg.qr(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+    a = q * np.linspace(0.999, 1.0, 256)  # singular values in [0.999, 1]: no spread limit
+    f0 = state_factor(DensityMatrix.maximally_mixed(256))
+    block_size = zenon.chain.end_block_size
+    monkeypatch.setattr(zenon.chain, "end_block_size", lambda a, rank, n: block_size(np.asarray(a), rank, n))
+    _CountedMatrix.products = 0
+    p, f = renormalized_end(a.view(_CountedMatrix), f0, 100)
+    assert _CountedMatrix.products == 9
+    p_ref, f_ref = renormalized_end(a, f0, 100)
+    assert p == p_ref and np.array_equal(np.asarray(f), f_ref)
+
+
+def _with_singular_values(rng, log_sigma):
+    d = len(log_sigma)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (u * np.exp(log_sigma)) @ v.conj().T
+
+
+@pytest.mark.parametrize("dim", [32, 64, 128])
+def test_certified_spread_rule_is_the_eigenvalue_rule(dim, monkeypatch):
+    # 200 matrices of set singular values: cap * max|ln sigma_i| is within
+    # 1e-9 of 1 on either side for a quarter, anywhere in [0.1, 3] for the
+    # rest; the largest |ln sigma_i| is a sigma below 1 or above 1 in turn
+    rng = np.random.Generator(np.random.PCG64(34 + dim))
+    spread_block_size = zenon.chain._spread_block_size
+    certified = zenon.chain._certified_spread
+    proofs = []
+    monkeypatch.setattr(zenon.chain, "_certified_spread", lambda h, cap: proofs.append(certified(h, cap)) or proofs[-1])
+    cases = []
+    for k in range(200):
+        cap = int(rng.integers(2, 65))
+        reach = 1 + (1e-9 if k % 8 < 2 else -1e-9) * rng.uniform() if k % 4 == 0 else rng.uniform(0.1, 3.0)
+        log_sigma = rng.uniform(-reach, reach, dim) / cap
+        log_sigma[0] = (-1) ** k * reach / cap
+        a = _with_singular_values(rng, log_sigma)
+        cases.append((a, cap, reach, spread_block_size(a, cap)))
+    monkeypatch.setattr(zenon.chain, "_certified_spread", lambda h, cap: False)
+    for a, cap, _, b in cases:
+        assert b == spread_block_size(a, cap)
+    # the certificates proved the band wherever it holds by a margin, and
+    # left every case within 1e-9 of its edge to the eigenvalues
+    assert len(proofs) == 200
+    for k, ((_, _, reach, _), proof) in enumerate(zip(cases, proofs)):
+        assert proof == (reach < 0.999) or (k % 4 and 0.999 <= reach <= 1.001)
+        assert not (k % 4 == 0 and proof)
 
 
 def _chain_matrix():
@@ -635,7 +707,9 @@ def test_renormalized_end_matches_stepwise_oracle_at_large_dimension(dim, start)
     f0 = _LARGE_STARTS[start](dim)
     b = end_block_size(a, f0.shape[1], 100)
     if start == "maximally_mixed":
-        assert b == 10  # one product per 10 steps at n = 100; shorter chains pick their own B
+        # the spread rule's B under the cost model's 50 at n = 100; shorter
+        # chains pick their own B
+        assert b == {64: 16, 128: 15}[dim]
     oracle = list(stepwise_chain(a, f0, 100))
     for n_steps in sorted({1, b - 1, b, 2 * b + 3, 100} - {0}):
         p, f = renormalized_end(a, f0, n_steps)

@@ -686,6 +686,39 @@ def test_frobenius_norm_rescales_an_overflowing_sum_of_squares():
         assert math.isnan(frobenius_norm(np.array([[math.nan, 1e200]])))
 
 
+@pytest.mark.parametrize("kind", ["complex", "complex_view", "real", "integer", "list"])
+def test_as_hermitian_reads_its_input_in_place_with_the_copying_gates_words(kind):
+    rng = np.random.default_rng(35)
+    h = random_hermitian(rng, 6) + 1e-13 * random_complex(rng, 6)  # symmetrizing moves bits
+    a = {
+        "complex": h,
+        "complex_view": h.T.conj(),
+        "real": h.real + h.real.T,
+        "integer": np.round(10 * (h.real + h.real.T)).astype(int),
+        "list": h.tolist(),
+    }[kind]
+    before = np.array(a, dtype=complex)
+    out = as_hermitian(a)
+    # the input is read, not written, and the result is its own buffer
+    assert np.array_equal(_bits(np.array(a, dtype=complex)), _bits(before))
+    assert not np.shares_memory(out, np.asarray(a))
+    # the gate of a fresh copy, as the gate made one before
+    assert np.array_equal(_bits(out), _bits(as_hermitian(before.copy())))
+
+
+def test_as_hermitian_of_a_complex_matrix_holds_no_copy_of_it():
+    # A^dag and the residual A - A^dag alone: at dimension 512 two 4 MB
+    # buffers, where a copy of A made it three
+    a = random_hermitian(np.random.default_rng(36), 512)
+    tracemalloc.start()
+    try:
+        as_hermitian(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * a.nbytes
+
+
 def test_as_hermitian_refuses_a_matrix_whose_norm_overflowed_before():
     # ||A - A^dag|| and ||A|| once both read inf, and inf <= 1e-10 inf passed
     with warnings.catch_warnings():

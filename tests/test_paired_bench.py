@@ -120,3 +120,36 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_sprea
         {"code": "change", "workload": "w", "seed": 0, "trace": 1, "result": {"metrics": {"wall_s": {"value": 9.0}}}}
     ]
     assert bench.claim_verdict(traced, "w/wall_s")[0]
+
+
+TABLE = """\
+w seed=1 trace=0; times are corrected by the interpreter speed factor 0.9517, set-up by the interpreter one; \
+interpreter kernel median 21.01 ms over 41 timings (nominal 20 ms)
+  wall_s = 0.0526 s (median of 28 warm iterations, corrected; raw median 0.0553 s, q1 0.0502, q3 0.0833)
+  setup_s = 0.1851 s (median of 12 fresh interpreters, corrected; raw median 0.1945 s, q1 0.1690, q3 0.2319)
+"""
+
+
+def test_raw_medians_are_kept_and_set_beside_the_corrected_ones():
+    spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.raw_of(TABLE) == {
+        "wall_s": 0.0553,
+        "speed_factor": {"interpreter": 0.9517},
+        "kernel_ms": {"interpreter": 21.01},
+    }
+    assert bench.raw_of("a line of the run's own table\n") is None
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    runs = _runs(parent, [p - 1.0 for p in parent])
+    for r in runs:  # the raw times rise on the change side: a slower host
+        r["raw"] = {"wall_s": r["result"]["metrics"]["wall_s"]["value"] + (2.0 if r["code"] == "change" else 0.0)}
+    met, line = bench.claim_verdict(runs, "w/wall_s")
+    assert met and line.endswith("met; raw medians 1.45 -> 2.45, not the same way")
+    assert bench.summary(runs) == ["w wall_s: 1.45 [1.175, 1.725] -> 0.45, change lower in 10/10; raw 1.45 -> 2.45, change lower in 0/10"]
+    for r in runs:
+        r["raw"]["wall_s"] -= 2.0 if r["code"] == "change" else 0.0
+    assert bench.claim_verdict(runs, "w/wall_s")[1].endswith("raw medians 1.45 -> 0.45, the same way")
+    # a pair without its raw median leaves the raw columns out
+    runs[0]["raw"] = None
+    assert bench.claim_verdict(runs, "w/wall_s")[1].endswith(": met")

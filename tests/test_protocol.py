@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from helpers import (
     counting_kernels,
     curve_sorting_trajectories,
     kraus_step,
+    percell_csv,
     random_hermitian,
     random_ket,
     sorting_trajectories,
@@ -30,7 +32,7 @@ from zenon.errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from zenon.linalg import EIGVALSH_MIN_DIM, frobenius_norm, hermitian_eig, kron
+from zenon.linalg import CSV_PART_MIN_ROWS, EIGVALSH_MIN_DIM, frobenius_norm, hermitian_eig, kron
 from zenon.protocol import (
     MAX_PROTOCOL_STEPS,
     MAX_TRAJECTORIES,
@@ -649,3 +651,26 @@ def test_cli_protocol_runs_one_chain(tmp_path, monkeypatch):
     monkeypatch.chdir(config.parent.parent)
     assert zenon.cli.main(["protocol", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert len(runs) == 1
+
+
+def test_write_ensemble_csv_of_ten_thousand_steps_in_parts_is_the_one_part_write(tmp_path, monkeypatch):
+    # a sized row view: 10^4 rows on three usable cores make two parts, one
+    # forked, with the bytes of the one-part write and of the per-cell writer
+    n, n_traj = 10_000, 1_000_000
+    rng = np.random.default_rng(37)
+    counts = n_traj - np.cumsum(rng.integers(0, 80, n))
+    p_exact = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+    ensemble = TrajectoryEnsemble(n_traj=n_traj, survival_counts=counts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    write_ensemble_csv(tmp_path / "parts.csv", ensemble, p_exact)
+    assert len(forks) == min(3, n // CSV_PART_MIN_ROWS) - 1 == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.delattr(os, "fork")  # one part
+    write_ensemble_csv(tmp_path / "one.csv", ensemble, p_exact)
+    rows = zip(range(1, n + 1), counts.tolist(), p_exact.tolist(), (counts / n_traj).tolist())
+    percell_csv(tmp_path / "ref.csv", ["step", "survivors", "p_exact", "p_empirical"], rows)
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
