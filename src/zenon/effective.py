@@ -5,8 +5,10 @@ dimension-2 factor, prepared and measured in |0>.  The conditional step of
 a run that finds the ancilla in |0> again is the sub-block
 K(tau) = <0| exp(-i H tau) |0>, built from the eigendecomposition
 H = V diag(w) V^dag as I + V_0 diag(exp(-i tau w) - 1) V_0^dag (no matrix
-exponential of the composite), and in the small-tau limit n such steps are
-generated by
+exponential of the composite), or from dimension 32 on, where a norm bound
+certifies it, as a Taylor series on the ancilla-|0> columns alone
+(kraus_from_series, no eigendecomposition); in the small-tau limit n such
+steps are generated by
 
     H_eff = H_0 - i (tau / 2) Gamma,
 
@@ -25,6 +27,9 @@ import numpy as np
 
 from .errors import BadDimensionError, NumericalError, ValidationError
 from .linalg import (
+    EIGVALSH_MIN_DIM,
+    _TAYLOR,
+    _UNIT_ROUNDOFF,
     EigenDecomposition,
     _eigvals,
     as_cmatrix,
@@ -94,10 +99,8 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     """<0| exp(-i H tau) |0> from H = V diag(w) V^dag as I + V_0 diag(phi) V_0^dag, V_0
     the rows of V for ancilla state |0> in canonical order: V's rounding enters
     K scaled by tau, not at full size as in V exp(-i tau w) V^dag.  phi =
-    exp(-i tau w) - 1 is an order-18 series at |tau w| / 2^s <= 1/2 doubled s
-    times by expm1(2x) = expm1(x) (2 + expm1(x)), with no libm sin (new library
-    pages for a protocol run).  K's operator norm is verified to be <= 1 + 1e-10
-    (_check_step_norm)."""
+    exp(-i tau w) - 1 (_phase_minus_one).  K's operator norm is verified to be
+    <= 1 + 1e-10 (_check_step_norm)."""
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
     vm = eig.eigenvectors[ancilla_rows(eig.eigenvalues.size, spec)[0]]
@@ -105,14 +108,97 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     top = tau * max(-w[0], w[-1])  # the largest |tau w|
     if not top < 2.0**53:  # from there on a double resolves no phase mod 2 pi
         raise NumericalError(f"step phase tau * |w| = {top:g} is not resolved in double precision")
+    phi = _phase_minus_one(eig.eigenvalues, tau, top)
+    k = np.eye(vm.shape[0], dtype=complex) + (vm * phi) @ dagger(vm)
+    _check_step_norm(k)
+    return k
+
+
+def _phase_minus_one(w: np.ndarray, tau: float, top: float) -> np.ndarray:
+    """exp(-i tau w) - 1 for real w with every |tau w| <= top < 2^53: an
+    order-18 series at |tau w| / 2^s <= 1/2, doubled s times by
+    expm1(2x) = expm1(x) (2 + expm1(x)), with no libm sin (new library pages
+    for a protocol run)."""
     s = max(0, math.frexp(top)[1] + 1)
-    z = eig.eigenvalues * (-1j * math.ldexp(tau, -s))
+    z = w * (-1j * math.ldexp(tau, -s))
     phi = z / 18
     for j in range(17, 0, -1):
         phi = z / j * (1 + phi)
     for _ in range(s):
         phi = phi * (2 + phi)
-    k = np.eye(vm.shape[0], dtype=complex) + (vm * phi) @ dagger(vm)
+    return phi
+
+
+def kraus_from_series(h: np.ndarray, spec: AncillaSpec, tau) -> np.ndarray | None:
+    """<0| exp(-i H tau) |0> of a composite of dimension d >= EIGVALSH_MIN_DIM
+    without an eigendecomposition, where a norm bound certifies it; None
+    wherever it does not (d < EIGVALSH_MIN_DIM, tau not a positive finite
+    number, or the certificate refuses), and the caller's eigh route decides.
+
+    H is gated once (as_hermitian, whose errors are the eigh route's) and
+    Y = tau (H - c I), c = tr H / d, is formed in the gate's buffer.  Y's
+    eigenvalues straddle 0, so tau * (Bohr spread) <= 2 ||Y||_2, and
+    ||Y||_2 <= b = (||Y^4||_F + rounding)^(1/4) (Al-Mohy and Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970 (2009)), ||Y^2 Y^2||_F summed a row block at a
+    time.  Where 2b <= 1 - 2^-16 no regime warning can fire: the slack covers
+    eigh's rounding of the spread at |tau c| <= 2^20, beyond which the phase
+    is left to eigh.  tau * spread >= ||Y||_2 >= ||Y||_F / sqrt(d), so an
+    input with ||Y||_F >= sqrt(d) certainly warns and pays no product.
+
+    K = e^(-i tau c) [e^(-iY)]_00 is then the Taylor series of degree m, the
+    least with b^(m+1) / (m+1)! < u, by Horner in Y^2 on the ancilla-|0>
+    columns E_0: e^(-iY) E_0 = sum_j (Y^2)^j (-1)^j (E_0 / (2j)! - i Y E_0 /
+    (2j+1)!), Y E_0 being Y's own columns, and the last step forms the |0>
+    rows alone.  The phase is _phase_minus_one's and the identity is added
+    last, so K - I keeps its relative accuracy; _check_step_norm checks K.
+    """
+    d = h.shape[0]
+    if d < EIGVALSH_MIN_DIM or not (isinstance(tau, (int, float)) and 0 < tau < math.inf):
+        return None
+    y = as_hermitian(h)
+    c = float(np.trace(y).real) / d
+    top = tau * abs(c)
+    if not top <= 2.0**20:
+        return None
+    y.flat[:: d + 1] -= c
+    y *= tau
+    nrm = frobenius_norm(y)
+    if not nrm < math.sqrt(d):
+        return None
+    z = y @ y
+    rows, fourth = 64, 0.0  # Z Z = Y^4 is Hermitian: each row block from its diagonal on
+    for lo in range(0, d, rows):
+        blk = z[lo : lo + rows] @ z[:, lo:]
+        fourth += 2 * frobenius_norm(blk) ** 2 - frobenius_norm(blk[:, :rows]) ** 2
+    # fl(Y^2) and fl(Z Z) are each within gamma_d of their products, summed: 4 d u ||Y||_F^4
+    b = (math.sqrt(fourth) * (1 + 2 * d * d * _UNIT_ROUNDOFF) + 4 * d * _UNIT_ROUNDOFF * nrm**4) ** 0.25
+    if not 2 * b <= 1 - 2.0**-16:
+        return None
+    m = next(n for n in range(len(_TAYLOR) - 1) if b ** (n + 1) * _TAYLOR[n + 1] < _UNIT_ROUNDOFF)
+    r0 = ancilla_rows(d, spec)[0]
+    cols = np.arange(r0.size)
+    y0 = y[:, r0]
+    del y
+    half = m // 2  # p and q, the two Horner buffers, are d x d/2
+    p = y0 * ((-1) ** half * -1j * _TAYLOR[2 * half + 1])
+    p[r0, cols] += (-1) ** half * _TAYLOR[2 * half]  # read only if half > 0, so I waits for the end
+    q = np.empty_like(p)
+    for j in range(half - 1, 0, -1):
+        np.matmul(z, p, out=q)
+        np.multiply(y0, (-1) ** j * -1j * _TAYLOR[2 * j + 1], out=p)
+        q += p
+        q[r0, cols] += (-1) ** j * _TAYLOR[2 * j]
+        p, q = q, p
+    del q
+    k = -1j * y0[r0]  # [e^(-iY)]_00 - I, the last Horner step on the |0> rows alone
+    del y0
+    if half:
+        k += z[r0] @ p
+    del z, p  # released before the norm check
+    phi = complex(_phase_minus_one(np.array([c]), tau, top)[0])
+    k *= 1 + phi
+    k.flat[:: r0.size + 1] += phi
+    k.flat[:: r0.size + 1] += 1.0
     _check_step_norm(k)
     return k
 

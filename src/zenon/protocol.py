@@ -3,7 +3,9 @@
 One protocol step is: evolve the composite system-ancilla state for tau
 under the full Hamiltonian, measure the ancilla, keep the run only when the
 ancilla is found in its initial state |0>, i.e. apply K = <0|U(tau)|0>,
-which ProtocolConfig builds once from its eigendecomposition of H.  Every
+which ProtocolConfig builds once: from dimension 32 on by a certified
+Taylor series on the ancilla-|0> columns (effective.kraus_from_series),
+else from its eigendecomposition of H.  Every
 chain here runs K on the factor F of rho0 = F F^dag.  The filtered state
 reads only the chain's end, chain.renormalized_end: a block of B steps is
 one product K^B F, K^B formed by squarings, at dimension 256 from a mixed
@@ -32,7 +34,7 @@ from .dynamics import (
     normalize,
     state_factor,
 )
-from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_from_eig
+from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_from_eig, kraus_from_series
 from .errors import (
     BadDimensionError,
     NumericalError,
@@ -72,11 +74,15 @@ def steps_for(t: float, tau: float) -> int:
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Composite Hamiltonian, ancilla addressing, step length, step count, and
-    the step K = <0| exp(-i H tau) |0> (kraus_from_eig of the one hermitian_eig of H).
+    the step K = <0| exp(-i H tau) |0>: kraus_from_series where its norm
+    bound certifies tau times the Bohr spread below 1 (dimension 32 on), else
+    kraus_from_eig of the one hermitian_eig of H.
 
     Emits StroboscopicRegimeWarning when tau times the largest Bohr frequency
     of H reaches 1; the protocol still runs, but the effective-generator
-    picture stops being a useful approximation there.
+    picture stops being a useful approximation there.  The series route is
+    taken only where the warning cannot fire, so the warning, its message,
+    K and every error elsewhere are the eigh route's.
     """
 
     h: np.ndarray
@@ -94,9 +100,12 @@ class ProtocolConfig:
             raise ValidationError(f"n_steps must be an int in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps!r}")
         ancilla_order(hm.shape[0], self.spec)  # validates dimension and site
         object.__setattr__(self, "h", hm)
+        tau_spread = 0.0  # a step from the series route is certified below 1
         with np.errstate(over="ignore", invalid="ignore"):  # too wide a spectrum or a bad tau fails in kraus_from_eig
-            eig = hermitian_eig(hm)
-            tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
+            kraus = kraus_from_series(hm, self.spec, self.tau)
+            if kraus is None:
+                eig = hermitian_eig(hm)
+                tau_spread = self.tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
         if tau_spread >= 1.0:
             warnings.warn(
                 f"tau * max Bohr frequency = {tau_spread:.3g} >= 1; "
@@ -104,8 +113,10 @@ class ProtocolConfig:
                 StroboscopicRegimeWarning,
                 stacklevel=3,
             )
-        # kraus_from_eig checks tau > 0 before the one use a bad tau corrupts
-        object.__setattr__(self, "kraus", kraus_from_eig(eig, self.spec, self.tau))
+        if kraus is None:
+            # kraus_from_eig checks tau > 0 before the one use a bad tau corrupts
+            kraus = kraus_from_eig(eig, self.spec, self.tau)
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def system_dim(self) -> int:

@@ -19,7 +19,8 @@ Paterson-Stockmeyer one is measured against, and the eigenvalue-only PSD and
 step-norm gates whose verdicts and messages the Cholesky-certified ones
 must keep.  Also the test-only views of the model: single-site Pauli
 operators as Kronecker chains, the four ancilla blocks of a composite, the
-Kraus step of a Hermitian composite from its own eigh, a parity block's
+Kraus step of a Hermitian composite from its own eigh (alone, and with
+ProtocolConfig's regime warning: its eigh route), a parity block's
 2x2 generator, and the three Fig. 5 regimes.
 
 The closed-form matrix builders here are written from the algebra directly
@@ -28,6 +29,7 @@ so they can confront derive_effective and friends as independent routes.
 """
 
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -42,6 +44,7 @@ from zenon.errors import (
     NumericalError,
     ProbabilityUnderflowError,
     StepTooLargeError,
+    StroboscopicRegimeWarning,
     ValidationError,
 )
 from zenon.linalg import (
@@ -474,6 +477,22 @@ def ancilla_blocks(h, spec: AncillaSpec = AncillaSpec()):
 def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
     """Exact conditional step <0| exp(-i H tau) |0> of a Hermitian H."""
     return kraus_from_eig(hermitian_eig(h), spec, tau)
+
+
+def eigh_route_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
+    """ProtocolConfig's step by its eigh route alone: one hermitian_eig of H,
+    without numpy's warnings, the StroboscopicRegimeWarning, with its message,
+    where tau times its Bohr spread reaches 1, then kraus_from_eig of it (so
+    kraus_step's bits); every error is hermitian_eig's or kraus_from_eig's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig = hermitian_eig(h)
+        tau_spread = tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])
+    if tau_spread >= 1.0:
+        warnings.warn(
+            f"tau * max Bohr frequency = {tau_spread:.3g} >= 1; stroboscopic limit not trustworthy",
+            StroboscopicRegimeWarning,
+        )
+    return kraus_from_eig(eig, spec, tau)
 
 
 def taylor_kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:

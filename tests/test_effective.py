@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from zenon.effective import (
     ancilla_order,
     derive_effective,
     kraus_from_eig,
+    kraus_from_series,
     remove_identity_shift,
 )
 from zenon.errors import (
@@ -153,6 +155,40 @@ def test_kraus_from_eig_matches_taylor_oracle(dim):
         k = kraus_from_eig(eig, spec, tau_spread / spread)
         rel = frobenius_norm(k - oracle) / frobenius_norm(oracle)
         assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, tau_spread, rel)
+
+
+@pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM, 64, 256])
+def test_kraus_from_series_matches_taylor_oracle(dim):
+    # the bounds of the eigh route's oracle test, at every ancilla site and
+    # tau * spread up to 0.45, all certified; and the two routes agree to 1e-15
+    h = random_hermitian(np.random.Generator(np.random.PCG64(dim)), dim)
+    eig = hermitian_eig(h)
+    spread = eig.eigenvalues[-1] - eig.eigenvalues[0]
+    sites = [None, *range(1, dim.bit_length())]
+    for site, tau_spread in itertools.product(sites, (1e-4, 0.05, 0.2, 0.45)):
+        spec, tau = AncillaSpec(ancilla_site=site), tau_spread / spread
+        k = kraus_from_series(h, spec, tau)
+        assert k is not None, (site, tau_spread)
+        oracle = taylor_kraus_step(h, spec, tau)
+        rel = frobenius_norm(k - oracle) / frobenius_norm(oracle)
+        assert rel <= (1e-18 if tau_spread == 1e-4 else 4e-15), (site, tau_spread, rel)
+        k_eig = kraus_from_eig(eig, spec, tau)
+        assert frobenius_norm(k - k_eig) <= 1e-15 * frobenius_norm(k_eig), (site, tau_spread)
+
+
+def test_kraus_from_series_leaves_small_warning_and_bad_inputs_to_eigh():
+    rng = np.random.Generator(np.random.PCG64(5))
+    small = random_hermitian(rng, EIGVALSH_MIN_DIM - 2)
+    assert kraus_from_series(small, AncillaSpec(), 1e-3) is None  # below EIGVALSH_MIN_DIM
+    h = random_hermitian(rng, 2 * EIGVALSH_MIN_DIM)
+    w = np.linalg.eigvalsh(h)
+    assert kraus_from_series(h, AncillaSpec(), 0.1 / (w[-1] - w[0])) is not None
+    # ||Y||_F / sqrt(d) >= 1 proves tau * spread >= 1: refused before any product
+    assert kraus_from_series(h, AncillaSpec(), 4 * math.sqrt(2 * EIGVALSH_MIN_DIM) / frobenius_norm(h)) is None
+    for tau in (0.0, -1.0, math.nan, math.inf, "0.1"):  # refused before the gate
+        assert kraus_from_series(np.full_like(h, math.nan), AncillaSpec(), tau) is None
+    with pytest.raises(NotHermitianError):  # the gate's own error, as the eigh route's
+        kraus_from_series(np.full_like(h, math.nan), AncillaSpec(), 0.1)
 
 
 @pytest.mark.parametrize("dim", [EIGVALSH_MIN_DIM, EIGVALSH_MIN_DIM + 8, 256])

@@ -15,6 +15,7 @@ import zenon.protocol
 from helpers import (
     counting_kernels,
     curve_sorting_trajectories,
+    eigh_route_step,
     kraus_step,
     percell_csv,
     random_hermitian,
@@ -24,7 +25,7 @@ from helpers import (
     taylor_expm,
 )
 from zenon.dynamics import DensityMatrix, evolve_conditional, normalize
-from zenon.effective import AncillaSpec, derive_effective
+from zenon.effective import AncillaSpec, derive_effective, kraus_from_series
 from zenon.errors import (
     BadDimensionError,
     NumericalError,
@@ -126,19 +127,28 @@ def test_protocol_makes_one_eigh_of_the_composite_and_no_expm(monkeypatch):
     assert calls == {"eigh": 1, "expm": 0}
 
 
-@pytest.mark.parametrize("system_dim", [4, EIGVALSH_MIN_DIM])
-def test_checks_read_eigenvalues_only_and_the_protocol_config_one_eigh_of_the_composite(system_dim, monkeypatch):
+@pytest.mark.parametrize(
+    "system_dim, scale", [(4, 1.0), (EIGVALSH_MIN_DIM, 1.0), (EIGVALSH_MIN_DIM, 0.25)], ids=["4", "32", "32-series"]
+)
+def test_checks_read_eigenvalues_only_and_the_protocol_config_one_eigh_of_the_composite(system_dim, scale, monkeypatch):
     if system_dim == 4:  # the bundled sizes: an 8x8 composite
         h = build_symmetric(SymmetricParams(gamma_xy=1.0, gamma_z=0.5, g_xy=1.0, g_z=0.3))
     else:
-        h = random_hermitian(np.random.Generator(np.random.PCG64(64)), 2 * system_dim)
+        h = scale * random_hermitian(np.random.Generator(np.random.PCG64(64)), 2 * system_dim)
+    # at full scale the series certificate refuses (2 ||Y^4||_F^(1/4) = 1.06
+    # although tau * spread = 0.84); at a quarter it certifies the step
+    assert (kraus_from_series(h, AncillaSpec(), 0.05) is None) == (scale == 1.0)
     calls = counting_kernels(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
     eff = derive_effective(h, AncillaSpec(), 0.05)  # checks gamma
     DensityMatrix(np.eye(system_dim, dtype=complex) / system_dim)
     normalize(evolve_conditional(eff, DensityMatrix.basis_state(system_dim, 1), 0.5))
     ProtocolConfig(h=h, spec=AncillaSpec(), tau=0.05, n_steps=10)  # checks ||K||_2
     composite, system = (2 * system_dim,) * 2, (system_dim,) * 2
-    if system_dim >= EIGVALSH_MIN_DIM:
+    if scale < 1.0:
+        # the series route builds the step from products alone: no composite
+        # eigh or eigvalsh, only the ||K||_2 certificate
+        assert calls == [("cholesky", system)] * 5
+    elif system_dim >= EIGVALSH_MIN_DIM:
         # the Gamma, density-matrix and ||K||_2 checks are settled by Cholesky
         # certificates, with no eigenvalue read; the one eigh is the
         # composite's, whose vectors build the step
@@ -147,6 +157,87 @@ def test_checks_read_eigenvalues_only_and_the_protocol_config_one_eigh_of_the_co
         # below EIGVALSH_MIN_DIM the same checks read eigh's eigenvalues, and
         # no factorization runs
         assert calls == [("eigh", system)] * 4 + [("eigh", composite), ("eigh", system)]
+
+
+def _step_outcome(make):
+    """(every warning as (category, message), then K's bytes or the type and
+    message of what make() raised)."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            result = make().tobytes()
+        except Exception as exc:  # noqa: BLE001 - the outcome is the exception itself
+            result = (type(exc), str(exc))
+    return [(w.category, str(w.message)) for w in record], result
+
+
+def _far_mean(h):
+    """One level 0.9 above d - 1 at 0: tau * spread = 0.9 at tau = 1, but
+    ||Y||_2 = 0.9 (1 - 1/d) about the mean, so no bound on it certifies."""
+    v = np.linalg.eigh(h)[1]
+    return (v * np.r_[np.zeros(len(h) - 1), 0.9]) @ v.conj().T, 1.0
+
+
+def _with_entry(h, value):
+    h = h.copy()
+    h[3, 5] = value
+    return h
+
+
+_FALLBACKS = {
+    "warns": lambda h: (h, 0.12),
+    "far_mean": _far_mean,
+    "tau_zero": lambda h: (h, 0.0),
+    "tau_negative": lambda h: (h, -0.01),
+    "tau_nan": lambda h: (h, math.nan),
+    "tau_inf": lambda h: (h, math.inf),
+    "nan_entry": lambda h: (_with_entry(h, math.nan), 0.05),
+    "inf_entry": lambda h: (_with_entry(h, math.inf), 0.05),
+    "phase_past_series": lambda h: (h + 1e8 * np.eye(len(h)), 0.05),  # tau c = 5e6 > 2^20: the phase is eigh's
+    "phase_unresolved": lambda h: (h + 1e18 * np.eye(len(h)), 0.05),  # tau |w| >= 2^53: eigh's error
+    "overflowing_entries": lambda h: (1e308 * h, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FALLBACKS))
+@pytest.mark.parametrize("site", [None, 2])
+def test_protocol_config_leaves_every_uncertified_input_to_the_eigh_route(case, site):
+    # from dimension 32 on, wherever the series route does not certify the
+    # step, ProtocolConfig warns, raises and returns K as its eigh route does
+    h, tau = _FALLBACKS[case](random_hermitian(np.random.Generator(np.random.PCG64(30)), 2 * EIGVALSH_MIN_DIM))
+    spec = AncillaSpec(ancilla_site=site)
+    got = _step_outcome(lambda: ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=3).kraus)
+    assert got == _step_outcome(lambda: eigh_route_step(h, spec, tau))
+    regime = [m for category, m in got[0] if category is StroboscopicRegimeWarning]
+    if case == "warns":
+        assert regime and isinstance(got[1], bytes)
+    if case in ("far_mean", "phase_past_series"):
+        assert not regime and isinstance(got[1], bytes)
+        assert kraus_from_series(h, spec, tau) is None
+
+
+def test_protocol_config_series_route_peaks_below_the_eigh_route(monkeypatch):
+    # the dense_composite size: Y^4's norm is summed a row block at a time and
+    # Horner holds two d x d/2 buffers, so the series route stays under the
+    # eigh route's V, V_0 and V_0 diag(phi) (16.0 MB at dimension 512)
+    h = random_hermitian(np.random.Generator(np.random.PCG64(512)), 512)
+    w = np.linalg.eigvalsh(h)
+    tau = 0.2 / (w[-1] - w[0])
+    assert kraus_from_series(h, AncillaSpec(), tau) is not None
+
+    def peak():
+        tracemalloc.start()
+        try:
+            k = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=3).kraus
+            return tracemalloc.get_traced_memory()[1], k
+        finally:
+            tracemalloc.stop()
+
+    series_peak, k_series = peak()
+    monkeypatch.setattr(zenon.protocol, "kraus_from_series", lambda h, spec, tau: None)
+    eigh_peak, k_eigh = peak()
+    assert series_peak <= eigh_peak
+    assert frobenius_norm(k_series - k_eigh) <= 1e-15 * frobenius_norm(k_eigh)
 
 
 def test_protocol_config_regime_warning_stays_short_at_huge_couplings():
