@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -199,7 +200,10 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, each returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="zenon",
         description="Conditional non-unitary dynamics from repeated ancilla measurements.",

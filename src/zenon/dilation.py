@@ -111,22 +111,21 @@ class DilationResult:
 def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> DilationResult:
     """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
     with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.  A tau
-    of None takes choose_tau(f) from that same eigh, or fallback when f is 0.
+    of None takes choose_tau(f) from that same eigh, or fallback when f is 0;
+    the tau so chosen, or given, must be positive (ValidationError).
 
     Raises NumericalError when c + w / tau overflows the double range; R is
     finite whenever those weights are (its entries are at most
     sqrt(max(c + w / tau)) in modulus)."""
     m = as_cmatrix(h_eff)
-    if tau is not None and not tau > 0:  # refused before the eigh, as any bad input
-        raise ValidationError(f"tau must be positive, got {tau}")
     with np.errstate(over="ignore"):  # frobenius_norm retries; an infinite spread is refused below
         eig = hermitian_eig(decay_generator(m))
         w = eig.eigenvalues
         f = float(w[-1] - w[0])
     if tau is None:
         tau = choose_tau(f) if f > 0 or fallback is None else fallback
-        if not tau > 0:  # a fallback that is not, or choose_tau of an infinite spread
-            raise ValidationError(f"tau must be positive, got {tau}")
+    if not tau > 0:  # the one check of every source, before tau divides: choose_tau(inf) is 0
+        raise ValidationError(f"tau must be positive, got {tau}")
     with np.errstate(over="ignore"):  # an overflow is refused below
         m_min = float(w[0]) / tau
         c = max(0.0, -m_min)

@@ -16,8 +16,10 @@ stacked product of precomputed powers of A (the sweep's final state and
 the protocol's filtered state read only the chain's end,
 chain.renormalized_end), and one RK4 integrates
 the equation for a density matrix and, with F a single column, for a pure
-state.  The time series keeps the chain's factors, not its states
-(TrajectoryStates forms F F^dag on reading): rank / dim of the dense stack.
+state, each step taken in the Krylov basis A^j F, j = 0..4, with real
+coefficients (_integrate_factor).  The time series keeps the chain's
+factors, not its states (TrajectoryStates forms F F^dag on reading): rank /
+dim of the dense stack.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ STEP_NORM_LIMIT = 0.1
 MAX_RK4_STEPS = 10**6
 """Largest RK4 step count t / dt, checked before the first step, as
 protocol.MAX_PROTOCOL_STEPS caps the chain.  At the cap a 4-dimensional mixed
-start takes about 28 s (2-core Xeon, numpy 2.4); the cases of acceptance
-criterion 7 plan at most about 400 steps."""
+start takes about 11-16 s (2-core Xeon, numpy 2.4), against 26-45 s for the
+stage-by-stage step timed beside it; the cases of acceptance criterion 7 plan at
+most about 400 steps."""
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,20 @@ def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: fl
     more than MAX_RK4_STEPS planned steps raise StepTooLargeError before
     the first.
 
+    Each step is taken in the Krylov basis b_j = A^j F, j = 0..4, with real
+    coefficients: the feedback term is a real scalar times the stage input,
+    so a stage input of degree m in A has a slope of degree m + 1, and the
+    four stages and the new F are real polynomials in dt and the stages'
+    mu = Re<F_i, A F_i>.  One stacked product of the powers A..A^4 (4 d^2
+    entries, formed once per call) with F fills the basis, one 5x5 Gram
+    R_jk = Re<b_j, b_k> (the Frobenius inner product) gives every mu as a
+    quadratic form, rhs maps a stage's coefficients to its slope's in Python
+    floats, and the new F is one product of its coefficients with the basis.
+
     The right-hand side is orthogonal to F, so ||F||_F stays 1 up to the
-    truncation error; F is divided by its norm, sqrt(Re<F, F>) as the
-    chain's trace, after each step, and a drift of the norm from 1 above
-    1e-12 in one step raises NumericalError.  The four stages are written
-    into one stack, so the step F += (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is one
-    product of the weights with the stack, added to F in place, and F is
-    divided in place.
+    truncation error; F is divided by its norm, sqrt(e^T R e) for the new
+    coefficients e, after each step, and a drift of the norm from 1 above
+    1e-12 in one step raises NumericalError.
     """
     if dt is None:
         dt = min(default_time_step(eff), t)
@@ -188,30 +198,64 @@ def _integrate_factor(eff: EffectiveHamiltonian, f: np.ndarray, t: float, dt: fl
     if not t / dt <= MAX_RK4_STEPS:  # t / dt inf or NaN too
         raise StepTooLargeError(f"t / dt = {t / dt:.3g} RK4 steps planned, more than {MAX_RK4_STEPS}")
 
-    def rhs(f, out):
-        af = np.matmul(a, f, out=out)
-        af -= np.vdot(f, af).real * f
-        return af
+    powers = np.empty((4,) + a.shape, dtype=complex)  # A, A^2, A^3, A^4
+    powers[0] = a
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], a, out=powers[2])
+    np.matmul(powers[1], powers[1], out=powers[3])
+    stacked = powers.reshape(-1, a.shape[1])
+    basis = np.empty((5,) + f.shape, dtype=complex)
+    basis[0] = f  # F is stepped in place as b_0
+    f, higher = basis[0], basis[1:].reshape((-1,) + f.shape[1:])
+    rows = basis.reshape(5, -1)
+    rows_t = rows.T
+    weights = np.empty(5, dtype=complex)
+
+    def rhs(c0, c1, c2, c3):
+        # F_i = sum c_j b_j of degree <= 3: A F_i - mu F_i, mu = sum c_j c_k R[j][k + 1]
+        mu = (
+            c0 * (c0 * r01 + c1 * r02 + c2 * r03 + c3 * r04)
+            + c1 * (c0 * r11 + c1 * r12 + c2 * r13 + c3 * r14)
+            + c2 * (c0 * r12 + c1 * r22 + c2 * r23 + c3 * r24)
+            + c3 * (c0 * r13 + c1 * r23 + c2 * r33 + c3 * r34)
+        )
+        return -mu * c0, c0 - mu * c1, c1 - mu * c2, c2 - mu * c3, c3
 
     n_full = int(math.floor(t / dt + 1e-12))
     remainder = t - n_full * dt
     tail = [remainder] if remainder > 1e-15 * t else []
-    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 6.0
-    f = f.copy()  # stepped in place
-    stages = np.empty((4,) + f.shape, dtype=complex)
-    k1, k2, k3, k4 = stages
-    stages_flat, f_flat = stages.reshape(4, -1), f.reshape(-1)
-    for step_dt in itertools.chain(itertools.repeat(dt, n_full), tail):
-        rhs(f, k1)
-        rhs(f + 0.5 * step_dt * k1, k2)
-        rhs(f + 0.5 * step_dt * k2, k3)
-        rhs(f + step_dt * k3, k4)
-        f_flat += (step_dt * weights) @ stages_flat
-        s = math.sqrt(np.vdot(f, f).real)
+    for h in itertools.chain(itertools.repeat(dt, n_full), tail):
+        np.dot(stacked, f, out=higher)
+        (
+            (r00, r01, r02, r03, r04),
+            (_, r11, r12, r13, r14),
+            (_, _, r22, r23, r24),
+            (_, _, _, r33, r34),
+            (*_, r44),
+        ) = np.dot(rows.conj(), rows_t).real.tolist()  # complex: a real product would load a BLAS kernel
+        half = 0.5 * h
+        k10, k11, k12, k13, _ = rhs(1.0, 0.0, 0.0, 0.0)
+        k20, k21, k22, k23, _ = rhs(1.0 + half * k10, half * k11, half * k12, half * k13)
+        k30, k31, k32, k33, _ = rhs(1.0 + half * k20, half * k21, half * k22, half * k23)
+        k40, k41, k42, k43, k44 = rhs(1.0 + h * k30, h * k31, h * k32, h * k33)
+        sixth = h / 6.0
+        e0 = 1.0 + sixth * (k10 + 2.0 * (k20 + k30) + k40)
+        e1 = sixth * (k11 + 2.0 * (k21 + k31) + k41)
+        e2 = sixth * (k12 + 2.0 * (k22 + k32) + k42)
+        e3 = sixth * (k13 + 2.0 * (k23 + k33) + k43)
+        e4 = sixth * k44
+        s = math.sqrt(  # e^T R e, R symmetric
+            e0 * (e0 * r00 + 2.0 * (e1 * r01 + e2 * r02 + e3 * r03 + e4 * r04))
+            + e1 * (e1 * r11 + 2.0 * (e2 * r12 + e3 * r13 + e4 * r14))
+            + e2 * (e2 * r22 + 2.0 * (e3 * r23 + e4 * r24))
+            + e3 * (e3 * r33 + 2.0 * e4 * r34)
+            + e4 * e4 * r44
+        )
         if not abs(s - 1.0) <= 1e-12:  # a NaN fails
             raise NumericalError(f"norm drift {s - 1.0:.3e} exceeds 1e-12 per step")
-        f /= s
-    return f
+        weights[:] = (e0 / s, e1 / s, e2 / s, e3 / s, e4 / s)
+        np.dot(weights, rows, out=rows[0])  # out aliases rows: np.dot writes through a copy
+    return f.copy()
 
 
 def integrate_nonlinear(

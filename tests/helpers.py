@@ -8,7 +8,8 @@ against, the sorting survivor counter on the exact survival curve that its
 search must match bit for bit, the per-eigenket sorting counter whose law
 it must share, the density-matrix chain that the factor chain must match, the
 stepwise factor chain that the block-batched one must match, the
-density-matrix RK4 that the factor RK4 must match, the eager (n, d, d)
+density-matrix RK4 that the factor RK4 must match, the stage-by-stage
+factor RK4 that the Krylov-basis one must match, the eager (n, d, d)
 state stack that the factor-stored trajectory must match bit for bit, the
 row-by-row time-series writer that the vectorised one must match, the bit-by-bit
 ancilla permutation that the axis-transposing one must match, the
@@ -35,7 +36,13 @@ from functools import reduce
 import numpy as np
 
 from zenon.chain import renormalized_blocks
-from zenon.dynamics import STEP_NORM_LIMIT, basis_labels, state_factor
+from zenon.dynamics import (
+    MAX_RK4_STEPS,
+    STEP_NORM_LIMIT,
+    basis_labels,
+    default_time_step,
+    state_factor,
+)
 from zenon.effective import AncillaSpec, ancilla_order, ancilla_rows, kraus_from_eig
 from zenon.entanglement import TwoLevelBlockParams
 from zenon.errors import (
@@ -559,6 +566,50 @@ def rho_rk4(eff, rho0: np.ndarray, t: float, dt: float | None = None) -> np.ndar
             raise NumericalError(f"trace drift {s - 1.0:.3e} exceeds 1e-12 per step")
         rho = rho / s
     return hermitian_part(rho)
+
+
+def stagewise_factor_rk4(eff, f: np.ndarray, t: float, dt: float | None) -> np.ndarray:
+    """Reference factor RK4, stage by stage on d x r matrices: classical RK4
+    for dF/dt = A F - Re<F, A F> F, A = -i H_eff, with the same step plan,
+    guards and per-step drift rule as dynamics._integrate_factor.  The four
+    stages are written into one stack, so the step
+    F += (dt / 6) (k1 + 2 k2 + 2 k3 + k4) is one product of the weights with
+    the stack, and F is divided by sqrt(Re<F, F>) after each step."""
+    if dt is None:
+        dt = min(default_time_step(eff), t)
+    if not dt > 0:
+        raise StepTooLargeError(f"dt must be positive, got {dt}")
+    if dt > t:
+        raise StepTooLargeError(f"dt {dt:g} exceeds the integration time {t:g}")
+    a = -1j * eff.matrix()
+    if dt * frobenius_norm(a) > STEP_NORM_LIMIT:
+        raise StepTooLargeError(f"dt * ||H_eff|| = {dt * frobenius_norm(a):.3e} > {STEP_NORM_LIMIT}")
+    if not t / dt <= MAX_RK4_STEPS:
+        raise StepTooLargeError(f"t / dt = {t / dt:.3g} RK4 steps planned, more than {MAX_RK4_STEPS}")
+
+    def rhs(f, out):
+        af = np.matmul(a, f, out=out)
+        af -= np.vdot(f, af).real * f
+        return af
+
+    n_full = int(math.floor(t / dt + 1e-12))
+    remainder = t - n_full * dt
+    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 6.0
+    f = np.array(f, dtype=complex)
+    stages = np.empty((4,) + f.shape, dtype=complex)
+    k1, k2, k3, k4 = stages
+    stages_flat, f_flat = stages.reshape(4, -1), f.reshape(-1)
+    for step_dt in [dt] * n_full + ([remainder] if remainder > 1e-15 * t else []):
+        rhs(f, k1)
+        rhs(f + 0.5 * step_dt * k1, k2)
+        rhs(f + 0.5 * step_dt * k2, k3)
+        rhs(f + step_dt * k3, k4)
+        f_flat += (step_dt * weights) @ stages_flat
+        s = math.sqrt(np.vdot(f, f).real)
+        if not abs(s - 1.0) <= 1e-12:
+            raise NumericalError(f"norm drift {s - 1.0:.3e} exceeds 1e-12 per step")
+        f /= s
+    return f
 
 
 def rowwise_timeseries_csv(path, times, survival, states, coherence_pair) -> None:

@@ -4,6 +4,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -211,6 +214,37 @@ def test_cli_seed_override_changes_protocol_output(tmp_path, repo_cwd):
     a = (out1 / "ensemble.csv").read_text()
     assert a == (out2 / "ensemble.csv").read_text()
     assert a != (out3 / "ensemble.csv").read_text()
+
+
+def test_one_parser_per_process_writes_what_separate_processes_write(tmp_path, repo_cwd):
+    # main parses with the one cached parser: no override or default of a call
+    # may reach the next, and a bad command still exits 2 without spoiling it
+    runs = [
+        ["protocol", "--config", "configs/protocol_symmetric.json", "--seed", "99"],
+        ["derive", "--config", "configs/derive_symmetric.json"],
+        ["protocol", "--config", "configs/protocol_symmetric.json"],
+        ["protocol", "--config", "configs/protocol_symmetric.json", "--seed", "100"],
+    ]
+    assert zenon.cli.build_parser() is zenon.cli.build_parser()
+    with pytest.raises(SystemExit) as bad:
+        main(["no_such_command", "--config", "configs/derive_symmetric.json"])
+    assert bad.value.code == 2
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / "one" / str(k))]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    for k, argv in enumerate(runs):
+        out = tmp_path / "separate" / str(k)
+        run = subprocess.run(
+            [sys.executable, "-m", "zenon.cli", *argv, "--out", str(out)], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        ours = tmp_path / "one" / str(k)
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(ours) for p in ours.rglob("*") if p.is_file())
+        for rel in files:
+            assert (ours / rel).read_bytes() == (out / rel).read_bytes(), (argv, rel)
+    one = tmp_path / "one"
+    assert (one / "0" / "ensemble.csv").read_bytes() != (one / "3" / "ensemble.csv").read_bytes()
 
 
 def test_cli_dilate_without_tau_picks_step_from_spectrum(tmp_path, repo_cwd):
@@ -860,9 +894,13 @@ def test_benchmark_counts_one_rk4_step_per_four_rhs_calls(monkeypatch, tmp_path)
     import workloads
 
     suite = workloads.PaperSuite(tmp_path)
+    cases = suite.cases
     # full steps of default_time_step plus one shorter remainder step
-    steps = sum(math.ceil(t / default_time_step(eff)) for eff, _, t in suite.cases)
-    assert suite.counts()["dynamics.rk4_steps"] == steps
+    steps = [math.ceil(t / default_time_step(eff)) for eff, _, t in cases]
+    assert suite.counts()["dynamics.rk4_steps"] == sum(steps) == 756
+    for case, n in zip(cases, steps):  # rhs runs exactly four times per step, case by case
+        suite.cases = [case]
+        assert suite.counts()["dynamics.rk4_steps"] == n
 
 
 # The JSON kinds each scenario field accepts, as the README documents them.

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import ancilla_blocks
+from zenon.cli import main
 from zenon.dilation import (
     DilationResult,
     RoundTripReport,
@@ -211,6 +213,40 @@ def test_dilation_step_from_decay_spread_or_fallback():
     assert dilate(hermitian, fallback=0.3).tau == 0.3
     with pytest.raises(ZeroAntiHermitianPartError):
         dilate(hermitian)
+
+
+# i (M - M^dag) = diag(-1.5e308, 1.5e308): finite weights whose spread f is
+# infinite, so choose_tau(f) = 0.01 / f = 0
+INFINITE_SPREAD = np.diag([-0.75e308j, 0.75e308j])
+HERMITIAN = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "h_eff, tau, fallback",
+    [
+        (DECAYING, 0.0, None),  # explicit
+        (DECAYING, -0.1, 0.3),
+        (DECAYING, math.nan, None),
+        (HERMITIAN, None, 0.0),  # the fallback, taken as f = 0
+        (HERMITIAN, None, -0.3),
+        (HERMITIAN, None, math.nan),
+        (INFINITE_SPREAD, None, None),  # choose_tau's result; a fallback is not taken
+        (INFINITE_SPREAD, None, 0.3),
+    ],
+)
+def test_dilate_refuses_a_non_positive_tau_from_each_source(h_eff, tau, fallback):
+    # a ValidationError, not the ZeroDivisionError of w_0 / 0: refused before tau divides
+    with pytest.raises(ValidationError, match=r"^tau must be positive, got (0\.0|-0\.[13]|nan)$"):
+        dilate(h_eff, tau, fallback)
+
+
+def test_cli_dilate_exits_2_when_choose_tau_gives_no_step(tmp_path, capsys):
+    matrix = tmp_path / "spread.json"
+    matrix.write_text(json.dumps({"dim": 2, "re": [0.0] * 4, "im": [-0.75e308, 0.0, 0.0, 0.75e308]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "dilate", "model": "matrix-file", "params": str(matrix)}))
+    assert main(["dilate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "tau must be positive, got 0.0" in capsys.readouterr().err
 
 
 def test_validate_stroboscopic_small_error_in_regime():

@@ -22,6 +22,7 @@ from helpers import (
     rho_chain,
     rho_rk4,
     rowwise_timeseries_csv,
+    stagewise_factor_rk4,
     stepwise_chain,
     survival_probability,
     symmetric_odd_block,
@@ -858,3 +859,49 @@ def test_integrate_nonlinear_matches_density_matrix_rk4_oracle(start):
     dt = default_time_step(eff) / 5  # fine enough that both RK4 errors sit at rounding
     out = integrate_nonlinear(eff, rho0, 0.9, dt)
     assert frobenius_norm(out.rho - rho_rk4(eff, rho0.rho, 0.9, dt)) < 1e-12
+
+
+def _random_factor(rng, dim: int, rank: int) -> np.ndarray:
+    f = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return f / np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("dim, r", [(d, r) for d in (1, 2, 3, 4, 8) for r in sorted({1, min(2, d), d})])
+@pytest.mark.parametrize("step", ["default", "coarse"])
+def test_krylov_rk4_matches_the_stagewise_rk4(dim, r, step):
+    # the Krylov-basis step against the stage-by-stage one it replaced, on
+    # pure, rank-2 and full-rank factors: the default step, and
+    # dt ||H_eff||_F = 0.02 with a shorter last step
+    rng = np.random.Generator(np.random.PCG64((3100, dim, r)))
+    eff = EffectiveHamiltonian(
+        h0=random_hermitian(rng, dim), gamma=random_psd(rng, dim), tau=float(rng.uniform(0.05, 0.3))
+    )
+    f = _random_factor(rng, dim, r)
+    t = 0.37
+    dt = None if step == "default" else 0.02 / frobenius_norm(eff.matrix())
+    if dt is not None:
+        assert t / dt - math.floor(t / dt) > 0.01  # a shorter last step is taken
+    try:
+        expected = stagewise_factor_rk4(eff, f, t, dt)
+    except NumericalError:
+        # at the coarse step the 1e-12 drift rule fires on some small draws,
+        # where ||A||_2 is close to ||A||_F: the Krylov step must fire it too
+        with pytest.raises(NumericalError, match="norm drift"):
+            _integrate_factor(eff, f, t, dt)
+        return
+    out = _integrate_factor(eff, f, t, dt)
+    assert out.shape == f.shape
+    assert frobenius_norm(out - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_krylov_rk4_leaves_f_unchanged_when_a_is_zero(dim):
+    zero = np.zeros((dim, dim))
+    eff = EffectiveHamiltonian(h0=zero, gamma=zero, tau=0.1)
+    f = _random_factor(np.random.Generator(np.random.PCG64((3101, dim))), dim, dim)
+    out = _integrate_factor(eff, f, 0.05, None)
+    assert frobenius_norm(out - f) <= 1e-15
+    assert frobenius_norm(out - stagewise_factor_rk4(eff, f, 0.05, None)) <= 1e-15
+    ket = np.eye(dim, 1, dtype=complex)
+    assert np.array_equal(_integrate_factor(eff, ket, 0.05, None), ket)
+
