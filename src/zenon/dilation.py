@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix
-from .effective import AncillaSpec, decay_generator, derive_effective, remove_identity_shift
+from .effective import AncillaSpec, _check_tau, decay_generator, derive_effective, remove_identity_shift
 from .errors import (
     NotHermitianError,
     NumericalError,
@@ -83,8 +83,7 @@ class DilationResult:
             residual, scale = hermitian_residual(hm), frobenius_norm(hm)
         if not residual <= 1e-12 * max(1.0, scale):  # a NaN fails
             raise NotHermitianError("dilated Hamiltonian must be Hermitian to 1e-12")
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        _check_tau(self.tau)
         object.__setattr__(self, "h", hm)
         if self.f * self.tau > 0.011:
             warnings.warn(
@@ -112,7 +111,7 @@ def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> Di
     """Build the composite Hermitian Hamiltonian realizing h_eff at step tau,
     with f, M, c and R = V sqrt(c + w / tau) V^dag from one eigh of G.  A tau
     of None takes choose_tau(f) from that same eigh, or fallback when f is 0;
-    the tau so chosen, or given, must be positive (ValidationError).
+    the tau so chosen, or given, must be positive and finite (ValidationError).
 
     Raises NumericalError when c + w / tau overflows the double range; R is
     finite whenever those weights are (its entries are at most
@@ -124,8 +123,7 @@ def dilate(h_eff, tau: float | None = None, fallback: float | None = None) -> Di
         f = float(w[-1] - w[0])
     if tau is None:
         tau = choose_tau(f) if f > 0 or fallback is None else fallback
-    if not tau > 0:  # the one check of every source, before tau divides: choose_tau(inf) is 0
-        raise ValidationError(f"tau must be positive, got {tau}")
+    _check_tau(tau)  # the one check of every source, before tau divides: choose_tau(inf) is 0
     with np.errstate(over="ignore"):  # an overflow is refused below
         m_min = float(w[0]) / tau
         c = max(0.0, -m_min)

@@ -141,8 +141,8 @@ class ConditionalState:
 
 def evolve_conditional(eff: EffectiveHamiltonian, rho0: DensityMatrix, t: float) -> ConditionalState:
     """Propagate rho0 with exp(-i H_eff t) without normalizing."""
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # a NaN fails
+        raise ValidationError(f"t must be nonnegative and finite, got {t}")
     if rho0.dim != eff.dim:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     u = expm(-1j * t * eff.matrix())
@@ -310,8 +310,8 @@ def _grid_chain(h_eff, rho0: DensityMatrix, t_max: float, n_samples: int):
     m = as_cmatrix(h_eff)
     if rho0.dim != m.shape[0]:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {m.shape[0]}")
-    if not t_max > 0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     dt = t_max / (n_samples - 1)

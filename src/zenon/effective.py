@@ -32,6 +32,7 @@ from .linalg import (
     _UNIT_ROUNDOFF,
     EigenDecomposition,
     _eigvals,
+    _is_count,
     as_cmatrix,
     as_hermitian,
     as_psd,
@@ -61,8 +62,15 @@ class AncillaSpec:
     ancilla_site: int | None = None
 
     def __post_init__(self):
-        if self.ancilla_site is not None and self.ancilla_site < 1:
-            raise ValidationError(f"ancilla_site must be >= 1, got {self.ancilla_site}")
+        if self.ancilla_site is not None and not (_is_count(self.ancilla_site) and self.ancilla_site >= 1):
+            raise ValidationError(f"ancilla_site must be None or an int >= 1, got {self.ancilla_site!r}")
+
+
+def _check_tau(tau) -> None:
+    """The one rule on a step length: ValidationError unless 0 < tau < inf
+    (a NaN fails)."""
+    if not 0 < tau < math.inf:
+        raise ValidationError(f"tau must be positive, got {tau}")
 
 
 def ancilla_order(dim: int, spec: AncillaSpec) -> np.ndarray:
@@ -101,8 +109,7 @@ def kraus_from_eig(eig: EigenDecomposition, spec: AncillaSpec, tau: float) -> np
     K scaled by tau, not at full size as in V exp(-i tau w) V^dag.  phi =
     exp(-i tau w) - 1 (_phase_minus_one).  K's operator norm is verified to be
     <= 1 + 1e-10 (_check_step_norm)."""
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     vm = eig.eigenvectors[ancilla_rows(eig.eigenvalues.size, spec)[0]]
     w = eig.eigenvalues.tolist()  # ascending
     top = tau * max(-w[0], w[-1])  # the largest |tau w|
@@ -230,8 +237,7 @@ class EffectiveHamiltonian:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        _check_tau(self.tau)
         with np.errstate(over="ignore"):  # a norm past 1e154 is rescaled, not warned about
             h0 = as_hermitian(self.h0)
             gamma = as_psd(self.gamma)

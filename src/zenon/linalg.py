@@ -27,6 +27,11 @@ _SMALLEST_NORMAL = 2.0**-1022
 _TAYLOR = [1.0 / math.factorial(k) for k in range(EXPM_SERIES_ORDER + 1)]
 
 
+def _is_count(v) -> bool:
+    """An int (a Python or numpy integer), not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")

@@ -11,11 +11,9 @@ reads only the chain's end, chain.renormalized_end: a block of B steps is
 one product K^B F, K^B formed by squarings, at dimension 256 from a mixed
 start 9 products for 100 steps.  The exact survival curve reads every step,
 chain.renormalized_blocks, up to 64 steps per stacked product, and the
-waiting-time Monte Carlo reads that curve alone (one uniform per
-trajectory against it) to count survivors.  A protocol run calls the Monte
-Carlo first: it records the exact survival curve on the ProtocolConfig,
-and conditional_survival_curve then returns a copy of that record for the
-same start state, so the run makes one chain, not two.
+waiting-time Monte Carlo is handed that curve and reads it alone (one
+uniform per trajectory against it) to count survivors, so a protocol run
+makes one chain.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from .linalg import CSV_BLOCK_ROWS, BlockRows, as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
+from .linalg import CSV_BLOCK_ROWS, BlockRows, _is_count, as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
@@ -56,11 +54,6 @@ MAX_TRAJECTORIES = 10**9
 (2-core Xeon, numpy 2.4), in O(MC_CHUNK + n_steps) memory."""
 MC_CHUNK = 2**12
 """Monte Carlo (pick, u) rows drawn from the Philox stream at a time."""
-
-
-def _is_count(v) -> bool:
-    """An int (a Python or numpy integer), not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def steps_for(t: float, tau: float) -> int:
@@ -90,9 +83,6 @@ class ProtocolConfig:
     tau: float
     n_steps: int
     kraus: np.ndarray = field(init=False, repr=False, compare=False)
-    # (rho0.rho.tobytes(), curve): the exact survival curve of the last Monte
-    # Carlo run, which conditional_survival_curve hands out for that start
-    _survival: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hm = as_cmatrix(self.h)
@@ -114,7 +104,7 @@ class ProtocolConfig:
                 stacklevel=3,
             )
         if kraus is None:
-            # kraus_from_eig checks tau > 0 before the one use a bad tau corrupts
+            # kraus_from_eig checks 0 < tau < inf before the one use a bad tau corrupts
             kraus = kraus_from_eig(eig, self.spec, self.tau)
         object.__setattr__(self, "kraus", kraus)
 
@@ -128,17 +118,6 @@ def _chain_start(cfg: ProtocolConfig, rho0: DensityMatrix):
     if rho0.dim != cfg.system_dim:
         raise BadDimensionError(f"state dim {rho0.dim} != system dim {cfg.system_dim}")
     return cfg.kraus, state_factor(rho0)
-
-
-def _survival_chain(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
-    """The exact survival curve: the chain read every step."""
-    k, f = _chain_start(cfg, rho0)
-    curve = np.zeros(cfg.n_steps)
-    step = 0
-    for p, _ in renormalized_blocks(k, f, cfg.n_steps):
-        curve[step : step + len(p)] = p
-        step += len(p)
-    return curve
 
 
 def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> ConditionalState:
@@ -176,16 +155,16 @@ def simulate_conditional(cfg: ProtocolConfig, rho0: DensityMatrix) -> Conditiona
 
 
 def conditional_survival_curve(cfg: ProtocolConfig, rho0: DensityMatrix) -> np.ndarray:
-    """Exact survival probability after each of the n_steps measurements;
-    exactly 0.0 from the step on which the conditional trace reaches 0.
-
-    A copy of the curve simulate_trajectories recorded on cfg when rho0 is
-    its start state to the byte (the same chain, so the same bits); else the
-    chain runs here."""
-    record = cfg._survival  # its key holds a validated state, so a match fits cfg
-    if record is not None and record[0] == rho0.rho.tobytes():
-        return record[1].copy()
-    return _survival_chain(cfg, rho0)
+    """Exact survival probability after each of the n_steps measurements,
+    read from every step of the chain; exactly 0.0 from the step on which the
+    conditional trace reaches 0."""
+    k, f = _chain_start(cfg, rho0)
+    curve = np.zeros(cfg.n_steps)
+    step = 0
+    for p, _ in renormalized_blocks(k, f, cfg.n_steps):
+        curve[step : step + len(p)] = p
+        step += len(p)
+    return curve
 
 
 @dataclass(frozen=True)
@@ -207,10 +186,10 @@ class TrajectoryEnsemble:
         return self.survival_counts / self.n_traj
 
 
-def simulate_trajectories(
-    cfg: ProtocolConfig, rho0: DensityMatrix, n_traj: int, seed: int
-) -> TrajectoryEnsemble:
-    """Monte Carlo survivor counts for n_traj independent trajectories.
+def simulate_trajectories(survival, n_traj: int, seed: int) -> TrajectoryEnsemble:
+    """Monte Carlo survivor counts for n_traj independent trajectories of a
+    run from rho0, given its exact survival curve: survival =
+    conditional_survival_curve(cfg, rho0).
 
     Waiting-time sampler (Dalibard, Castin and Molmer, PRL 68, 580 (1992)):
     whatever eigenket of rho0 a trajectory starts in, its waiting time T has
@@ -220,23 +199,27 @@ def simulate_trajectories(
     <= u, one binary search in the reversed curve; no uniform is sorted.
     Row i of one Philox stream's (pick, u) rows is trajectory i, drawn
     MC_CHUNK rows at a time, so a run's first N trajectories are those of an
-    n_traj=N run.  Memory is O(MC_CHUNK + n_steps).  The curve is recorded
-    on cfg for conditional_survival_curve, so a protocol run needs one chain.
+    n_traj=N run.  Memory is O(MC_CHUNK + n_steps).  A curve that is not 1-D
+    or has a value not >= 0 (NaN too) raises ValidationError; a value a
+    rounding above 1 is accepted, as the step's norm check accepts K.
     """
     if not _is_count(n_traj) or not 1 <= n_traj <= MAX_TRAJECTORIES:
         raise ValidationError(f"n_traj must be an int in 1..{MAX_TRAJECTORIES}, got {n_traj!r}")
     if not _is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
-    survival = _survival_chain(cfg, rho0)
-    object.__setattr__(cfg, "_survival", (rho0.rho.tobytes(), survival))
+    survival = np.asarray(survival, dtype=float)
+    if survival.ndim != 1:
+        raise ValidationError(f"survival curve must be 1-D, got shape {survival.shape}")
     # ||K||_2 may exceed 1 by rounding; a rising curve would let survivor
     # counts rise too.  Written into a reversed view: the curve, ascending.
     rising = np.empty_like(survival)
     np.minimum.accumulate(survival, out=rising[::-1])
+    if survival.size and not rising[0] >= 0:  # the curve's minimum; NaN propagates to it
+        raise ValidationError(f"survival curve must be >= 0, got a minimum of {rising[0]}")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # hist[s]: trajectories with s curve values <= u, i.e. waiting n_steps - s steps
-    hist = np.zeros(cfg.n_steps + 1, dtype=np.int64)
+    hist = np.zeros(survival.size + 1, dtype=np.int64)
     for start in range(0, n_traj, MC_CHUNK):
         # (pick, u) rows, u alone read: the unused pick column keeps the
         # stream's layout, so a seed keeps the survivor counts tests/golden pins

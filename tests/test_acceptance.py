@@ -150,8 +150,9 @@ def test_criterion_5_monte_carlo_consistency():
         h=build_symmetric(p), spec=AncillaSpec(), tau=0.05, n_steps=200
     )
     rho0 = DensityMatrix.basis_state(4, 1)
-    p_exact = conditional_survival_curve(cfg, rho0)[-1]
-    ensemble = simulate_trajectories(cfg, rho0, n_traj=10_000, seed=20260815)
+    survival = conditional_survival_curve(cfg, rho0)
+    p_exact = survival[-1]
+    ensemble = simulate_trajectories(survival, n_traj=10_000, seed=20260815)
     p_emp = ensemble.empirical_survival()[-1]
     sigma = np.sqrt(p_exact * (1.0 - p_exact) / 10_000)
     assert abs(p_emp - p_exact) < 4.0 * sigma

@@ -240,6 +240,17 @@ def test_dilate_refuses_a_non_positive_tau_from_each_source(h_eff, tau, fallback
         dilate(h_eff, tau, fallback)
 
 
+def test_an_infinite_tau_is_refused_by_dilate_and_the_dilation_result():
+    # an infinite step would leave R = sqrt(c + w / tau) no ancilla coupling
+    for refuse in (
+        lambda: dilate(DECAYING, math.inf),
+        lambda: dilate(HERMITIAN, None, math.inf),
+        lambda: DilationResult(h=np.eye(2), tau=math.inf, f=0.0, m=0.0),
+    ):
+        with pytest.raises(ValidationError, match="^tau must be positive, got inf$"):
+            refuse()
+
+
 def test_cli_dilate_exits_2_when_choose_tau_gives_no_step(tmp_path, capsys):
     matrix = tmp_path / "spread.json"
     matrix.write_text(json.dumps({"dim": 2, "re": [0.0] * 4, "im": [-0.75e308, 0.0, 0.0, 0.75e308]}))

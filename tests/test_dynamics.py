@@ -367,6 +367,12 @@ def test_conditional_final_state_is_the_last_trajectory_sample(start):
     assert np.array_equal(final, states[-1])
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_evolve_conditional_refuses_a_time_not_nonnegative_and_finite(t):
+    with pytest.raises(ValidationError, match="^t must be nonnegative and finite"):
+        evolve_conditional(_symmetric_eff(), DensityMatrix.basis_state(4, 1), t)
+
+
 @pytest.mark.parametrize("run", [conditional_trajectory, conditional_final_state])
 def test_final_state_and_trajectory_share_validation_and_collapse(run):
     # exp(-400 t) on the occupied level: the trace e^-800 underflows to 0
@@ -376,8 +382,9 @@ def test_final_state_and_trajectory_share_validation_and_collapse(run):
         run(sink, rho0, 2.0, 3)
     with pytest.raises(ValidationError, match="n_samples"):
         run(sink, rho0, 2.0, 1)
-    with pytest.raises(ValidationError, match="t_max"):
-        run(sink, rho0, 0.0, 3)
+    for t_max in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^t_max must be positive and finite"):
+            run(sink, rho0, t_max, 3)
     with pytest.raises(BadDimensionError):
         run(np.eye(4), rho0, 2.0, 3)
 

@@ -55,8 +55,11 @@ from zenon.spin_models import SymmetricParams, build_anisotropic, build_symmetri
 
 
 def test_ancilla_spec_validation():
-    with pytest.raises(ValidationError):
-        AncillaSpec(ancilla_site=0)
+    for site in (0, -1, True, False, 1.5, 2.0, "2"):  # None or an int >= 1, never a bool
+        with pytest.raises(ValidationError, match="^ancilla_site must be None or an int >= 1"):
+            AncillaSpec(ancilla_site=site)
+    for good in (None, 1, np.int64(2)):
+        assert AncillaSpec(ancilla_site=good).ancilla_site == good
 
 
 def test_ancilla_blocks_of_tensor_products():
@@ -336,7 +339,7 @@ def test_effective_hamiltonian_validation():
         EffectiveHamiltonian(h0=np.eye(2), gamma=np.eye(2), tau=0.0)
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.05, float("nan")])
+@pytest.mark.parametrize("tau", [0.0, -0.05, float("nan"), math.inf])
 def test_derive_effective_rejects_a_step_that_is_not_positive(tau):
     # the constructor's check, the only one on this path
     with pytest.raises(ValidationError, match="^tau must be positive"):

@@ -104,3 +104,34 @@ def test_every_package_definition_has_a_caller_outside_the_tests():
 def test_every_imported_name_is_read_in_its_module():
     unread = unread_imports()
     assert not unread, f"{len(unread)} imported names never read: {', '.join(unread)}"
+
+
+def setattr_outside_post_init() -> list[str]:
+    """module:line of each object.__setattr__ call in the package that is not
+    inside a __post_init__: a frozen dataclass sets its own fields while it is
+    built, and nothing writes onto it afterwards."""
+    found = []
+    for path, tree in _modules().items():
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+                and id(node) not in inside
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_object_setattr_appears_only_inside_post_init():
+    found = setattr_outside_post_init()
+    assert not found, f"object.__setattr__ outside a __post_init__: {', '.join(found)}"

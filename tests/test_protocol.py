@@ -70,7 +70,7 @@ def test_protocol_config_on_a_spectrum_past_the_double_range_warns_no_runtime_wa
 def test_protocol_config_validation():
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.array([[0, 1], [0, 0]]), spec=AncillaSpec(), tau=0.1, n_steps=1)
-    for tau in (0.0, -0.1, math.nan):  # kraus_from_eig's check, the only one on this path
+    for tau in (0.0, -0.1, math.nan, math.inf):  # kraus_from_eig's check, the only one on this path
         with pytest.raises(ValidationError, match="^tau must be positive"):
             ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=tau, n_steps=1)
     with pytest.raises(ValidationError):
@@ -122,8 +122,7 @@ def test_protocol_makes_one_eigh_of_the_composite_and_no_expm(monkeypatch):
             monkeypatch.setattr(module, "expm", counting_expm)
     cfg = _cfg(n_steps=30)
     simulate_conditional(cfg, _MIXED)
-    conditional_survival_curve(cfg, _MIXED)
-    simulate_trajectories(cfg, _MIXED, n_traj=50, seed=3)
+    simulate_trajectories(conditional_survival_curve(cfg, _MIXED), n_traj=50, seed=3)
     assert calls == {"eigh": 1, "expm": 0}
 
 
@@ -403,12 +402,11 @@ def test_trajectory_ensemble_validation():
 
 
 def test_simulate_trajectories_deterministic_and_worker_independent():
-    cfg = _cfg(n_steps=10, tau=0.05)
-    rho0 = DensityMatrix.basis_state(4, 1)
-    a = simulate_trajectories(cfg, rho0, n_traj=64, seed=123)
-    b = simulate_trajectories(cfg, rho0, n_traj=64, seed=123)
+    curve = conditional_survival_curve(_cfg(n_steps=10, tau=0.05), DensityMatrix.basis_state(4, 1))
+    a = simulate_trajectories(curve, n_traj=64, seed=123)
+    b = simulate_trajectories(curve, n_traj=64, seed=123)
     assert np.array_equal(a.survival_counts, b.survival_counts)
-    d = simulate_trajectories(cfg, rho0, n_traj=64, seed=124)
+    d = simulate_trajectories(curve, n_traj=64, seed=124)
     assert not np.array_equal(a.survival_counts, d.survival_counts)
 
 
@@ -416,7 +414,7 @@ def test_simulate_trajectories_agrees_with_exact_survival():
     cfg = _cfg(n_steps=50, tau=0.05)
     rho0 = DensityMatrix.basis_state(4, 1)
     exact = conditional_survival_curve(cfg, rho0)
-    ens = simulate_trajectories(cfg, rho0, n_traj=800, seed=5)
+    ens = simulate_trajectories(exact, n_traj=800, seed=5)
     p = exact[-1]
     sigma = np.sqrt(p * (1 - p) / 800)
     assert abs(ens.empirical_survival()[-1] - p) < 4 * sigma
@@ -426,15 +424,14 @@ def test_simulate_trajectories_mixed_initial_state():
     cfg = _cfg(n_steps=20, tau=0.05)
     rho0 = DensityMatrix.maximally_mixed(4)
     exact = conditional_survival_curve(cfg, rho0)
-    ens = simulate_trajectories(cfg, rho0, n_traj=600, seed=31)
+    ens = simulate_trajectories(exact, n_traj=600, seed=31)
     p = exact[-1]
     sigma = np.sqrt(p * (1 - p) / 600)
     assert abs(ens.empirical_survival()[-1] - p) < 4 * sigma
 
 
 def test_simulate_trajectories_validation():
-    cfg = _cfg(n_steps=5)
-    rho0 = DensityMatrix.basis_state(4, 0)
+    curve = conditional_survival_curve(_cfg(n_steps=5), DensityMatrix.basis_state(4, 0))
     # seed None would draw OS entropy; -1, 1.5 and the bools are not nonnegative ints
     for bad in (
         {"n_traj": 0},
@@ -447,11 +444,28 @@ def test_simulate_trajectories_validation():
         {"seed": False},
     ):
         with pytest.raises(ValidationError):
-            simulate_trajectories(cfg, rho0, **{"n_traj": 10, "seed": 1, **bad})
-    ens = simulate_trajectories(cfg, rho0, n_traj=np.int64(10), seed=np.uint32(1))
+            simulate_trajectories(curve, **{"n_traj": 10, "seed": 1, **bad})
+    ens = simulate_trajectories(curve, n_traj=np.int64(10), seed=np.uint32(1))
     assert ens.survival_counts.shape == (5,)
     with pytest.raises(BadDimensionError):
-        simulate_trajectories(cfg, DensityMatrix.basis_state(2, 0), n_traj=10, seed=1)
+        conditional_survival_curve(_cfg(n_steps=5), DensityMatrix.basis_state(2, 0))
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [0.5, [[0.9, 0.8]], [0.9, -1e-300, 0.0], [0.9, math.nan, 0.5], [math.nan], [-math.inf]],
+    ids=["0-d", "2-d", "negative", "nan", "only-nan", "minus-inf"],
+)
+def test_simulate_trajectories_refuses_a_curve_not_1d_or_with_a_value_not_nonnegative(curve):
+    with pytest.raises(ValidationError, match="^survival curve must be"):
+        simulate_trajectories(curve, n_traj=10, seed=1)
+
+
+def test_simulate_trajectories_samples_the_curve_it_is_passed():
+    # the sampler reads no config: a curve a rounding above 1 (the step's norm
+    # check admits ||K||_2 <= 1 + 1e-10) keeps everyone, and 0.0 keeps no one
+    ens = simulate_trajectories([1.0 + 1e-12, 1.0, 0.0, 0.0], n_traj=50, seed=2)
+    assert np.array_equal(ens.survival_counts, [50, 50, 0, 0])
 
 
 def test_philox_stream_continues_across_chunked_draws():
@@ -486,9 +500,10 @@ def test_waiting_time_counts_are_the_sorting_counts_bit_for_bit(start, n_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StroboscopicRegimeWarning)  # tau = pi/2 is outside the regime
         cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=n_steps)
+    curve = conditional_survival_curve(cfg, rho0)
     for n_traj in (1, 2000, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK - 5):
         for seed in (0, 7, 123):
-            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
+            ens = simulate_trajectories(curve, n_traj=n_traj, seed=seed)
             counts = curve_sorting_trajectories(cfg, rho0, n_traj=n_traj, seed=seed)
             assert ens.survival_counts.dtype == counts.dtype
             assert np.array_equal(ens.survival_counts, counts)
@@ -516,7 +531,7 @@ def test_uniform_equal_to_a_curve_value_is_lost_as_in_the_sorting_counter(monkey
     rho0 = DensityMatrix.maximally_mixed(2)
     rows = np.array([[0.2, 0.0], [0.7, 0.0], [0.9, 0.5]] * (MC_CHUNK // 2))
     _feed_rows(monkeypatch, rows)
-    ens = simulate_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
+    ens = simulate_trajectories(conditional_survival_curve(cfg, rho0), n_traj=len(rows), seed=0)
     counts = curve_sorting_trajectories(cfg, rho0, n_traj=len(rows), seed=0)
     assert np.array_equal(ens.survival_counts, counts)
     assert 0 == counts[-1] < counts[0]
@@ -535,7 +550,7 @@ def test_waiting_time_and_stepwise_samplers_agree_with_exact_survival(rho0):
     cfg = _cfg(n_steps=40, tau=0.05)
     n = 2000
     exact = conditional_survival_curve(cfg, rho0)
-    fast = simulate_trajectories(cfg, rho0, n_traj=n, seed=17).survival_counts
+    fast = simulate_trajectories(exact, n_traj=n, seed=17).survival_counts
     slow = stepwise_trajectories(cfg, rho0, n_traj=n, seed=17)
     assert np.all(_binomial_z(fast, exact, n) < 4.0)
     assert np.all(_binomial_z(slow, exact, n) < 4.0)
@@ -546,7 +561,7 @@ def test_waiting_time_and_stepwise_samplers_agree_with_exact_survival(rho0):
 
 def test_simulate_trajectories_zero_steps_has_no_counts():
     cfg = _cfg(n_steps=0)
-    ens = simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=20, seed=3)
+    ens = simulate_trajectories(conditional_survival_curve(cfg, DensityMatrix.basis_state(4, 1)), n_traj=20, seed=3)
     assert ens.survival_counts.shape == (0,)
 
 
@@ -560,7 +575,7 @@ def test_simulate_trajectories_annihilating_step_has_no_survivors():
     assert np.max(np.abs(kraus_step(cfg.h, cfg.spec, cfg.tau) - math.cos(cfg.tau) * np.eye(2))) <= 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ens = simulate_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4)
+        ens = simulate_trajectories(conditional_survival_curve(cfg, DensityMatrix.maximally_mixed(2)), n_traj=50, seed=4)
     assert np.array_equal(ens.survival_counts, np.zeros(6))
     slow = stepwise_trajectories(cfg, DensityMatrix.maximally_mixed(2), n_traj=50, seed=4)
     assert np.array_equal(slow, np.zeros(6))
@@ -585,9 +600,9 @@ def test_nilpotent_step_ends_the_filtered_state_at_its_step():
 
 
 def test_simulate_trajectories_prefix_stable_in_n_traj():
-    cfg = _cfg(n_steps=15, tau=0.05)
-    a = simulate_trajectories(cfg, _MIXED, n_traj=300, seed=21)
-    b = simulate_trajectories(cfg, _MIXED, n_traj=600, seed=21)
+    curve = conditional_survival_curve(_cfg(n_steps=15, tau=0.05), _MIXED)
+    a = simulate_trajectories(curve, n_traj=300, seed=21)
+    b = simulate_trajectories(curve, n_traj=600, seed=21)
     assert np.all(b.survival_counts >= a.survival_counts)
 
 
@@ -596,32 +611,31 @@ def test_simulate_trajectories_memory_independent_of_draw_count():
     # drawn MC_CHUNK rows at a time, 10^6 trajectories peak where 10^4 do
     assert MC_CHUNK <= 10_000
     cfg = _cfg(n_steps=10_000, tau=0.005)
-    rho0 = DensityMatrix.maximally_mixed(4)
-    simulate_trajectories(cfg, rho0, n_traj=1, seed=99)  # a first draw imports numpy's seeding modules
+    curve = conditional_survival_curve(cfg, DensityMatrix.maximally_mixed(4))
+    simulate_trajectories(curve, n_traj=1, seed=99)  # a first draw imports numpy's seeding modules
     peaks = []
     for n_traj in (10_000, 1_000_000):
         tracemalloc.start()
         try:
-            ens = simulate_trajectories(cfg, rho0, n_traj=n_traj, seed=99)
+            ens = simulate_trajectories(curve, n_traj=n_traj, seed=99)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 256 * 1024
-    p = conditional_survival_curve(cfg, rho0)[-1]
-    assert _binomial_z(ens.survival_counts[-1:], p, 1_000_000)[0] < 4.0
+    assert _binomial_z(ens.survival_counts[-1:], curve[-1], 1_000_000)[0] < 4.0
 
 
 def test_monte_carlo_peak_from_a_mixed_start_stays_at_the_pure_start():
-    # the survivor counts read the exact survival curve alone: no table of
-    # one curve per start eigenket grows with the start's rank
+    # the exact survival curve and the survivor counts read from it alone:
+    # no table of one curve per start eigenket grows with the start's rank
     starts = {"pure": DensityMatrix.basis_state(4, 1), "mixed": DensityMatrix.maximally_mixed(4)}
-    simulate_trajectories(_cfg(n_steps=1), starts["mixed"], n_traj=1, seed=3)  # imports numpy's seeding modules
+    simulate_trajectories(conditional_survival_curve(_cfg(n_steps=1), starts["mixed"]), n_traj=1, seed=3)  # imports numpy's seeding modules
     peaks = {}
     for name, rho0 in starts.items():
         cfg = _cfg(n_steps=100_000, tau=0.005)
         tracemalloc.start()
         try:
-            simulate_trajectories(cfg, rho0, n_traj=1000, seed=3)
+            simulate_trajectories(conditional_survival_curve(cfg, rho0), n_traj=1000, seed=3)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,7 +647,7 @@ def test_curve_and_per_eigenket_samplers_agree_in_law(start):
     h, tau, rho0 = _SORTING_ORACLE_STARTS[start]
     cfg = ProtocolConfig(h=h, spec=AncillaSpec(), tau=tau, n_steps=40)
     n = 20_000
-    ens = simulate_trajectories(cfg, rho0, n_traj=n, seed=41)
+    ens = simulate_trajectories(conditional_survival_curve(cfg, rho0), n_traj=n, seed=41)
     old_counts = sorting_trajectories(cfg, rho0, n_traj=n, seed=42)
     p_new, p_old = ens.survival_counts / n, old_counts / n
     pooled = (p_new + p_old) / 2
@@ -643,8 +657,8 @@ def test_curve_and_per_eigenket_samplers_agree_in_law(start):
 def test_write_ensemble_csv(tmp_path):
     cfg = _cfg(n_steps=6, tau=0.05)
     rho0 = DensityMatrix.basis_state(4, 1)
-    ens = simulate_trajectories(cfg, rho0, n_traj=100, seed=2)
     exact = conditional_survival_curve(cfg, rho0)
+    ens = simulate_trajectories(exact, n_traj=100, seed=2)
     path = tmp_path / "ens.csv"
     write_ensemble_csv(path, ens, exact)
     lines = path.read_text().strip().splitlines()
@@ -680,60 +694,13 @@ def _nilpotent_cfg(n_steps=6):
     return cfg
 
 
-_SHARED_CHAIN_STARTS = {
-    "pure": (_cfg, DensityMatrix.basis_state(4, 1)),
-    "mixed": (_cfg, _MIXED),
-    "early_end": (_nilpotent_cfg, DensityMatrix.maximally_mixed(4)),
-}
-
-
-@pytest.mark.parametrize("start", list(_SHARED_CHAIN_STARTS))
-def test_survival_curve_is_the_same_bits_before_and_after_the_monte_carlo(start, monkeypatch):
-    make_cfg, rho0 = _SHARED_CHAIN_STARTS[start]
-    before = conditional_survival_curve(make_cfg(), rho0)
-    cfg = make_cfg()
-    ens = simulate_trajectories(cfg, rho0, n_traj=500, seed=3)
-    runs = _count_chains(monkeypatch)
-    after = conditional_survival_curve(cfg, rho0)
-    assert runs == []  # the Monte Carlo's chain is read, not run again
-    assert np.array_equal(after.view(np.int64), before.view(np.int64))
-    if start == "early_end":
-        assert before[0] > 0 and np.array_equal(before[1:], np.zeros(5))
-        assert np.array_equal(ens.survival_counts[1:], np.zeros(5))
-
-
-def test_another_start_state_runs_its_own_chain(monkeypatch):
-    cfg = _cfg(n_steps=30)
-    pure = DensityMatrix.basis_state(4, 1)
-    simulate_trajectories(cfg, pure, n_traj=100, seed=5)
-    runs = _count_chains(monkeypatch)
-    curve = conditional_survival_curve(cfg, _MIXED)
-    assert runs == [30]
-    monkeypatch.undo()
-    assert np.array_equal(curve.view(np.int64), conditional_survival_curve(_cfg(n_steps=30), _MIXED).view(np.int64))
-    # the record is the last Monte Carlo run's: a run from _MIXED replaces it
-    simulate_trajectories(cfg, _MIXED, n_traj=100, seed=5)
-    runs = _count_chains(monkeypatch)
-    assert np.array_equal(conditional_survival_curve(cfg, _MIXED), curve)
-    conditional_survival_curve(cfg, pure)
-    assert runs == [30]
-
-
-def test_a_mutated_survival_curve_leaves_the_record_intact():
-    cfg = _cfg(n_steps=12)
-    rho0 = DensityMatrix.basis_state(4, 1)
-    simulate_trajectories(cfg, rho0, n_traj=100, seed=6)
-    first = conditional_survival_curve(cfg, rho0)
-    kept = first.copy()
-    first[:] = -1.0
-    assert np.array_equal(conditional_survival_curve(cfg, rho0), kept)
-
-
-def test_a_wrong_dimension_is_still_refused_after_a_monte_carlo():
-    cfg = _cfg(n_steps=5)
-    simulate_trajectories(cfg, DensityMatrix.basis_state(4, 1), n_traj=10, seed=1)
-    with pytest.raises(BadDimensionError):
-        conditional_survival_curve(cfg, DensityMatrix.basis_state(2, 0))
+def test_an_early_end_leaves_zeros_on_the_curve_and_no_survivors():
+    # the nilpotent step's chain ends after step 1: the curve's later steps
+    # stay 0.0, and no trajectory survives them
+    curve = conditional_survival_curve(_nilpotent_cfg(), DensityMatrix.maximally_mixed(4))
+    assert curve[0] > 0 and np.array_equal(curve[1:], np.zeros(5))
+    counts = simulate_trajectories(curve, n_traj=500, seed=3).survival_counts
+    assert counts[0] > 0 and np.array_equal(counts[1:], np.zeros(5))
 
 
 def test_cli_protocol_runs_one_chain(tmp_path, monkeypatch):
