@@ -146,22 +146,15 @@ def run_figures(s: Scenario) -> None:
     plus, minus = block_decompose(_derived(s).matrix())
     if s.model == "symmetric":
         rows = block_rows(minus, minus.mu_x * s.t_max, s.n_samples)
-        write_csv(
-            os.path.join(out, "fig4a.csv"),
-            ["gt_axis", "pop10", "pop01"],
-            [(gt, pop10, pop01) for gt, pop01, pop10, _, _ in rows],
-        )
-        write_csv(
-            os.path.join(out, "fig4b.csv"),
-            ["gt_axis", "re_coh", "im_coh"],
-            [(gt, re_coh, im_coh) for gt, _, _, re_coh, im_coh in rows],
-        )
+        tables = {
+            "fig4a.csv": (["gt_axis", "pop10", "pop01"], [(gt, pop10, pop01) for gt, pop01, pop10, _, _ in rows]),
+            "fig4b.csv": (["gt_axis", "re_coh", "im_coh"], [(gt, re_coh, im_coh) for gt, _, _, re_coh, im_coh in rows]),
+        }
     else:
-        write_csv(
-            os.path.join(out, "fig5.csv"),
-            ["mxt_axis", "pop11", "re_coh", "im_coh"],
-            fig5_rows(plus, plus.mu_x * s.t_max, s.n_samples),
-        )
+        rows = fig5_rows(plus, plus.mu_x * s.t_max, s.n_samples)
+        tables = {"fig5.csv": (["mxt_axis", "pop11", "re_coh", "im_coh"], rows)}
+    for name, (header, table) in tables.items():
+        write_csv(os.path.join(out, name), header, len(table), table.__getitem__)
 
 
 def run_sweep(s: Scenario) -> None:
@@ -186,7 +179,7 @@ def run_sweep(s: Scenario) -> None:
             cfg = ProtocolConfig(h=h, spec=spec, tau=tau, n_steps=steps_for(t_max, tau))
             row.append(stroboscopic_error(cfg, rho0))
         rows.append(row)
-    write_csv(os.path.join(_out_dir(s), "sweep.csv"), header, rows)
+    write_csv(os.path.join(_out_dir(s), "sweep.csv"), header, len(rows), rows.__getitem__)
 
 
 _RUNNERS = {

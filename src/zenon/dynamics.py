@@ -42,15 +42,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    CSV_BLOCK_ROWS,
-    BlockRows,
     as_cmatrix,
     as_hermitian,
     as_psd,
     dagger,
     expm,
     frobenius_norm,
-    hermitian_part,
     trace,
     write_csv,
 )
@@ -146,7 +143,7 @@ def evolve_conditional(eff: EffectiveHamiltonian, rho0: DensityMatrix, t: float)
     if rho0.dim != eff.dim:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     u = expm(-1j * t * eff.matrix())
-    rc = hermitian_part(u @ rho0.rho @ dagger(u))
+    rc = u @ rho0.rho @ dagger(u)
     return ConditionalState(rho_c=rc, p=trace(rc).real)
 
 
@@ -264,8 +261,8 @@ def integrate_nonlinear(
     """RK4 integration of the trace-preserving nonlinear equation, run on the
     factor F = state_factor(rho0): the result F F^dag is positive and of unit
     trace by construction."""
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # a NaN fails
+        raise ValidationError(f"t must be nonnegative and finite, got {t}")
     if rho0.dim != eff.dim:
         raise BadDimensionError(f"state dim {rho0.dim} != generator dim {eff.dim}")
     if t == 0:
@@ -397,22 +394,22 @@ def default_coherence_pair(dim: int, initial_index: int) -> tuple[int, int]:
 
 def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
     """CSV with columns t,p,pop_<basis>...,re_coh,im_coh,purity, written by
-    write_csv from the states (TrajectoryStates or a stack) CSV_BLOCK_ROWS
+    write_csv from the states (TrajectoryStates or a stack) one writer block
     at a time: each block's rows are one column_stack, one list of Python
-    floats, so the writer's blocks and parts line up with them and memory
-    stays bounded however long the series.  coherence_pair (i, j) indexes
-    the states as given; cli.run_simulate checks it before the chain runs."""
+    floats, so memory stays bounded however long the series.  coherence_pair
+    (i, j) indexes the states as given; cli.run_simulate checks it before the
+    chain runs."""
     dim = states.shape[1]
     i, j = coherence_pair
     header = ["t", "p"] + [f"pop_{s}" for s in basis_labels(dim)] + ["re_coh", "im_coh", "purity"]
 
-    def block(start):
-        s = states[start : start + CSV_BLOCK_ROWS]
+    def block(part):
+        s = states[part]
         coh = s[:, i, j]
         return np.column_stack(
             [
-                times[start : start + CSV_BLOCK_ROWS],
-                survival[start : start + CSV_BLOCK_ROWS],
+                times[part],
+                survival[part],
                 np.diagonal(s, axis1=1, axis2=2).real,
                 coh.real,
                 coh.imag,
@@ -420,4 +417,4 @@ def write_timeseries_csv(path, times, survival, states, coherence_pair) -> None:
             ]
         ).tolist()
 
-    write_csv(path, header, BlockRows(len(states), block))
+    write_csv(path, header, len(states), block)

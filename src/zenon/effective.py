@@ -139,8 +139,8 @@ def _phase_minus_one(w: np.ndarray, tau: float, top: float) -> np.ndarray:
 def kraus_from_series(h: np.ndarray, spec: AncillaSpec, tau) -> np.ndarray | None:
     """<0| exp(-i H tau) |0> of a composite of dimension d >= EIGVALSH_MIN_DIM
     without an eigendecomposition, where a norm bound certifies it; None
-    wherever it does not (d < EIGVALSH_MIN_DIM, tau not a positive finite
-    number, or the certificate refuses), and the caller's eigh route decides.
+    wherever it does not (d < EIGVALSH_MIN_DIM, or the certificate refuses),
+    and the caller's eigh route decides.  The caller has checked tau.
 
     H is gated once (as_hermitian, whose errors are the eigh route's) and
     Y = tau (H - c I), c = tr H / d, is formed in the gate's buffer.  Y's
@@ -160,7 +160,7 @@ def kraus_from_series(h: np.ndarray, spec: AncillaSpec, tau) -> np.ndarray | Non
     last, so K - I keeps its relative accuracy; _check_step_norm checks K.
     """
     d = h.shape[0]
-    if d < EIGVALSH_MIN_DIM or not (isinstance(tau, (int, float)) and 0 < tau < math.inf):
+    if d < EIGVALSH_MIN_DIM:
         return None
     y = as_hermitian(h)
     c = float(np.trace(y).real) / d

@@ -261,10 +261,10 @@ CSV_PART_MIN_ROWS = 16 * CSV_BLOCK_ROWS
 _PLAIN_CELLS = frozenset((float, int))
 
 
-def _format_rows(fh, width: int, rows) -> None:
-    """write_csv's one check and format path, for one part of the rows."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+def _format_rows(fh, width: int, rows_of, lo: int, hi: int) -> None:
+    """write_csv's one check and format path, for rows lo .. hi - 1."""
+    for start in range(lo, hi, CSV_BLOCK_ROWS):
+        block = rows_of(slice(start, min(start + CSV_BLOCK_ROWS, hi)))
         if set(map(len, block)) != {width} or not _PLAIN_CELLS.issuperset(
             map(type, itertools.chain.from_iterable(block))
         ):
@@ -275,9 +275,9 @@ def _format_rows(fh, width: int, rows) -> None:
         fh.write("\n")
 
 
-def _fork_format(spill, width: int, rows) -> int | None:
-    """The pid of a forked child that writes rows to spill, exit status 0 if
-    it could; None where fork raises."""
+def _fork_format(spill, width: int, rows_of, lo: int, hi: int) -> int | None:
+    """The pid of a forked child that writes rows lo .. hi - 1 to spill, exit
+    status 0 if it could; None where fork raises."""
     try:
         pid = os.fork()
     except OSError:
@@ -285,7 +285,7 @@ def _fork_format(spill, width: int, rows) -> int | None:
     if pid == 0:
         code = 1
         try:
-            _format_rows(spill, width, rows)
+            _format_rows(spill, width, rows_of, lo, hi)
             spill.flush()
             code = 0
         finally:  # the child never returns, whatever it raised
@@ -293,57 +293,40 @@ def _fork_format(spill, width: int, rows) -> int | None:
     return pid
 
 
-class BlockRows:
-    """n rows as a sized lazy view for write_csv: block(start) gives the
-    rows start .. start + CSV_BLOCK_ROWS - 1 (fewer at the end), and a slice
-    taken at block starts, as write_csv takes its parts, forms only its own
-    blocks, one at a time."""
+def write_csv(path, header: list[str], n_rows: int, rows_of) -> None:
+    """Write a header line and n_rows lines, each row a sequence of
+    len(header) Python ints and floats: each cell is repr(v), for a float
+    the shortest string that reads back to the same double, so rerunning a
+    scenario reproduces the file byte for byte.
 
-    def __init__(self, n: int, block):
-        self._n, self._block = n, block
+    rows_of(slice(start, stop)) returns the list of rows start .. stop - 1.
+    It is asked only for slices that start at a multiple of CSV_BLOCK_ROWS
+    and span at most that many rows, in order within each part, and each
+    block is one write, its cells' reprs regrouped into lines by the
+    header's width.  A block with a row of another width or a cell of
+    another type (a bool, a numpy scalar) raises ValueError; the blocks
+    before it stay written.  Only one block is held as text, so a long
+    table never is.
 
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, part: slice):
-        return itertools.chain.from_iterable(map(self._block, range(*part.indices(self._n)[:2], CSV_BLOCK_ROWS)))
-
-    def __iter__(self):
-        return self[:]
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a header line and one line per row, a sequence of len(header)
-    Python ints and floats: each cell is repr(v), for a float the shortest
-    string that reads back to the same double, so rerunning a scenario
-    reproduces the file byte for byte.
-
-    Rows are taken CSV_BLOCK_ROWS at a time and a block is one write, its
-    cells' reprs regrouped into lines by the header's width.  A block with
-    a row of another width or a cell of another type (a bool, a numpy
-    scalar) raises ValueError; the blocks before it stay written.  Only one
-    block is held as text, so a long table never is.
-
-    On Linux, sized rows (a list, or any rows[lo:hi] iterates) are split at
-    block starts into parts rows[lo:hi], one per usable core at most and
-    none below CSV_PART_MIN_ROWS.  Forked
-    children write all but the first to temporary files that os.sendfile
-    appends; a part whose child fails or could not start is formatted here,
-    so the file and any ValueError are the one-part write's.
+    On Linux the rows are split at block starts into parts, one per usable
+    core at most and none below CSV_PART_MIN_ROWS.  Forked children write
+    all but the first to temporary files that os.sendfile appends; a part
+    whose child fails or could not start is formatted here, so the file and
+    any ValueError are the one-part write's.
     """
-    width, n = len(header), len(rows) if hasattr(rows, "__len__") else 0
+    width = len(header)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cores, n // CSV_PART_MIN_ROWS))
-    bounds = [n // CSV_BLOCK_ROWS * i // k * CSV_BLOCK_ROWS for i in range(1, k)] + [n]
+    k = max(1, min(cores, n_rows // CSV_PART_MIN_ROWS))
+    bounds = [n_rows // CSV_BLOCK_ROWS * i // k * CSV_BLOCK_ROWS for i in range(k)] + [n_rows]
     with open(path, "w") as fh, contextlib.ExitStack() as spills:
         fh.write(",".join(header) + "\n")
         fh.flush()  # a child inherits no buffered text
-        parts = [(lo, hi, spills.enter_context(tempfile.TemporaryFile("w+"))) for lo, hi in zip(bounds, bounds[1:])]
+        parts = [(lo, hi, spills.enter_context(tempfile.TemporaryFile("w+"))) for lo, hi in zip(bounds[1:], bounds[2:])]
         pids = []
         try:
             for lo, hi, spill in parts:
-                pids.append(_fork_format(spill, width, rows[lo:hi]))
-            _format_rows(fh, width, rows if k == 1 else rows[: bounds[0]])
+                pids.append(_fork_format(spill, width, rows_of, lo, hi))
+            _format_rows(fh, width, rows_of, 0, bounds[1])
         finally:  # every child is reaped, whatever this process raised
             codes = [1 if pid is None else os.waitpid(pid, 0)[1] for pid in pids]
         for (lo, hi, spill), code in zip(parts, codes):
@@ -352,7 +335,7 @@ def write_csv(path, header: list[str], rows) -> None:
             while code == 0 and done < size:
                 done += os.sendfile(fh.fileno(), spill.fileno(), done, size - done)
             if code:
-                _format_rows(fh, width, rows[lo:hi])
+                _format_rows(fh, width, rows_of, lo, hi)
 
 
 def finite_reals(values) -> np.ndarray | None:

@@ -32,7 +32,7 @@ from .dynamics import (
     normalize,
     state_factor,
 )
-from .effective import AncillaSpec, ancilla_order, derive_effective, kraus_from_eig, kraus_from_series
+from .effective import AncillaSpec, _check_tau, ancilla_order, derive_effective, kraus_from_eig, kraus_from_series
 from .errors import (
     BadDimensionError,
     NumericalError,
@@ -40,7 +40,7 @@ from .errors import (
     StroboscopicRegimeWarning,
     ValidationError,
 )
-from .linalg import CSV_BLOCK_ROWS, BlockRows, _is_count, as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
+from .linalg import _is_count, as_cmatrix, dagger, frobenius_norm, hermitian_eig, write_csv
 
 CHAIN_CONSISTENCY_RTOL = 1e-12
 MAX_PROTOCOL_STEPS = 10**6
@@ -90,8 +90,9 @@ class ProtocolConfig:
             raise ValidationError(f"n_steps must be an int in 0..{MAX_PROTOCOL_STEPS}, got {self.n_steps!r}")
         ancilla_order(hm.shape[0], self.spec)  # validates dimension and site
         object.__setattr__(self, "h", hm)
+        _check_tau(self.tau)
         tau_spread = 0.0  # a step from the series route is certified below 1
-        with np.errstate(over="ignore", invalid="ignore"):  # too wide a spectrum or a bad tau fails in kraus_from_eig
+        with np.errstate(over="ignore", invalid="ignore"):  # too wide a spectrum fails in kraus_from_eig
             kraus = kraus_from_series(hm, self.spec, self.tau)
             if kraus is None:
                 eig = hermitian_eig(hm)
@@ -104,7 +105,6 @@ class ProtocolConfig:
                 stacklevel=3,
             )
         if kraus is None:
-            # kraus_from_eig checks 0 < tau < inf before the one use a bad tau corrupts
             kraus = kraus_from_eig(eig, self.spec, self.tau)
         object.__setattr__(self, "kraus", kraus)
 
@@ -241,16 +241,15 @@ def stroboscopic_error(cfg: ProtocolConfig, rho0: DensityMatrix) -> float:
 
 def write_ensemble_csv(path, ensemble: TrajectoryEnsemble, p_exact) -> None:
     """CSV with columns step,survivors,p_exact,p_empirical (one row per step),
-    handed to write_csv as a BlockRows view, so a long ensemble is split
-    into parts like any sized table."""
+    each writer block's rows formed from the arrays when write_csv asks, so
+    a long ensemble is split into parts like any other table."""
     p_exact, counts = np.asarray(p_exact, dtype=float), ensemble.survival_counts
     if p_exact.shape != counts.shape:
         raise BadDimensionError(f"p_exact length {p_exact.size} != step count {counts.size}")
-    empirical, n = ensemble.empirical_survival(), p_exact.size
+    empirical = ensemble.empirical_survival()
 
-    def block(start):
-        stop = min(start + CSV_BLOCK_ROWS, n)
-        cells = (a[start:stop].tolist() for a in (counts, p_exact, empirical))
-        return zip(range(start + 1, stop + 1), *cells)
+    def block(part):
+        cells = (a[part].tolist() for a in (counts, p_exact, empirical))
+        return list(zip(range(part.start + 1, part.stop + 1), *cells))
 
-    write_csv(path, ["step", "survivors", "p_exact", "p_empirical"], BlockRows(n, block))
+    write_csv(path, ["step", "survivors", "p_exact", "p_empirical"], p_exact.size, block)

@@ -43,7 +43,7 @@ from zenon.dynamics import (
     default_time_step,
     state_factor,
 )
-from zenon.effective import AncillaSpec, ancilla_order, ancilla_rows, kraus_from_eig
+from zenon.effective import AncillaSpec, _check_tau, ancilla_order, ancilla_rows, kraus_from_eig
 from zenon.entanglement import TwoLevelBlockParams
 from zenon.errors import (
     NotHermitianError,
@@ -487,10 +487,12 @@ def kraus_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
 
 
 def eigh_route_step(h, spec: AncillaSpec, tau: float) -> np.ndarray:
-    """ProtocolConfig's step by its eigh route alone: one hermitian_eig of H,
-    without numpy's warnings, the StroboscopicRegimeWarning, with its message,
-    where tau times its Bohr spread reaches 1, then kraus_from_eig of it (so
-    kraus_step's bits); every error is hermitian_eig's or kraus_from_eig's."""
+    """ProtocolConfig's step by its eigh route alone: the tau check, one
+    hermitian_eig of H, without numpy's warnings, the
+    StroboscopicRegimeWarning, with its message, where tau times its Bohr
+    spread reaches 1, then kraus_from_eig of it (so kraus_step's bits);
+    every error is _check_tau's, hermitian_eig's or kraus_from_eig's."""
+    _check_tau(tau)
     with np.errstate(over="ignore", invalid="ignore"):
         eig = hermitian_eig(h)
         tau_spread = tau * (eig.eigenvalues[-1] - eig.eigenvalues[0])

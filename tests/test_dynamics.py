@@ -373,6 +373,12 @@ def test_evolve_conditional_refuses_a_time_not_nonnegative_and_finite(t):
         evolve_conditional(_symmetric_eff(), DensityMatrix.basis_state(4, 1), t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_integrate_nonlinear_refuses_a_time_not_finite_before_planning_steps(t):
+    with pytest.raises(ValidationError, match="^t must be nonnegative and finite"):
+        integrate_nonlinear(_symmetric_eff(), DensityMatrix.basis_state(4, 1), t)
+
+
 @pytest.mark.parametrize("run", [conditional_trajectory, conditional_final_state])
 def test_final_state_and_trajectory_share_validation_and_collapse(run):
     # exp(-400 t) on the occupied level: the trace e^-800 underflows to 0

@@ -188,8 +188,6 @@ def test_kraus_from_series_leaves_small_warning_and_bad_inputs_to_eigh():
     assert kraus_from_series(h, AncillaSpec(), 0.1 / (w[-1] - w[0])) is not None
     # ||Y||_F / sqrt(d) >= 1 proves tau * spread >= 1: refused before any product
     assert kraus_from_series(h, AncillaSpec(), 4 * math.sqrt(2 * EIGVALSH_MIN_DIM) / frobenius_norm(h)) is None
-    for tau in (0.0, -1.0, math.nan, math.inf, "0.1"):  # refused before the gate
-        assert kraus_from_series(np.full_like(h, math.nan), AncillaSpec(), tau) is None
     with pytest.raises(NotHermitianError):  # the gate's own error, as the eigh route's
         kraus_from_series(np.full_like(h, math.nan), AncillaSpec(), 0.1)
 

@@ -474,6 +474,11 @@ def test_matrix_json_rejects_mismatched_counts():
         matrix_from_json([1, 2])
 
 
+def _write_list(path, header, rows):
+    # a list table, as the CLI passes one: row k is rows[k]
+    write_csv(path, header, len(rows), rows.__getitem__)
+
+
 def test_write_csv_integers_and_float_edge_cases(tmp_path):
     rows = [
         (1, 7, -0.0, 5e-324),
@@ -481,7 +486,7 @@ def test_write_csv_integers_and_float_edge_cases(tmp_path):
         (3, -4, 0.1, 2),
     ]
     path = tmp_path / "t.csv"
-    write_csv(path, ["step", "count", "x", "y"], rows)
+    _write_list(path, ["step", "count", "x", "y"], rows)
     assert path.read_text() == (
         "step,count,x,y\n"
         "1,7,-0.0,5e-324\n"
@@ -489,11 +494,11 @@ def test_write_csv_integers_and_float_edge_cases(tmp_path):
         "3,-4,0.1,2\n"
     )
     again = tmp_path / "u.csv"
-    write_csv(again, ["step", "count", "x", "y"], rows)
+    _write_list(again, ["step", "count", "x", "y"], rows)
     assert again.read_bytes() == path.read_bytes()
     for numpy_row in ((1, np.int64(7), -0.0, 5e-324), (3, -4, np.float64(0.1), 2)):
         with pytest.raises(ValueError, match="4 Python ints and floats"):
-            write_csv(path, ["step", "count", "x", "y"], [numpy_row])
+            _write_list(path, ["step", "count", "x", "y"], [numpy_row])
 
 
 _PLAIN_CELLS = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 5e-324, 1e300, 2.5, 0, 7, -3, 10**20]
@@ -515,23 +520,23 @@ def test_write_csv_rows_match_the_per_cell_writer_byte_for_byte(rows, odd, at):
     # row of another width or with a cell of another type raises instead
     with tempfile.TemporaryDirectory() as tmp:
         fast, slow = Path(tmp) / "fast.csv", Path(tmp) / "slow.csv"
-        write_csv(fast, ["a", "b"], rows)
+        _write_list(fast, ["a", "b"], rows)
         percell_csv(slow, ["a", "b"], rows)
         assert fast.read_bytes() == slow.read_bytes()
         with pytest.raises(ValueError):
-            write_csv(fast, ["a", "b"], rows[:at] + [odd] + rows[at:])
+            _write_list(fast, ["a", "b"], rows[:at] + [odd] + rows[at:])
 
 
 def test_write_csv_plain_rows_and_mixed_rows(tmp_path):
-    write_csv(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), (math.nan, math.inf, 10**20, -3)])
+    _write_list(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), (math.nan, math.inf, 10**20, -3)])
     assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n1,0.5,-0.0,1e+16\nnan,inf,100000000000000000000,-3\n"
     for mixed in ([True, np.float32(0.1), np.int64(2), 1e-5], [1, 0.5, -0.0, np.float64(1e16)], (), (math.nan, math.inf)):
         with pytest.raises(ValueError, match="4 Python ints and floats"):
-            write_csv(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), mixed])
+            _write_list(tmp_path / "t.csv", list("abcd"), [(1, 0.5, -0.0, 1e16), mixed])
 
 
 def _same_as_percell(tmp_path, rows):
-    write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], rows)
+    _write_list(tmp_path / "fast.csv", ["a", "b", "c", "d"], rows)
     percell_csv(tmp_path / "slow.csv", ["a", "b", "c", "d"], rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
     return (tmp_path / "fast.csv").read_text()
@@ -569,7 +574,7 @@ def test_write_csv_odd_row_before_on_and_after_a_block_boundary(tmp_path, kind, 
     rows = _plain_table(2 * _B + 3)
     rows[at] = _ODD_ROWS[kind]
     with pytest.raises(ValueError, match="4 Python ints and floats"):
-        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+        _write_list(tmp_path / "t.csv", list("abcd"), rows)
     percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: at // _B * _B])
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -593,17 +598,49 @@ def _counting_fork(monkeypatch) -> list:
 )
 def test_write_csv_in_parts_is_the_one_part_write(tmp_path, monkeypatch, n):
     # three usable cores: below 2 _M rows one part, below 3 _M two, then
-    # three, split at block starts; an iterator always takes one part
+    # three, split at block starts; one usable core always takes one part
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = _counting_fork(monkeypatch)
     rows = _plain_table(n)
-    write_csv(tmp_path / "parts.csv", list("abcd"), rows)
+    _write_list(tmp_path / "parts.csv", list("abcd"), rows)
     _no_children_left()
     assert len(forks) == min(3, n // _M) - 1
-    write_csv(tmp_path / "one.csv", list("abcd"), iter(rows))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _write_list(tmp_path / "one.csv", list("abcd"), rows)
     assert len(forks) == min(3, n // _M) - 1
     assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert (tmp_path / "parts.csv").read_text().count("\n") == n + 1
+
+
+@pytest.mark.parametrize(
+    "n, cores", [(0, 1), (1, 1), (_B, 1), (3 * _B + 7, 1), (3 * _M + 7, 1), (2 * _M + _B - 1, 2), (3 * _M + 7, 3)]
+)
+def test_write_csv_asks_rows_of_for_each_block_once_and_forms_only_part_zero_itself(tmp_path, monkeypatch, n, cores):
+    # every process logs the slices it asks for: each starts at a block start
+    # and spans at most a block, together they cover 0 .. n - 1 once, and this
+    # process asks, in order, for the blocks of part 0 alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    rows, log = _plain_table(n), tmp_path / "asked.txt"
+
+    def rows_of(part):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {part.start} {part.stop}\n")
+        return rows[part]
+
+    write_csv(tmp_path / "t.csv", list("abcd"), n, rows_of)
+    _no_children_left()
+    asked = [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
+    assert all(start % _B == 0 and 0 < stop - start <= _B for _, start, stop in asked)
+    assert sorted(k for _, start, stop in asked for k in range(start, stop)) == list(range(n))
+    here = [(start, stop) for pid, start, stop in asked if pid == os.getpid()]
+    end = here[-1][1] if here else 0
+    assert here == [(start, min(start + _B, end)) for start in range(0, end, _B)]
+    children = {pid for pid, _, _ in asked} - {os.getpid()}
+    parts = max(1, min(cores, n // _M))
+    assert len(children) == parts - 1
+    assert end == n if parts == 1 else _M <= end < n
+    percell_csv(tmp_path / "ref.csv", list("abcd"), rows)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("at", [0, _M - 1, _M, _M + _B + 3, 2 * _M - 1, 2 * _M + 40])
@@ -615,7 +652,7 @@ def test_write_csv_odd_row_in_any_part_is_the_one_part_error(tmp_path, monkeypat
     rows = _plain_table(2 * _M + 41)
     rows[at] = _ODD_ROWS["numpy_scalar"]
     with pytest.raises(ValueError, match="4 Python ints and floats"):
-        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+        _write_list(tmp_path / "t.csv", list("abcd"), rows)
     _no_children_left()
     percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: at // _B * _B])
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -624,7 +661,8 @@ def test_write_csv_odd_row_in_any_part_is_the_one_part_error(tmp_path, monkeypat
 @pytest.mark.parametrize("fork", ["missing", "raising"])
 def test_write_csv_without_a_fork_formats_every_part_itself(tmp_path, monkeypatch, fork):
     rows = _plain_table(3 * _M + 7)
-    write_csv(tmp_path / "ref.csv", list("abcd"), iter(rows))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _write_list(tmp_path / "ref.csv", list("abcd"), rows)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     if fork == "missing":
         monkeypatch.delattr(os, "fork")
@@ -633,11 +671,11 @@ def test_write_csv_without_a_fork_formats_every_part_itself(tmp_path, monkeypatc
             raise OSError("no fork")
 
         monkeypatch.setattr(os, "fork", refuse)
-    write_csv(tmp_path / "t.csv", list("abcd"), rows)
+    _write_list(tmp_path / "t.csv", list("abcd"), rows)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     rows[2 * _M + 1] = _ODD_ROWS["bool"]
     with pytest.raises(ValueError, match="4 Python ints and floats"):
-        write_csv(tmp_path / "t.csv", list("abcd"), rows)
+        _write_list(tmp_path / "t.csv", list("abcd"), rows)
     percell_csv(tmp_path / "ref.csv", list("abcd"), rows[: 2 * _M])
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _no_children_left()
@@ -646,21 +684,23 @@ def test_write_csv_without_a_fork_formats_every_part_itself(tmp_path, monkeypatc
 def test_write_csv_plain_block_of_float_edge_cases(tmp_path):
     # a whole block and part of the next, every cell an exact float
     rows = [[-0.0, 5e-324, 1e16, 1e-05, math.nan, math.inf]] * (_B + 6)
-    write_csv(tmp_path / "t.csv", list("abcdef"), rows)
+    _write_list(tmp_path / "t.csv", list("abcdef"), rows)
     percell_csv(tmp_path / "ref.csv", list("abcdef"), rows)
     text = (tmp_path / "t.csv").read_text()
     assert text == (tmp_path / "ref.csv").read_text()
     assert text == "a,b,c,d,e,f\n" + "-0.0,5e-324,1e+16,1e-05,nan,inf\n" * (_B + 6)
 
 
-def test_write_csv_peak_memory_does_not_grow_with_row_count(tmp_path):
-    # a block is held as text, never the table: ten times the rows, the
-    # same traced peak up to a small constant (the 200 000 rows are 1.2 MB
-    # of text)
+def test_write_csv_peak_memory_does_not_grow_with_row_count(tmp_path, monkeypatch):
+    # a block is held as text, never the table: ten times the rows in one
+    # part, the same traced peak up to a small constant (the 200 000 rows
+    # are 1.2 MB of text)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
     def peak(n):
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "t.csv", ["n", "x"], itertools.repeat((7, 0.1), n))
+            write_csv(tmp_path / "t.csv", ["n", "x"], n, lambda part: [(7, 0.1)] * len(range(n)[part]))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

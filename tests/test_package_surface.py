@@ -135,3 +135,24 @@ def setattr_outside_post_init() -> list[str]:
 def test_object_setattr_appears_only_inside_post_init():
     found = setattr_outside_post_init()
     assert not found, f"object.__setattr__ outside a __post_init__: {', '.join(found)}"
+
+
+CSV_INTERNALS = {"CSV_BLOCK_ROWS", "CSV_PART_MIN_ROWS", "BlockRows"}
+
+
+def csv_internals_outside_linalg() -> list[str]:
+    """module:line name of each import or read of write_csv's block size,
+    part size or block adapter outside linalg.py: a table hands write_csv
+    its row count and a rows_of function, and the writer alone chooses the
+    slices it asks for."""
+    found = []
+    for path, tree in _modules().items():
+        if path.name != "linalg.py":
+            imported = [(a.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+            found += [f"{path.stem}:{line} {name}" for name, line in [*_references(tree), *imported] if name in CSV_INTERNALS]
+    return found
+
+
+def test_only_the_csv_writer_reads_its_block_and_part_sizes():
+    found = csv_internals_outside_linalg()
+    assert not found, f"write_csv's internals read outside linalg.py: {', '.join(found)}"

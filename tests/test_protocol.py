@@ -70,13 +70,23 @@ def test_protocol_config_on_a_spectrum_past_the_double_range_warns_no_runtime_wa
 def test_protocol_config_validation():
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.array([[0, 1], [0, 0]]), spec=AncillaSpec(), tau=0.1, n_steps=1)
-    for tau in (0.0, -0.1, math.nan, math.inf):  # kraus_from_eig's check, the only one on this path
+    for tau in (0.0, -0.1, math.nan, math.inf):  # checked before either route or the warning reads tau
         with pytest.raises(ValidationError, match="^tau must be positive"):
             ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=tau, n_steps=1)
     with pytest.raises(ValidationError):
         ProtocolConfig(h=np.eye(4), spec=AncillaSpec(), tau=0.1, n_steps=-1)
     with pytest.raises(BadDimensionError):
         ProtocolConfig(h=np.eye(5), spec=AncillaSpec(), tau=0.1, n_steps=1)
+
+
+@pytest.mark.parametrize("dim", [4, 2 * EIGVALSH_MIN_DIM])
+def test_protocol_config_refuses_an_infinite_tau_before_the_regime_warning(dim):
+    # a spread-out spectrum: tau = inf would read as a Bohr spread past 1
+    h = random_hermitian(np.random.Generator(np.random.PCG64(dim)), dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StroboscopicRegimeWarning)
+        with pytest.raises(ValidationError, match="^tau must be positive, got inf"):
+            ProtocolConfig(h=h, spec=AncillaSpec(), tau=math.inf, n_steps=1)
 
 
 @pytest.mark.parametrize("n_steps", [2.5, True, np.float64(3.0), 3.0, "3"])
